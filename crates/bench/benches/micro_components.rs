@@ -345,6 +345,22 @@ fn bench_arena(c: &mut Criterion) {
     });
 }
 
+/// One burst interval of the harness-scale Zipf workload (skew 0.9 over
+/// 32 Ki ranks, ~1,200 arrivals): the per-interval generation cost a
+/// `zipf` sweep pays. The spec builds its popularity table on the first
+/// iteration and every later one samples the shared table.
+fn bench_zipf_interval(c: &mut Criterion) {
+    use lbica_trace::workload::{WorkloadScale, WorkloadSpec};
+
+    let spec = WorkloadSpec::zipfian_scaled("zipf-900", WorkloadScale::harness(), 900);
+    let burst = (0..spec.total_intervals())
+        .find(|&index| spec.is_burst_interval(index))
+        .expect("the Zipf workload has a burst phase");
+    c.bench_function("trace/zipf_burst_interval", |b| {
+        b.iter(|| spec.generate_interval(std::hint::black_box(burst), 7))
+    });
+}
+
 /// Batched (deferred, committed once per interval) vs eager per-move
 /// movement accounting over the identical promotion-heavy access
 /// sequence — the overhead the deferred-move buffer removes from the
@@ -424,6 +440,7 @@ criterion_group!(
     bench_remove_by_ids,
     bench_tier_movement,
     bench_arena,
-    bench_tier_batched_movement
+    bench_tier_batched_movement,
+    bench_zipf_interval
 );
 criterion_main!(benches);

@@ -40,6 +40,11 @@ use lbica_bench::{Baseline, CellPerf, ScalingPoint, SuiteConfig, ThroughputRun};
 use lbica_lab::{ScenarioMatrix, SweepExecutor};
 use lbica_sim::SimArena;
 
+/// The matrices `--matrix` accepts, in the order the usage text lists
+/// them.
+const MATRICES: [&str; 8] =
+    ["tiny", "geometry", "devices", "tiered", "replacement", "replay", "paper", "paper-tiered"];
+
 #[derive(Debug)]
 struct Options {
     matrix: String,
@@ -110,10 +115,11 @@ fn parse_args() -> Result<Option<Options>, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: bench_throughput [--matrix tiny|geometry|devices|paper] \
+                    "usage: bench_throughput [--matrix {}] \
                      [--jobs N] [--iters N] [--out FILE] \
                      [--baseline-wall-us N] [--baseline-label STR]\n\
-                     \x20      bench_throughput --validate FILE"
+                     \x20      bench_throughput --validate FILE",
+                    MATRICES.join("|")
                 );
                 return Ok(None);
             }
@@ -124,6 +130,9 @@ fn parse_args() -> Result<Option<Options>, String> {
 }
 
 fn build_matrix(name: &str) -> Result<ScenarioMatrix, String> {
+    if !MATRICES.contains(&name) {
+        return Err(format!("unknown matrix `{name}`"));
+    }
     match name {
         "tiny" => Ok(ScenarioMatrix::tiny()),
         "geometry" => Ok(ScenarioMatrix::geometry()),
@@ -139,7 +148,7 @@ fn build_matrix(name: &str) -> Result<ScenarioMatrix, String> {
             let config = SuiteConfig::harness();
             Ok(ScenarioMatrix::paper_tiered(config.scale, config.sim, config.seed))
         }
-        other => Err(format!("unknown matrix `{other}`")),
+        other => unreachable!("listed matrix `{other}` has no builder"),
     }
 }
 
@@ -286,4 +295,21 @@ fn main() -> ExitCode {
     }
     println!("wrote {}", opts.out.display());
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_listed_matrix_builds_and_no_other_name_does() {
+        for name in MATRICES {
+            assert!(build_matrix(name).is_ok(), "listed matrix `{name}` must build");
+        }
+        for name in
+            ["", "bogus", "Tiny", "paper_tiered", "smoke", "tier-policy", "zipf", "paper-mt"]
+        {
+            assert!(build_matrix(name).is_err(), "unlisted matrix `{name}` must be rejected");
+        }
+    }
 }

@@ -215,6 +215,7 @@ mod tests {
             }],
             policy_changes: Vec::new(),
             app_completed: 100,
+            unfinished_requests: 0,
             app_avg_latency_us: latency,
             app_max_latency_us: latency * 2,
             app_p50_latency_us: latency,

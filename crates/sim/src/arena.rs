@@ -20,7 +20,10 @@
 //!
 //! One arena per sweep worker thread: cells on the same worker share it
 //! sequentially, so after the first cell of each shape every subsequent
-//! cell runs allocation-free.
+//! cell runs allocation-free. The arena also owns the buffer each
+//! interval's generated arrivals are written into.
+
+use lbica_trace::record::TraceRecord;
 
 use crate::config::SimulationConfig;
 use crate::system::StorageSystem;
@@ -41,6 +44,7 @@ use crate::tiered::TieredStorageSystem;
 pub struct SimArena {
     flat: Option<(SimulationConfig, StorageSystem)>,
     tiered: Option<(SimulationConfig, TieredStorageSystem)>,
+    records: Vec<TraceRecord>,
 }
 
 impl SimArena {
@@ -87,5 +91,17 @@ impl SimArena {
     /// [`SimArena::take_tiered`].
     pub fn store_tiered(&mut self, config: SimulationConfig, system: TieredStorageSystem) {
         self.tiered = Some((config, system));
+    }
+
+    /// Hands out the interval-arrivals buffer (empty, with the capacity of
+    /// every earlier run's largest interval).
+    pub(crate) fn take_records(&mut self) -> Vec<TraceRecord> {
+        std::mem::take(&mut self.records)
+    }
+
+    /// Returns the interval-arrivals buffer for the next run.
+    pub(crate) fn store_records(&mut self, mut records: Vec<TraceRecord>) {
+        records.clear();
+        self.records = records;
     }
 }

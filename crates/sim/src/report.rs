@@ -96,6 +96,11 @@ pub struct SimulationReport {
     pub policy_changes: Vec<PolicyChange>,
     /// Number of application requests that completed.
     pub app_completed: u64,
+    /// Application requests still outstanding when the run ended: 0 when
+    /// the end-of-run drain emptied the system, positive when the drain hit
+    /// its cap or was disabled. Every generated request is counted in
+    /// exactly one of `app_completed` and `unfinished_requests`.
+    pub unfinished_requests: u64,
     /// Mean end-to-end application latency, µs (Fig. 7's y-axis).
     pub app_avg_latency_us: u64,
     /// Maximum end-to-end application latency, µs.
@@ -242,6 +247,7 @@ mod tests {
             intervals,
             policy_changes: Vec::new(),
             app_completed: 0,
+            unfinished_requests: 0,
             app_avg_latency_us: 0,
             app_max_latency_us: 0,
             app_p50_latency_us: 0,

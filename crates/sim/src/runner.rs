@@ -15,6 +15,12 @@ use lbica_storage::snap::{SnapError, SnapReader, SnapWriter};
 use lbica_storage::time::SimTime;
 use lbica_trace::monitor::IntervalReport;
 
+/// The end-of-run drain's cap, in 100 ms steps: 600 × 100 ms = 60
+/// simulated seconds. A backlog the system cannot clear in that window is
+/// left unfinished (and counted in
+/// [`SimulationReport::unfinished_requests`]) rather than chased forever.
+const DRAIN_STEPS: u32 = 600;
+
 /// Drives one [`WorkloadSpec`] through a [`StorageSystem`] under a
 /// [`CacheController`], interval by interval, producing a
 /// [`SimulationReport`].
@@ -28,7 +34,8 @@ pub struct Simulation {
     config: SimulationConfig,
     spec: WorkloadSpec,
     seed: u64,
-    drain_at_end: bool,
+    /// Cap of the end-of-run drain in 100 ms steps (0: no drain).
+    drain_steps: u32,
     observer: Option<SimObserver>,
     profiler: Option<PhaseProfiler>,
 }
@@ -37,14 +44,14 @@ impl Simulation {
     /// Creates a simulation of `spec` with the given configuration and
     /// random seed.
     pub fn new(config: SimulationConfig, spec: WorkloadSpec, seed: u64) -> Self {
-        Simulation { config, spec, seed, drain_at_end: true, observer: None, profiler: None }
+        Simulation { config, spec, seed, drain_steps: DRAIN_STEPS, observer: None, profiler: None }
     }
 
     /// Disables draining outstanding requests after the last interval
     /// (builder style). Draining is enabled by default so that conservation
     /// checks and aggregate latencies cover every request.
     pub fn without_drain(mut self) -> Self {
-        self.drain_at_end = false;
+        self.drain_steps = 0;
         self
     }
 
@@ -157,13 +164,15 @@ impl Simulation {
             policy: controller.initial_policy().label().to_string(),
         }];
         let mut bypassed_total = 0u64;
+        let mut records = arena.take_records();
 
         for index in 0..total_intervals {
             // 1. Feed the interval's arrivals and run the event loop to the
             //    interval boundary.
             let mark = prof.mark();
-            for record in self.spec.generate_interval(index, self.seed) {
-                system.schedule_record(&record);
+            self.spec.generate_interval_into(index, self.seed, &mut records);
+            for record in &records {
+                system.schedule_record(record);
             }
             prof.record(Phase::EventQueue, mark);
             let boundary = SimTime::from_micros((index as u64 + 1) * interval_us);
@@ -242,13 +251,9 @@ impl Simulation {
             intervals.push(report);
         }
 
-        if self.drain_at_end {
-            // Let in-flight and queued requests finish so aggregate latencies
-            // cover the whole workload. 600 × 100 ms = 60 simulated seconds,
-            // a hard cap: a backlog the system cannot clear in that window
-            // is truncated rather than chased forever.
-            system.drain_with(600, prof);
-        }
+        // Let in-flight and queued requests finish so aggregate latencies
+        // cover the whole workload (up to the drain cap).
+        system.drain_with(self.drain_steps, prof);
 
         if let Some(obs) = self.observer.as_mut() {
             controller.export_obs(obs, interval_us);
@@ -268,6 +273,7 @@ impl Simulation {
             intervals,
             policy_changes,
             app_completed: system.app_completed(),
+            unfinished_requests: system.app_outstanding(),
             app_avg_latency_us: system.app_avg_latency_us(),
             app_max_latency_us: system.app_max_latency_us(),
             app_p50_latency_us: system.app_percentile_us(50.0),
@@ -283,6 +289,7 @@ impl Simulation {
         };
         prof.record(Phase::Report, mark);
         arena.store_flat(self.config, system);
+        arena.store_records(records);
         report
     }
 
@@ -321,11 +328,13 @@ impl Simulation {
         // Cumulative (promotions, demotions) at the last observed interval,
         // so the observer can trace per-interval movement deltas.
         let mut observed_moves = (0u64, 0u64);
+        let mut records = arena.take_records();
 
         for index in 0..total_intervals {
             let mark = prof.mark();
-            for record in self.spec.generate_interval(index, self.seed) {
-                system.schedule_record(&record);
+            self.spec.generate_interval_into(index, self.seed, &mut records);
+            for record in &records {
+                system.schedule_record(record);
             }
             prof.record(Phase::EventQueue, mark);
             let boundary = SimTime::from_micros((index as u64 + 1) * interval_us);
@@ -433,9 +442,7 @@ impl Simulation {
             intervals.push(report);
         }
 
-        if self.drain_at_end {
-            system.drain_with(600, prof);
-        }
+        system.drain_with(self.drain_steps, prof);
 
         if let Some(obs) = self.observer.as_mut() {
             controller.export_obs(obs, interval_us);
@@ -458,6 +465,7 @@ impl Simulation {
             intervals,
             policy_changes,
             app_completed: system.app_completed(),
+            unfinished_requests: system.app_outstanding(),
             app_avg_latency_us: system.app_avg_latency_us(),
             app_max_latency_us: system.app_max_latency_us(),
             app_p50_latency_us: system.app_percentile_us(50.0),
@@ -473,6 +481,7 @@ impl Simulation {
         };
         prof.record(Phase::Report, mark);
         arena.store_tiered(self.config, system);
+        arena.store_records(records);
         report
     }
 
@@ -612,9 +621,7 @@ impl Simulation {
                 &mut policy_changes,
                 &mut bypassed_total,
             );
-            if self.drain_at_end {
-                system.drain_with(600, &mut NoProf);
-            }
+            system.drain_with(self.drain_steps, &mut NoProf);
             Ok(SimulationReport {
                 workload: self.spec.name().to_string(),
                 controller: controller.name().to_string(),
@@ -622,6 +629,7 @@ impl Simulation {
                 intervals,
                 policy_changes,
                 app_completed: system.app_completed(),
+                unfinished_requests: system.app_outstanding(),
                 app_avg_latency_us: system.app_avg_latency_us(),
                 app_max_latency_us: system.app_max_latency_us(),
                 app_p50_latency_us: system.app_percentile_us(50.0),
@@ -649,9 +657,7 @@ impl Simulation {
                 &mut policy_changes,
                 &mut bypassed_total,
             );
-            if self.drain_at_end {
-                system.drain_with(600, &mut NoProf);
-            }
+            system.drain_with(self.drain_steps, &mut NoProf);
             Ok(SimulationReport {
                 workload: self.spec.name().to_string(),
                 controller: controller.name().to_string(),
@@ -659,6 +665,7 @@ impl Simulation {
                 intervals,
                 policy_changes,
                 app_completed: system.app_completed(),
+                unfinished_requests: system.app_outstanding(),
                 app_avg_latency_us: system.app_avg_latency_us(),
                 app_max_latency_us: system.app_max_latency_us(),
                 app_p50_latency_us: system.app_percentile_us(50.0),
@@ -691,9 +698,11 @@ impl Simulation {
         bypassed_total: &mut u64,
     ) {
         let interval_us = self.spec.interval_us();
+        let mut records = Vec::new();
         for index in start..end {
-            for record in self.spec.generate_interval(index, self.seed) {
-                system.schedule_record(&record);
+            self.spec.generate_interval_into(index, self.seed, &mut records);
+            for record in &records {
+                system.schedule_record(record);
             }
             let boundary = SimTime::from_micros((index as u64 + 1) * interval_us);
             system.run_until_with(boundary, &mut NoProf);
@@ -745,9 +754,11 @@ impl Simulation {
     ) {
         let interval_us = self.spec.interval_us();
         let mut tier_loads: Vec<TierLoad> = Vec::with_capacity(system.tier_count());
+        let mut records = Vec::new();
         for index in start..end {
-            for record in self.spec.generate_interval(index, self.seed) {
-                system.schedule_record(&record);
+            self.spec.generate_interval_into(index, self.seed, &mut records);
+            for record in &records {
+                system.schedule_record(record);
             }
             let boundary = SimTime::from_micros((index as u64 + 1) * interval_us);
             system.run_until_with(boundary, &mut NoProf);
@@ -1145,6 +1156,60 @@ mod tests {
             err,
             lbica_storage::snap::SnapError::Corrupt("checkpoint runs execute unobserved")
         );
+    }
+
+    /// Requests `spec` generates over its whole run.
+    fn generated(spec: &WorkloadSpec, seed: u64) -> u64 {
+        (0..spec.total_intervals()).map(|i| spec.generate_interval(i, seed).len() as u64).sum()
+    }
+
+    #[test]
+    fn every_generated_request_completes_or_is_reported_unfinished() {
+        use lbica_trace::gen::PatternSpec;
+        use lbica_trace::workload::{BurstPhase, PhaseIntensity, WorkloadKind};
+        // One 20 ms interval at 1 M IOPS: a backlog of seconds on the tiny
+        // cache device, far more than one 100 ms drain step clears.
+        let overload = WorkloadSpec::new("overload", WorkloadKind::Custom, 20_000).push_phase(
+            BurstPhase::new(
+                "flood",
+                1,
+                1_000_000.0,
+                PatternSpec::RandomWrite { working_set_blocks: 4_096 },
+                PhaseIntensity::Burst,
+            ),
+        );
+        let mail = WorkloadSpec::mail_server_scaled(WorkloadScale::tiny());
+        for config in [SimulationConfig::tiny(), SimulationConfig::tiny_two_tier()] {
+            let conserved = |report: &SimulationReport, spec: &WorkloadSpec| {
+                assert_eq!(
+                    report.app_completed + report.unfinished_requests,
+                    generated(spec, 7),
+                    "{} on {config:?}",
+                    spec.name()
+                );
+            };
+            let drained = Simulation::new(config, mail.clone(), 7)
+                .run(&mut StaticPolicyController::write_back());
+            assert_eq!(drained.unfinished_requests, 0);
+            conserved(&drained, &mail);
+
+            let undrained = Simulation::new(config, overload.clone(), 7)
+                .without_drain()
+                .run(&mut StaticPolicyController::write_back());
+            conserved(&undrained, &overload);
+
+            let mut truncated = Simulation::new(config, overload.clone(), 7);
+            truncated.drain_steps = 1;
+            let truncated = truncated.run(&mut StaticPolicyController::write_back());
+            assert!(truncated.unfinished_requests > 0, "one drain step cannot clear the flood");
+            assert!(truncated.unfinished_requests < undrained.unfinished_requests);
+            conserved(&truncated, &overload);
+
+            let full = Simulation::new(config, overload.clone(), 7)
+                .run(&mut StaticPolicyController::write_back());
+            assert_eq!(full.unfinished_requests, 0, "60 simulated seconds clear the flood");
+            conserved(&full, &overload);
+        }
     }
 
     #[test]

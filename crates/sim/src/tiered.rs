@@ -157,6 +157,11 @@ impl TieredStorageSystem {
         self.app.completed()
     }
 
+    /// Number of application requests that have arrived but not completed.
+    pub fn app_outstanding(&self) -> u64 {
+        self.app.outstanding() as u64
+    }
+
     /// Mean end-to-end latency of completed application requests, µs.
     pub fn app_avg_latency_us(&self) -> u64 {
         self.app.total_latency_us().checked_div(self.app.completed()).unwrap_or(0)

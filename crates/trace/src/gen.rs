@@ -5,6 +5,8 @@
 //! *when* requests arrive (an open-loop Poisson-like stream at a target
 //! IOPS). [`AccessPattern`] is the stateful generator built from a spec.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -66,9 +68,12 @@ pub enum PatternSpec {
     ///
     /// The skew exponent `s` is carried as an integer in permille
     /// (`skew_permille = 1000` means the classic `s = 1.0`) so specs stay
-    /// exactly comparable across platforms; the cumulative table is built
-    /// once per generator in a fixed fold order and the per-access draw is
-    /// integer-only.
+    /// exactly comparable across platforms. The cumulative popularity table
+    /// is built in a fixed fold order and the per-access draw is
+    /// integer-only. A [`crate::workload::WorkloadSpec`] owns one table per
+    /// distinct `(working_set_blocks, skew_permille)`, built on the first
+    /// interval that samples it and shared by every later interval's
+    /// generator; an [`AccessPattern::new`] called directly builds its own.
     Zipfian {
         /// Fraction of requests that are reads, in `[0, 1]`.
         read_fraction: f64,
@@ -90,6 +95,17 @@ impl PatternSpec {
             | PatternSpec::Zipfian { working_set_blocks, .. } => working_set_blocks,
             PatternSpec::SequentialRead { length_blocks }
             | PatternSpec::SequentialWrite { length_blocks } => length_blocks,
+        }
+    }
+
+    /// What a Zipfian pattern's popularity table depends on: `(working set,
+    /// skew)`; `None` for every other pattern.
+    pub(crate) fn zipf_key(&self) -> Option<(u64, u32)> {
+        match *self {
+            PatternSpec::Zipfian { working_set_blocks, skew_permille, .. } => {
+                Some((working_set_blocks, skew_permille))
+            }
+            _ => None,
         }
     }
 
@@ -128,34 +144,38 @@ pub struct AccessPattern {
     cursor: u64,
     rng: StdRng,
     /// Cumulative popularity thresholds for [`PatternSpec::Zipfian`], one
-    /// `u64` per rank; empty for every other spec. `zipf_cdf[k]` is the
+    /// `u64` per rank; `None` for every other spec. `zipf_cdf[k]` is the
     /// largest draw that selects rank `k`, and the final entry is forced to
     /// `u64::MAX`, so the per-access draw is a pure integer
     /// `partition_point` with no float comparisons.
-    zipf_cdf: Vec<u64>,
+    zipf_cdf: Option<Arc<[u64]>>,
 }
 
 /// Builds the cumulative Zipf table: entry `k` holds the (scaled) cumulative
 /// probability of ranks `0..=k`. Floats appear only here, in a fixed
 /// sequential fold order, so the table is a deterministic function of
-/// `(working_set_blocks, skew_permille)`.
-fn build_zipf_cdf(working_set_blocks: u64, skew_permille: u32) -> Vec<u64> {
+/// `(working_set_blocks, skew_permille)`. The running sums are kept as
+/// `f64` bits in the table itself and rescaled in place, so the build
+/// allocates nothing beyond the table.
+pub(crate) fn build_zipf_cdf(working_set_blocks: u64, skew_permille: u32) -> Arc<[u64]> {
     let n = usize::try_from(working_set_blocks).expect("zipfian working set fits in memory");
     let s = f64::from(skew_permille) / 1000.0;
-    let mut weights = Vec::with_capacity(n);
+    let mut cdf: Arc<[u64]> = std::iter::repeat_n(0, n).collect();
+    let slots = Arc::get_mut(&mut cdf).expect("a fresh table is unshared");
     let mut total = 0.0_f64;
-    for rank in 0..n {
-        let w = (rank as f64 + 1.0).powf(-s);
-        total += w;
-        weights.push(total);
+    for (rank, slot) in slots.iter_mut().enumerate() {
+        total += (rank as f64 + 1.0).powf(-s);
+        *slot = total.to_bits();
     }
-    let mut cdf = Vec::with_capacity(n);
-    for cum in weights {
-        let scaled = (cum / total) * (u64::MAX as f64);
-        cdf.push(scaled as u64);
+    for slot in slots.iter_mut() {
+        let cum = f64::from_bits(*slot);
+        *slot = ((cum / total) * (u64::MAX as f64)) as u64;
     }
     // Guarantee full coverage of the draw space regardless of rounding.
-    *cdf.last_mut().expect("non-empty footprint") = u64::MAX;
+    // (An empty footprint is rejected where a generator is built.)
+    if let Some(last) = slots.last_mut() {
+        *last = u64::MAX;
+    }
     cdf
 }
 
@@ -169,14 +189,28 @@ impl AccessPattern {
     ///
     /// Panics if `request_blocks` is zero or the spec's footprint is zero.
     pub fn new(spec: PatternSpec, base_block: u64, request_blocks: u64, seed: u64) -> Self {
+        AccessPattern::with_zipf_table(spec, base_block, request_blocks, seed, None)
+    }
+
+    /// [`AccessPattern::new`] with a prebuilt Zipf table: `zipf_cdf` must be
+    /// the table of the spec's [`PatternSpec::zipf_key`] (it is built here
+    /// when `None`), so the generator is identical to one from
+    /// [`AccessPattern::new`].
+    pub(crate) fn with_zipf_table(
+        spec: PatternSpec,
+        base_block: u64,
+        request_blocks: u64,
+        seed: u64,
+        zipf_cdf: Option<Arc<[u64]>>,
+    ) -> Self {
         assert!(request_blocks > 0, "requests must span at least one block");
         assert!(spec.footprint_blocks() > 0, "pattern footprint must be non-empty");
-        let zipf_cdf = match spec {
-            PatternSpec::Zipfian { working_set_blocks, skew_permille, .. } => {
-                build_zipf_cdf(working_set_blocks, skew_permille)
-            }
-            _ => Vec::new(),
-        };
+        let zipf_cdf =
+            zipf_cdf.or_else(|| spec.zipf_key().map(|(blocks, skew)| build_zipf_cdf(blocks, skew)));
+        debug_assert!(
+            zipf_cdf.as_ref().is_none_or(|t| t.len() as u64 == spec.footprint_blocks()),
+            "the Zipf table covers the working set"
+        );
         AccessPattern {
             spec,
             base_block,
@@ -247,7 +281,8 @@ impl AccessPattern {
                     RequestKind::Write
                 };
                 let draw: u64 = self.rng.next_u64();
-                let rank = self.zipf_cdf.partition_point(|&cum| cum < draw);
+                let cdf = self.zipf_cdf.as_deref().expect("zipfian generators carry a table");
+                let rank = cdf.partition_point(|&cum| cum < draw);
                 (rank as u64, kind)
             }
         }
@@ -304,14 +339,25 @@ pub fn generate_stream(
     duration_us: u64,
 ) -> Vec<TraceRecord> {
     let mut records = Vec::new();
+    generate_stream_into(pattern, arrivals, start_us, duration_us, &mut records);
+    records
+}
+
+/// [`generate_stream`], appending to `out` instead of allocating.
+pub(crate) fn generate_stream_into(
+    pattern: &mut AccessPattern,
+    arrivals: &mut ArrivalProcess,
+    start_us: u64,
+    duration_us: u64,
+    out: &mut Vec<TraceRecord>,
+) {
     let end = start_us + duration_us;
     let mut t = start_us + arrivals.next_gap_us();
     while t < end {
         let (sector, sectors, kind) = pattern.next_access();
-        records.push(TraceRecord::new(t, sector, sectors, kind));
+        out.push(TraceRecord::new(t, sector, sectors, kind));
         t += arrivals.next_gap_us();
     }
-    records
 }
 
 #[cfg(test)]

@@ -13,11 +13,15 @@
 //! match the ones the paper reports in Fig. 6 (e.g. TPC-C burst ≈ 44 % R /
 //! 51 % P, mail-server burst ≈ 70 % W, web-server burst ≈ 64 % W).
 
+use std::sync::{Arc, OnceLock};
+
 use serde::{Deserialize, Serialize};
 
 use lbica_storage::block::BLOCK_SECTORS;
 
-use crate::gen::{generate_stream, AccessPattern, ArrivalProcess, PatternSpec};
+use crate::gen::{
+    build_zipf_cdf, generate_stream_into, AccessPattern, ArrivalProcess, PatternSpec,
+};
 use crate::io::BinaryTraceCodec;
 use crate::record::TraceRecord;
 
@@ -265,6 +269,51 @@ struct ReplayTrace {
     intervals: u32,
 }
 
+/// The cumulative popularity tables of a spec's Zipfian phases, one per
+/// distinct `(working_set_blocks, skew_permille)`, so `zipfian_scaled`'s
+/// warm-up and cool-down share one. Each table is built on the first
+/// interval that samples it and then shared through `Arc` by every later
+/// interval (and by clones taken after the build). The tables are a pure
+/// function of the phases, so they take no part in equality or debug
+/// output.
+#[derive(Clone, Default)]
+struct ZipfTables(Vec<((u64, u32), LazyTable)>);
+
+/// A popularity table, built on first use.
+type LazyTable = OnceLock<Arc<[u64]>>;
+
+impl ZipfTables {
+    /// Reserves a slot for `pattern`'s table unless it is not Zipfian or
+    /// an earlier phase already has one.
+    fn register(&mut self, pattern: &PatternSpec) {
+        if let Some(key) = pattern.zipf_key() {
+            if !self.0.iter().any(|(k, _)| *k == key) {
+                self.0.push((key, OnceLock::new()));
+            }
+        }
+    }
+
+    /// `pattern`'s table, built on first use. `None` for other patterns,
+    /// and for a deserialized spec, which carries no slots.
+    fn get(&self, pattern: &PatternSpec) -> Option<Arc<[u64]>> {
+        let key = pattern.zipf_key()?;
+        let (_, table) = self.0.iter().find(|(k, _)| *k == key)?;
+        Some(Arc::clone(table.get_or_init(|| build_zipf_cdf(key.0, key.1))))
+    }
+}
+
+impl PartialEq for ZipfTables {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for ZipfTables {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("ZipfTables")
+    }
+}
+
 /// A complete phase-structured workload — or, when built from a captured
 /// trace via [`WorkloadSpec::replay`], a deterministic replay that feeds
 /// the recorded arrivals through the same interval loop.
@@ -278,6 +327,8 @@ pub struct WorkloadSpec {
     replay: Option<ReplayTrace>,
     diurnal: Option<DiurnalCurve>,
     tenants: Option<TenantMix>,
+    #[serde(skip)]
+    zipf_tables: ZipfTables,
 }
 
 impl WorkloadSpec {
@@ -293,6 +344,7 @@ impl WorkloadSpec {
             replay: None,
             diurnal: None,
             tenants: None,
+            zipf_tables: ZipfTables::default(),
         }
     }
 
@@ -348,6 +400,7 @@ impl WorkloadSpec {
             replay: Some(ReplayTrace { records, intervals }),
             diurnal: None,
             tenants: None,
+            zipf_tables: ZipfTables::default(),
         })
     }
 
@@ -384,6 +437,7 @@ impl WorkloadSpec {
             replay: None,
             diurnal: None,
             tenants: Some(TenantMix { count, tenant_blocks, templates }),
+            zipf_tables: ZipfTables::default(),
         }
     }
 
@@ -416,6 +470,7 @@ impl WorkloadSpec {
 
     /// Appends a phase (builder style).
     pub fn push_phase(mut self, phase: BurstPhase) -> Self {
+        self.zipf_tables.register(&phase.pattern);
         self.phases.push(phase);
         self
     }
@@ -538,25 +593,37 @@ impl WorkloadSpec {
     /// seed is ignored — a replay is the same stream for every seed);
     /// multi-tenant workloads merge every tenant's stream by timestamp.
     pub fn generate_interval(&self, index: u32, seed: u64) -> Vec<TraceRecord> {
+        let mut out = Vec::new();
+        self.generate_interval_into(index, seed, &mut out);
+        out
+    }
+
+    /// [`WorkloadSpec::generate_interval`] into a caller-owned buffer: `out`
+    /// is cleared, then filled with exactly the records `generate_interval`
+    /// returns. A loop that reuses one buffer stops allocating once the
+    /// buffer has grown to the largest interval (the multi-tenant merge
+    /// still takes its sort's scratch space).
+    pub fn generate_interval_into(&self, index: u32, seed: u64, out: &mut Vec<TraceRecord>) {
+        out.clear();
         if let Some(replay) = &self.replay {
             let lo = index as u64 * self.interval_us;
             let hi = lo + self.interval_us;
             let start = replay.records.partition_point(|r| r.timestamp_us < lo);
             let end = replay.records.partition_point(|r| r.timestamp_us < hi);
-            return replay.records[start..end].to_vec();
+            out.extend_from_slice(&replay.records[start..end]);
+            return;
         }
         let permille = u64::from(self.interval_factor_permille(index));
         if let Some(mix) = &self.tenants {
-            let mut out = Vec::new();
             for tenant in 0..mix.count {
-                out.extend(self.tenant_interval_scaled(tenant, index, seed, permille));
+                self.tenant_interval_scaled(tenant, index, seed, permille, out);
             }
             // Stable sort: equal timestamps keep tenant order, so the merge
             // is a pure function of the per-tenant streams.
             out.sort_by_key(|r| r.timestamp_us);
-            return out;
+            return;
         }
-        self.synthetic_interval(index, seed, permille)
+        self.synthetic_interval(index, seed, permille, out);
     }
 
     /// Generates tenant `tenant`'s contribution to monitoring interval
@@ -570,36 +637,41 @@ impl WorkloadSpec {
     /// range.
     pub fn tenant_interval(&self, tenant: u32, index: u32, seed: u64) -> Vec<TraceRecord> {
         let permille = u64::from(self.interval_factor_permille(index));
-        self.tenant_interval_scaled(tenant, index, seed, permille)
+        let mut records = Vec::new();
+        self.tenant_interval_scaled(tenant, index, seed, permille, &mut records);
+        records
     }
 
+    /// Appends tenant `tenant`'s records for interval `index` to `out`.
     fn tenant_interval_scaled(
         &self,
         tenant: u32,
         index: u32,
         seed: u64,
         permille: u64,
-    ) -> Vec<TraceRecord> {
+        out: &mut Vec<TraceRecord>,
+    ) {
         let mix = self.tenants.as_ref().expect("tenant streams require a multi-tenant workload");
         assert!(tenant < mix.count, "tenant ordinal out of range");
         let template = &mix.templates[tenant as usize % mix.templates.len()];
         let composed = permille * u64::from(template.interval_factor_permille(index)) / 1_000;
-        let mut records = template.synthetic_interval(index, tenant_seed(seed, tenant), composed);
+        let start = out.len();
+        template.synthetic_interval(index, tenant_seed(seed, tenant), composed, out);
         let offset = u64::from(tenant) * mix.tenant_blocks * BLOCK_SECTORS;
-        for r in &mut records {
+        for r in &mut out[start..] {
             r.sector += offset;
         }
-        records
     }
 
     /// The synthetic phase-driven generation path, with the arrival rate
-    /// scaled by `permille` (1000 = unscaled; 0 = a silenced interval).
-    fn synthetic_interval(&self, index: u32, seed: u64, permille: u64) -> Vec<TraceRecord> {
+    /// scaled by `permille` (1000 = unscaled; 0 = a silenced interval),
+    /// appending to `out`.
+    fn synthetic_interval(&self, index: u32, seed: u64, permille: u64, out: &mut Vec<TraceRecord>) {
         let Some((phase_idx, phase)) = self.phase_for_interval(index) else {
-            return Vec::new();
+            return;
         };
         if permille == 0 {
-            return Vec::new();
+            return;
         }
         let start_us = index as u64 * self.interval_us;
         let stream_seed = seed
@@ -607,10 +679,16 @@ impl WorkloadSpec {
             .wrapping_add(index as u64)
             .wrapping_add((phase_idx as u64) << 32);
         let iops = phase.iops * (permille as f64 / 1_000.0);
-        let mut pattern =
-            AccessPattern::new(phase.pattern, self.base_block, phase.request_blocks, stream_seed);
+        let table = self.zipf_tables.get(&phase.pattern);
+        let mut pattern = AccessPattern::with_zipf_table(
+            phase.pattern,
+            self.base_block,
+            phase.request_blocks,
+            stream_seed,
+            table,
+        );
         let mut arrivals = ArrivalProcess::new(iops, stream_seed ^ 0xA5A5_5A5A);
-        generate_stream(&mut pattern, &mut arrivals, start_us, self.interval_us)
+        generate_stream_into(&mut pattern, &mut arrivals, start_us, self.interval_us, out);
     }
 
     /// Generates the full trace for the workload.

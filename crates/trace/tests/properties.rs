@@ -11,7 +11,9 @@ use lbica_trace::gen::{generate_stream, AccessPattern, ArrivalProcess, PatternSp
 use lbica_trace::io::BinaryTraceCodec;
 use lbica_trace::monitor::{IostatCollector, Tier};
 use lbica_trace::record::TraceRecord;
-use lbica_trace::workload::{BurstPhase, PhaseIntensity, WorkloadKind, WorkloadSpec};
+use lbica_trace::workload::{
+    BurstPhase, PhaseIntensity, WorkloadKind, WorkloadScale, WorkloadSpec,
+};
 
 fn arb_pattern() -> impl Strategy<Value = PatternSpec> {
     prop_oneof![
@@ -32,8 +34,85 @@ fn arb_pattern() -> impl Strategy<Value = PatternSpec> {
     ]
 }
 
+/// Interval `index` of a single-stream synthetic spec (base block 0, no
+/// diurnal curve), generated the straightforward way: a fresh
+/// `AccessPattern` (which builds its own Zipf table) and a fresh
+/// `ArrivalProcess` seeded exactly as `WorkloadSpec` seeds them.
+fn reference_interval(spec: &WorkloadSpec, index: u32, seed: u64) -> Vec<TraceRecord> {
+    let Some((phase_idx, phase)) = spec.phase_for_interval(index) else {
+        return Vec::new();
+    };
+    let stream_seed = seed
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(u64::from(index))
+        .wrapping_add((phase_idx as u64) << 32);
+    let mut pattern = AccessPattern::new(phase.pattern, 0, phase.request_blocks, stream_seed);
+    let mut arrivals = ArrivalProcess::new(phase.iops, stream_seed ^ 0xA5A5_5A5A);
+    let start_us = u64::from(index) * spec.interval_us();
+    generate_stream(&mut pattern, &mut arrivals, start_us, spec.interval_us())
+}
+
+/// The documented per-tenant seed recipe: FNV-1a over the cell seed and
+/// the tenant ordinal (with a separator byte), then a splitmix64 finisher.
+fn reference_tenant_seed(seed: u64, tenant: u32) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let fnv = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    for b in seed.to_le_bytes() {
+        h = fnv(h, b);
+    }
+    h = fnv(h, 0xff);
+    for b in u64::from(tenant).to_le_bytes() {
+        h = fnv(h, b);
+    }
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn shared_zipf_tables_generate_the_reference_records(
+        skew in 0u32..=1_500,
+        seed in any::<u64>(),
+        first in 0u32..12,
+    ) {
+        let spec = WorkloadSpec::zipfian_scaled("zipf-prop", WorkloadScale::tiny(), skew);
+        prop_assert_eq!(spec.total_intervals(), 12);
+        // A tenant mix over a Zipfian template draws through the template's
+        // shared tables.
+        let tenants = 3u32;
+        let stride = 4 * WorkloadScale::tiny().cache_blocks;
+        let mix = WorkloadSpec::multi_tenant("zipf-mt", tenants, stride, vec![spec.clone()]);
+        // Every interval of one spec value, starting at an arbitrary
+        // phase, so whichever phase builds a table first, the others
+        // must still sample their own.
+        let mut buffer = Vec::new();
+        for index in (first..12).chain(0..first) {
+            let expected = reference_interval(&spec, index, seed);
+            prop_assert!(!expected.is_empty());
+            prop_assert_eq!(&spec.generate_interval(index, seed), &expected);
+            // The buffer form clears whatever the buffer held before.
+            spec.generate_interval_into(index, seed, &mut buffer);
+            prop_assert_eq!(&buffer, &expected);
+
+            let mut merged = Vec::new();
+            for tenant in 0..tenants {
+                let tenant_seed = reference_tenant_seed(seed, tenant);
+                let mut stream = reference_interval(&spec, index, tenant_seed);
+                for r in &mut stream {
+                    r.sector += u64::from(tenant) * stride * BLOCK_SECTORS;
+                }
+                prop_assert_eq!(&mix.tenant_interval(tenant, index, seed), &stream);
+                merged.extend(stream);
+            }
+            merged.sort_by_key(|r| r.timestamp_us);
+            prop_assert_eq!(&mix.generate_interval(index, seed), &merged);
+            mix.generate_interval_into(index, seed, &mut buffer);
+            prop_assert_eq!(&buffer, &merged);
+        }
+    }
 
     #[test]
     fn every_pattern_stays_inside_its_footprint(
