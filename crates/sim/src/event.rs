@@ -1,32 +1,37 @@
-//! The discrete-event core: events and the time-ordered event queue.
+//! The discrete-event core: the arrival lane and the choice of the next
+//! event.
 //!
-//! The queue is two sorted lanes merged at pop time:
+//! A simulation has two kinds of pending events, and each lives where it is
+//! cheapest to keep:
 //!
-//! * an **in-order lane** (`VecDeque`) for events scheduled at a time at or
-//!   after the lane's tail — the application arrival stream, which the
-//!   generators emit in nondecreasing time order, costs O(1) per event
-//!   here instead of a heap sift over every pending arrival;
-//! * an **out-of-order lane** for everything else (device completions,
-//!   whose `now + service_time` jitters): a `BinaryHeap` of small `Copy`
-//!   keys `(time, seq, payload index)` over a free-list payload slab, so
-//!   sift operations move 24-byte keys instead of ~100-byte events. Since
-//!   only in-flight completions live here, this heap stays shallow
-//!   (≈ device parallelism) even when thousands of arrivals are pending.
+//! * **Arrivals** of application requests wait in the [`EventQueue`]'s one
+//!   lane, sorted by `(time, seq)`. The generators emit arrivals in
+//!   nondecreasing time order, so scheduling one is an O(1) append; an
+//!   out-of-order arrival is a sorted insert.
+//! * **Completions** never enter the queue. A request a device starts
+//!   servicing is held in one of its [`DeviceStation`]'s service slots —
+//!   at most `parallelism` of them — together with its completion time and
+//!   sequence number.
 //!
-//! Both lanes are individually sorted by `(time, seq)`, so popping the
-//! smaller front yields exactly the same global order as the original
-//! single-heap implementation.
+//! `EventQueue::next_event` picks the smallest `(time, seq)` over the lane's
+//! front and every held slot — a handful of slots (5 on the paper's flat
+//! configuration, 7 on its two-level twin), however deep the device queues
+//! grow. Both kinds draw their sequence numbers from the
+//! queue's one counter, so simultaneous events fire in scheduling order and
+//! the global order is exactly that of a single priority queue over all
+//! pending events. Checkpoints store that single queue: the writer merges
+//! the held completions into the lane's `(time, seq)` order.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use lbica_storage::request::IoRequest;
 use lbica_storage::snap::{SnapError, SnapReader, SnapWriter};
 use lbica_storage::time::SimTime;
 
-use crate::system::TierId;
+use crate::system::{DeviceStation, TierId};
 
-/// What happens when an event fires.
+/// What happens when an event fires — the tag a checkpoint stores with
+/// every pending event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
     /// An application request arrives at the cache module.
@@ -39,7 +44,7 @@ pub enum EventKind {
         request: IoRequest,
     },
     /// A cache-level station of a *tiered* hierarchy finishes servicing a
-    /// request. Never scheduled by the flat [`crate::StorageSystem`].
+    /// request. Never held by the flat [`crate::StorageSystem`].
     LevelCompletion {
         /// Which cache level (0 = hot tier) finished the request.
         level: usize,
@@ -48,14 +53,17 @@ pub enum EventKind {
     },
 }
 
+/// Writes an arrival's payload (tag and request).
+fn put_arrival(w: &mut SnapWriter, request: &IoRequest) {
+    w.put_u8(0);
+    request.snap_to(w);
+}
+
 impl EventKind {
     /// Serializes the event payload for a replay checkpoint.
     fn snap_to(&self, w: &mut SnapWriter) {
         match self {
-            EventKind::Arrival(request) => {
-                w.put_u8(0);
-                request.snap_to(w);
-            }
+            EventKind::Arrival(request) => put_arrival(w, request),
             EventKind::Completion { tier, request } => {
                 w.put_u8(1);
                 w.put_u8(match tier {
@@ -93,65 +101,38 @@ impl EventKind {
     }
 }
 
-/// A timestamped event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Event {
-    /// When the event fires.
-    pub time: SimTime,
-    /// Monotonic tie-breaker so simultaneous events fire in insertion order.
-    pub seq: u64,
-    /// The event payload.
-    pub kind: EventKind,
-}
-
-/// The heap entry: everything ordering needs, nothing more.
+/// The event [`EventQueue::next_event`] chose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct HeapKey {
-    time: SimTime,
-    seq: u64,
-    payload: u32,
+pub(crate) enum NextEvent {
+    /// The arrival at the lane's front.
+    Arrival,
+    /// The completion held in service slot `slot` of the `station`-th
+    /// station passed to [`EventQueue::next_event`].
+    Completion { station: usize, slot: usize },
 }
 
-impl Ord for HeapKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        // `seq` is unique, so the payload index never decides the order (it
-        // participates only to keep Ord consistent with the derived Eq).
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-            .then_with(|| other.payload.cmp(&self.payload))
-    }
-}
-
-impl PartialOrd for HeapKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// An entry of the in-order lane (payload held inline — the lane is a
-/// FIFO, so nothing ever sifts past it).
+/// A pending arrival. Its firing time is the request's arrival stamp.
 #[derive(Debug)]
-struct SortedEntry {
-    time: SimTime,
+struct Arrival {
     seq: u64,
-    kind: EventKind,
+    request: IoRequest,
 }
 
-/// A time-ordered queue of pending events.
+impl Arrival {
+    fn key(&self) -> (SimTime, u64) {
+        (self.request.arrival(), self.seq)
+    }
+}
+
+/// The pending arrivals plus the bookkeeping shared with the stations'
+/// held completions: the sequence counter, the number of completions in
+/// service and the depth watermark.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    /// In-order lane: sorted by `(time, seq)` by construction (an event is
-    /// only appended when its time is at or after the tail's).
-    sorted: VecDeque<SortedEntry>,
-    /// Out-of-order lane.
-    heap: BinaryHeap<HeapKey>,
-    /// Payload slab: `heap` keys index into it; `None` slots are free.
-    payloads: Vec<Option<EventKind>>,
-    /// Indices of free `payloads` slots, reused before the slab grows.
-    free: Vec<u32>,
+    /// Sorted by `(time, seq)`.
+    arrivals: VecDeque<Arrival>,
+    /// Completions held at stations (one per busy service slot).
+    in_service: usize,
     next_seq: u64,
     peak_len: usize,
 }
@@ -162,14 +143,14 @@ impl EventQueue {
         EventQueue::default()
     }
 
-    /// Number of pending events.
+    /// Number of pending events: arrivals plus completions in service.
     pub fn len(&self) -> usize {
-        self.sorted.len() + self.heap.len()
+        self.arrivals.len() + self.in_service
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty() && self.heap.is_empty()
+        self.len() == 0
     }
 
     /// The largest number of simultaneously pending events ever observed.
@@ -177,146 +158,121 @@ impl EventQueue {
         self.peak_len
     }
 
-    /// Clears all pending events and counters while keeping every backing
-    /// allocation — both lanes, the payload slab and its free list — so the
-    /// next simulation run schedules into already-sized storage. Afterwards
-    /// the queue is observationally identical to a freshly constructed one.
+    /// Clears all pending arrivals and counters while keeping the lane's
+    /// allocation, so the next simulation run schedules into already-sized
+    /// storage. Afterwards the queue is observationally identical to a
+    /// freshly constructed one.
     pub fn reset(&mut self) {
-        self.sorted.clear();
-        self.heap.clear();
-        self.payloads.clear();
-        self.free.clear();
+        self.arrivals.clear();
+        self.in_service = 0;
         self.next_seq = 0;
         self.peak_len = 0;
     }
 
-    /// Schedules `kind` to fire at `time`.
-    pub fn schedule(&mut self, time: SimTime, kind: EventKind) {
+    fn claim_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if self.sorted.back().is_none_or(|tail| time >= tail.time) {
-            self.sorted.push_back(SortedEntry { time, seq, kind });
-        } else {
-            let payload = match self.free.pop() {
-                Some(idx) => {
-                    self.payloads[idx as usize] = Some(kind);
-                    idx
-                }
-                None => {
-                    let idx =
-                        u32::try_from(self.payloads.len()).expect("event slab fits u32 indices");
-                    self.payloads.push(Some(kind));
-                    idx
-                }
-            };
-            self.heap.push(HeapKey { time, seq, payload });
-        }
+        seq
+    }
+
+    fn note_depth(&mut self) {
         self.peak_len = self.peak_len.max(self.len());
     }
 
-    /// The firing time of the earliest pending event.
-    pub fn next_time(&self) -> Option<SimTime> {
-        match (self.sorted.front(), self.heap.peek()) {
-            (Some(s), Some(h)) => Some(s.time.min(h.time)),
-            (Some(s), None) => Some(s.time),
-            (None, Some(h)) => Some(h.time),
-            (None, None) => None,
-        }
-    }
-
-    /// Whether the next pop comes from the in-order lane. `None` when the
-    /// queue is empty. Both lanes are sorted by `(time, seq)`, so the
-    /// smaller front is the global minimum.
-    fn pop_from_sorted(&self) -> Option<bool> {
-        match (self.sorted.front(), self.heap.peek()) {
-            (Some(s), Some(h)) => Some((s.time, s.seq) <= (h.time, h.seq)),
-            (Some(_), None) => Some(true),
-            (None, Some(_)) => Some(false),
-            (None, None) => None,
-        }
-    }
-
-    /// Reclaims a popped key's payload slot and assembles the public event.
-    fn take(&mut self, key: HeapKey) -> Event {
-        let kind = self.payloads[key.payload as usize].take().expect("scheduled payload present");
-        self.free.push(key.payload);
-        Event { time: key.time, seq: key.seq, kind }
-    }
-
-    /// Pops the earliest pending event if it fires at or before `limit`.
-    ///
-    /// One peek at each lane front decides both which lane holds the global
-    /// minimum and whether it is due — this runs once per event of the
-    /// simulation loop, so it avoids the separate `next_time` + `pop`
-    /// front-comparison round trip.
-    pub fn pop_until(&mut self, limit: SimTime) -> Option<Event> {
-        let from_sorted = match (self.sorted.front(), self.heap.peek()) {
-            (Some(s), Some(h)) => {
-                if (s.time, s.seq) <= (h.time, h.seq) {
-                    if s.time > limit {
-                        return None;
-                    }
-                    true
-                } else {
-                    if h.time > limit {
-                        return None;
-                    }
-                    false
-                }
-            }
-            (Some(s), None) => {
-                if s.time > limit {
-                    return None;
-                }
-                true
-            }
-            (None, Some(h)) => {
-                if h.time > limit {
-                    return None;
-                }
-                false
-            }
-            (None, None) => return None,
-        };
-        if from_sorted {
-            let entry = self.sorted.pop_front().expect("front exists");
-            Some(Event { time: entry.time, seq: entry.seq, kind: entry.kind })
+    /// Schedules `request` to arrive at its arrival stamp.
+    pub fn schedule_arrival(&mut self, request: IoRequest) {
+        let seq = self.claim_seq();
+        let time = request.arrival();
+        // The new seq is the largest, so it goes after every arrival at the
+        // same time or earlier.
+        if self.arrivals.back().is_none_or(|tail| tail.request.arrival() <= time) {
+            self.arrivals.push_back(Arrival { seq, request });
         } else {
-            let key = self.heap.pop().expect("peek exists");
-            Some(self.take(key))
+            let at = self.arrivals.partition_point(|a| a.request.arrival() <= time);
+            self.arrivals.insert(at, Arrival { seq, request });
         }
+        self.note_depth();
     }
 
-    /// Serializes every pending event — plus the sequence counter and peak
-    /// depth — in canonical `(time, seq)` order, for a replay checkpoint.
-    /// Which lane a pending event happens to sit in is *not* recorded: pop
-    /// order is globally `(time, seq)` regardless of lane, so the lane
-    /// split is unobservable and a restored queue may legally re-lane.
-    pub fn snap_to(&self, w: &mut SnapWriter) {
+    /// Counts one more completion as pending and returns its sequence
+    /// number. The station starting the service holds the completion.
+    pub fn start_service(&mut self) -> u64 {
+        let seq = self.claim_seq();
+        self.in_service += 1;
+        self.note_depth();
+        seq
+    }
+
+    /// Records that a held completion fired.
+    pub fn finish_service(&mut self) {
+        self.in_service -= 1;
+    }
+
+    /// The next event at or before `limit`: the smallest `(time, seq)` over
+    /// the arrival lane's front and every service slot of `stations`.
+    pub(crate) fn next_event<'a>(
+        &self,
+        stations: impl IntoIterator<Item = &'a DeviceStation>,
+        limit: SimTime,
+    ) -> Option<NextEvent> {
+        let mut best = self.arrivals.front().map(|a| (a.key(), NextEvent::Arrival));
+        for (station, held) in stations.into_iter().enumerate() {
+            for (slot, h) in held.slots().iter().enumerate() {
+                let key = (h.time, h.seq);
+                if best.is_none_or(|(b, _)| key < b) {
+                    best = Some((key, NextEvent::Completion { station, slot }));
+                }
+            }
+        }
+        best.filter(|((time, _), _)| *time <= limit).map(|(_, next)| next)
+    }
+
+    /// Removes the arrival at the lane's front.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no arrival is pending.
+    pub fn pop_arrival(&mut self) -> IoRequest {
+        self.arrivals.pop_front().expect("a pending arrival").request
+    }
+
+    /// Serializes every pending event — the lane's arrivals merged with
+    /// `held`, the stations' completions in service — plus the sequence
+    /// counter and peak depth, in canonical `(time, seq)` order, for a
+    /// replay checkpoint.
+    pub fn snap_to(&self, w: &mut SnapWriter, mut held: Vec<(SimTime, u64, EventKind)>) {
+        held.sort_by_key(|&(time, seq, _)| (time, seq));
         w.put_u64(self.next_seq);
         w.put_usize(self.peak_len);
-        let mut entries: Vec<(SimTime, u64, &EventKind)> =
-            self.sorted.iter().map(|e| (e.time, e.seq, &e.kind)).collect();
-        for key in &self.heap {
-            let kind =
-                self.payloads[key.payload as usize].as_ref().expect("scheduled payload present");
-            entries.push((key.time, key.seq, kind));
-        }
-        entries.sort_by_key(|&(time, seq, _)| (time, seq));
-        w.put_usize(entries.len());
-        for (time, seq, kind) in entries {
+        w.put_usize(self.arrivals.len() + held.len());
+        let put = |w: &mut SnapWriter, (time, seq): (SimTime, u64)| {
             w.put_u64(time.as_micros());
             w.put_u64(seq);
+        };
+        let mut held = held.into_iter().peekable();
+        for arrival in &self.arrivals {
+            while let Some((time, seq, kind)) = held.next_if(|h| (h.0, h.1) < arrival.key()) {
+                put(w, (time, seq));
+                kind.snap_to(w);
+            }
+            put(w, arrival.key());
+            put_arrival(w, &arrival.request);
+        }
+        for (time, seq, kind) in held {
+            put(w, (time, seq));
             kind.snap_to(w);
         }
     }
 
     /// Restores the pending events written by [`EventQueue::snap_to`] into
-    /// this queue (whose own pending events are discarded). Every restored
-    /// event lands in the in-order lane — legal because the serialized
-    /// stream is `(time, seq)`-sorted, and unobservable (see
-    /// [`EventQueue::snap_to`]).
-    pub fn snap_state_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    /// this queue (whose own pending events are discarded). Arrivals land in
+    /// the lane; every completion is handed to `hold`, which returns it to
+    /// its station (or rejects it).
+    pub fn snap_state_from(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        mut hold: impl FnMut(SimTime, u64, EventKind) -> Result<(), SnapError>,
+    ) -> Result<(), SnapError> {
         self.reset();
         let next_seq = r.get_u64()?;
         let peak_len = r.get_usize()?;
@@ -332,23 +288,22 @@ impl EventQueue {
                 return Err(SnapError::Corrupt("pending events out of order"));
             }
             last = Some((time, seq));
-            let kind = EventKind::snap_from(r)?;
-            self.sorted.push_back(SortedEntry { time, seq, kind });
+            match EventKind::snap_from(r)? {
+                EventKind::Arrival(request) => {
+                    if request.arrival() != time {
+                        return Err(SnapError::Corrupt("arrival event off its request's stamp"));
+                    }
+                    self.arrivals.push_back(Arrival { seq, request });
+                }
+                completion => {
+                    hold(time, seq, completion)?;
+                    self.in_service += 1;
+                }
+            }
         }
         self.next_seq = next_seq;
-        self.peak_len = peak_len.max(self.sorted.len());
+        self.peak_len = peak_len.max(self.len());
         Ok(())
-    }
-
-    /// Pops the earliest pending event unconditionally.
-    pub fn pop(&mut self) -> Option<Event> {
-        if self.pop_from_sorted()? {
-            let entry = self.sorted.pop_front().expect("front exists");
-            Some(Event { time: entry.time, seq: entry.seq, kind: entry.kind })
-        } else {
-            let key = self.heap.pop().expect("peek exists");
-            Some(self.take(key))
-        }
     }
 }
 
@@ -357,192 +312,190 @@ mod tests {
     use super::*;
     use lbica_storage::request::{RequestKind, RequestOrigin};
 
-    fn arrival(id: u64, t: u64) -> (SimTime, EventKind) {
-        (
-            SimTime::from_micros(t),
-            EventKind::Arrival(IoRequest::new(
-                id,
-                RequestKind::Read,
-                RequestOrigin::Application,
-                0,
-                8,
-            )),
-        )
+    fn arrival(id: u64, t: u64) -> IoRequest {
+        IoRequest::new(id, RequestKind::Read, RequestOrigin::Application, 0, 8)
+            .with_arrival(SimTime::from_micros(t))
+    }
+
+    const NO_STATIONS: [&DeviceStation; 0] = [];
+
+    /// Pops every arrival in firing order, returning the request ids.
+    fn drain(q: &mut EventQueue) -> Vec<u64> {
+        std::iter::from_fn(|| {
+            q.next_event(NO_STATIONS, SimTime::from_secs(1_000_000))?;
+            Some(q.pop_arrival().id())
+        })
+        .collect()
+    }
+
+    fn round_trip(q: &EventQueue, held: Vec<(SimTime, u64, EventKind)>) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        q.snap_to(&mut w, held);
+        w.into_bytes()
     }
 
     #[test]
     fn events_pop_in_time_order() {
         let mut q = EventQueue::new();
         for (id, t) in [(1u64, 300u64), (2, 100), (3, 200)] {
-            let (time, kind) = arrival(id, t);
-            q.schedule(time, kind);
+            q.schedule_arrival(arrival(id, t));
         }
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::Arrival(r) => r.id(),
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(order, vec![2, 3, 1]);
+        assert_eq!(drain(&mut q), vec![2, 3, 1]);
     }
 
     #[test]
     fn simultaneous_events_fire_in_insertion_order() {
         let mut q = EventQueue::new();
         for id in 0..5u64 {
-            let (time, kind) = arrival(id, 50);
-            q.schedule(time, kind);
+            q.schedule_arrival(arrival(id, 50));
         }
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::Arrival(r) => r.id(),
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
+        assert_eq!(drain(&mut q), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
-    fn pop_until_respects_limit() {
+    fn next_event_respects_the_limit() {
         let mut q = EventQueue::new();
-        let (t1, k1) = arrival(1, 100);
-        let (t2, k2) = arrival(2, 500);
-        q.schedule(t1, k1);
-        q.schedule(t2, k2);
-        assert!(q.pop_until(SimTime::from_micros(200)).is_some());
-        assert!(q.pop_until(SimTime::from_micros(200)).is_none());
+        q.schedule_arrival(arrival(1, 100));
+        q.schedule_arrival(arrival(2, 500));
+        let limit = SimTime::from_micros(200);
+        assert_eq!(q.next_event(NO_STATIONS, limit), Some(NextEvent::Arrival));
+        q.pop_arrival();
+        assert_eq!(q.next_event(NO_STATIONS, limit), None);
         assert_eq!(q.len(), 1);
-        assert_eq!(q.next_time(), Some(SimTime::from_micros(500)));
-        assert!(q.pop_until(SimTime::from_micros(500)).is_some());
+        assert_eq!(q.next_event(NO_STATIONS, SimTime::from_micros(500)), Some(NextEvent::Arrival));
+        q.pop_arrival();
         assert!(q.is_empty());
     }
 
     #[test]
-    fn payload_slots_are_reused_after_pops() {
+    fn out_of_order_arrivals_insert_in_exact_time_seq_order() {
         let mut q = EventQueue::new();
-        for _round in 0..10 {
-            // Decreasing times force the out-of-order lane (all but the
-            // first land before the lane tail).
-            for id in 0..4u64 {
-                let (time, kind) = arrival(id, 1000 - id);
-                q.schedule(time, kind);
-            }
-            while q.pop().is_some() {}
+        // In order: 100, 200, 300; then arrivals landing between, before,
+        // and at an equal time after those.
+        for (id, t) in [(0u64, 100u64), (1, 200), (2, 300), (3, 150), (4, 50), (5, 200), (6, 300)] {
+            q.schedule_arrival(arrival(id, t));
         }
-        // Ten rounds of four events never grow the slab past one round's
-        // worth of simultaneously pending payloads.
-        assert!(q.payloads.len() <= 4, "slab grew to {}", q.payloads.len());
-        assert_eq!(q.peak_len(), 4);
-    }
-
-    #[test]
-    fn in_order_arrivals_bypass_the_heap() {
-        let mut q = EventQueue::new();
-        for id in 0..100u64 {
-            let (time, kind) = arrival(id, id * 10);
-            q.schedule(time, kind);
-        }
-        assert!(q.heap.is_empty(), "a sorted stream must stay in the FIFO lane");
-        assert_eq!(q.sorted.len(), 100);
+        // Time order, seq-stable within equal times: 50, 100, 150,
+        // 200(seq1), 200(seq5), 300(seq2), 300(seq6).
+        assert_eq!(drain(&mut q), vec![4, 0, 3, 1, 5, 2, 6]);
     }
 
     #[test]
     fn lanes_merge_in_exact_time_seq_order() {
+        use lbica_storage::device::SsdModel;
+        // Arrivals at 100 (seq 0) and 300 (seq 1); completions held at two
+        // stations at 300 (seq 2), 50 (seq 3) and 100 (seq 4).
         let mut q = EventQueue::new();
-        // Sorted lane: 100, 200, 300; then out-of-order events landing
-        // between, before, at-equal-time-after those.
-        for (id, t) in [(0u64, 100u64), (1, 200), (2, 300)] {
-            let (time, kind) = arrival(id, t);
-            q.schedule(time, kind);
+        q.schedule_arrival(arrival(0, 100));
+        q.schedule_arrival(arrival(1, 300));
+        let mut ssd = DeviceStation::new("ssd", SsdModel::samsung_863a(), 1);
+        let mut disk = DeviceStation::new("disk", SsdModel::samsung_863a(), 4);
+        ssd.hold(SimTime::from_micros(300), q.start_service(), arrival(10, 0));
+        disk.hold(SimTime::from_micros(50), q.start_service(), arrival(11, 0));
+        disk.hold(SimTime::from_micros(100), q.start_service(), arrival(12, 0));
+        let mut fired = Vec::new();
+        while let Some(next) = q.next_event([&ssd, &disk], SimTime::from_secs(1)) {
+            let id = match next {
+                NextEvent::Arrival => q.pop_arrival().id(),
+                NextEvent::Completion { station, slot } => {
+                    q.finish_service();
+                    [&mut ssd, &mut disk][station].finish(slot).request.id()
+                }
+            };
+            fired.push(id);
         }
-        for (id, t) in [(3u64, 150u64), (4, 50), (5, 200), (6, 300)] {
-            let (time, kind) = arrival(id, t);
-            q.schedule(time, kind);
-        }
-        assert!(!q.heap.is_empty());
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::Arrival(r) => r.id(),
-                _ => unreachable!(),
-            })
-            .collect();
-        // Time order, seq-stable within equal times: 50, 100, 150,
-        // 200(seq1), 200(seq5), 300(seq2), 300(seq6).
-        assert_eq!(order, vec![4, 0, 3, 1, 5, 2, 6]);
+        // 50(seq3), 100(seq0) before 100(seq4), 300(seq1) before 300(seq2).
+        assert_eq!(fired, vec![11, 0, 12, 1, 10]);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn snapshot_round_trip_preserves_pop_order_across_both_lanes() {
         let mut q = EventQueue::new();
-        // Sorted lane plus heap-lane stragglers, mixed kinds.
-        for (id, t) in [(0u64, 100u64), (1, 200), (2, 300)] {
-            let (time, kind) = arrival(id, t);
-            q.schedule(time, kind);
-        }
-        let req = |id| {
-            IoRequest::new(id, RequestKind::Write, RequestOrigin::Promote, 64, 8)
-                .with_arrival(SimTime::from_micros(10))
+        let completion = |id| {
+            let mut request = IoRequest::new(id, RequestKind::Write, RequestOrigin::Promote, 64, 8)
+                .with_arrival(SimTime::from_micros(10));
+            request.mark_dispatched(SimTime::from_micros(10));
+            request
         };
-        q.schedule(
-            SimTime::from_micros(150),
-            EventKind::Completion { tier: TierId::Disk, request: req(3) },
-        );
-        q.schedule(
-            SimTime::from_micros(50),
-            EventKind::LevelCompletion { level: 1, request: req(4) },
-        );
-        assert!(!q.heap.is_empty(), "the test must cover the out-of-order lane");
+        // seq 0..3 arrive at 100, 200, 300; completions take seq 3 and 4.
+        for (id, t) in [(0u64, 100u64), (1, 200), (2, 300)] {
+            q.schedule_arrival(arrival(id, t));
+        }
+        let (s3, s4) = (q.start_service(), q.start_service());
+        let held = vec![
+            (
+                SimTime::from_micros(200),
+                s3,
+                EventKind::Completion { tier: TierId::Disk, request: completion(3) },
+            ),
+            (
+                SimTime::from_micros(50),
+                s4,
+                EventKind::LevelCompletion { level: 1, request: completion(4) },
+            ),
+        ];
+        let bytes = round_trip(&q, held.clone());
 
-        let mut w = SnapWriter::new();
-        q.snap_to(&mut w);
-        let bytes = w.into_bytes();
         let mut restored = EventQueue::new();
+        let mut returned = Vec::new();
         let mut r = SnapReader::new(&bytes);
-        restored.snap_state_from(&mut r).unwrap();
+        restored
+            .snap_state_from(&mut r, |time, seq, kind| {
+                returned.push((time, seq, kind));
+                Ok(())
+            })
+            .unwrap();
         r.finish().unwrap();
-
+        // The completions come back in (time, seq) order: 50(seq4) before
+        // 200(seq3); the arrival at 200 (seq1) precedes the completion at
+        // 200 (seq3) in the stream.
+        assert_eq!(returned, vec![held[1].clone(), held[0].clone()]);
         assert_eq!(restored.len(), q.len());
         assert_eq!(restored.peak_len(), q.peak_len());
-        let drain = |q: &mut EventQueue| -> Vec<Event> { std::iter::from_fn(|| q.pop()).collect() };
-        assert_eq!(drain(&mut restored), drain(&mut q));
+        assert_eq!(round_trip(&restored, held), bytes, "snap → restore → snap is stable");
+        assert_eq!(drain(&mut restored), vec![0, 1, 2]);
     }
 
     #[test]
     fn restored_queue_continues_the_seq_counter() {
         let mut q = EventQueue::new();
-        let (time, kind) = arrival(1, 100);
-        q.schedule(time, kind);
-        let mut w = SnapWriter::new();
-        q.snap_to(&mut w);
-        let bytes = w.into_bytes();
+        q.schedule_arrival(arrival(1, 100));
+        let bytes = round_trip(&q, Vec::new());
         let mut restored = EventQueue::new();
-        restored.snap_state_from(&mut SnapReader::new(&bytes)).unwrap();
-        // A post-restore event at the same time must fire *after* the
+        restored.snap_state_from(&mut SnapReader::new(&bytes), |_, _, _| Ok(())).unwrap();
+        // A post-restore arrival at the same time must fire *after* the
         // restored one (larger seq), exactly as in the unsplit run.
-        let (time, kind) = arrival(2, 100);
-        restored.schedule(time, kind);
-        let ids: Vec<u64> = std::iter::from_fn(|| restored.pop())
-            .map(|e| match e.kind {
-                EventKind::Arrival(r) => r.id(),
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(ids, vec![1, 2]);
+        restored.schedule_arrival(arrival(2, 100));
+        assert_eq!(restored.start_service(), 2, "the next seq continues past the restored ones");
+        assert_eq!(drain(&mut restored), vec![1, 2]);
     }
 
     #[test]
     fn corrupt_event_kind_tag_is_rejected() {
         let mut q = EventQueue::new();
-        let (time, kind) = arrival(1, 100);
-        q.schedule(time, kind);
-        let mut w = SnapWriter::new();
-        q.snap_to(&mut w);
-        let mut bytes = w.into_bytes();
+        q.schedule_arrival(arrival(1, 100));
+        let mut bytes = round_trip(&q, Vec::new());
         // next_seq (8) + peak_len (8) + count (8) + time (8) + seq (8),
         // then the kind tag.
         bytes[40] = 9;
-        let err = EventQueue::new().snap_state_from(&mut SnapReader::new(&bytes)).unwrap_err();
+        let err = EventQueue::new()
+            .snap_state_from(&mut SnapReader::new(&bytes), |_, _, _| Ok(()))
+            .unwrap_err();
         assert!(matches!(err, SnapError::Corrupt("event kind tag")));
+    }
+
+    #[test]
+    fn an_arrival_off_its_request_stamp_is_rejected() {
+        let mut q = EventQueue::new();
+        q.schedule_arrival(arrival(1, 100));
+        let mut bytes = round_trip(&q, Vec::new());
+        // The event time (bytes 24..32) no longer matches the request.
+        bytes[24..32].copy_from_slice(&99u64.to_le_bytes());
+        let err = EventQueue::new()
+            .snap_state_from(&mut SnapReader::new(&bytes), |_, _, _| Ok(()))
+            .unwrap_err();
+        assert_eq!(err, SnapError::Corrupt("arrival event off its request's stamp"));
     }
 
     #[test]
@@ -550,11 +503,18 @@ mod tests {
         let mut q = EventQueue::new();
         assert_eq!(q.peak_len(), 0);
         for id in 0..7u64 {
-            let (time, kind) = arrival(id, 10 + id);
-            q.schedule(time, kind);
+            q.schedule_arrival(arrival(id, 10 + id));
         }
-        while q.pop().is_some() {}
-        assert_eq!(q.peak_len(), 7);
+        q.pop_arrival();
+        q.start_service();
+        q.start_service();
+        assert_eq!(q.len(), 8);
+        q.finish_service();
+        assert_eq!(drain(&mut q).len(), 6);
+        q.finish_service();
+        assert_eq!(q.peak_len(), 8);
         assert!(q.is_empty());
+        q.reset();
+        assert_eq!(q.peak_len(), 0);
     }
 }

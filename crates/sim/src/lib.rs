@@ -53,7 +53,7 @@ pub use controller::{
     BypassDirective, CacheController, ControllerContext, ControllerDecision,
     StaticPolicyController, TierLoad,
 };
-pub use event::{Event, EventKind, EventQueue};
+pub use event::{EventKind, EventQueue};
 pub use lbica_storage::snap::SnapError;
 pub use report::{PolicyChange, SimPerf, SimulationReport, TierLevelStats};
 pub use runner::Simulation;

@@ -501,11 +501,11 @@ impl Simulation {
         split_at: u32,
     ) -> Result<ReplayCheckpoint, SnapError> {
         if self.observer.is_some() || self.profiler.is_some() {
-            return Err(SnapError::Corrupt("checkpoint runs execute unobserved"));
+            return Err(SnapError::Mismatch("checkpoint runs execute unobserved"));
         }
         let total_intervals = self.spec.total_intervals();
         if split_at > total_intervals {
-            return Err(SnapError::Corrupt("checkpoint split beyond workload end"));
+            return Err(SnapError::Mismatch("checkpoint split beyond workload end"));
         }
         let tiered = self.config.is_tiered();
         let mut arena = SimArena::new();
@@ -580,22 +580,22 @@ impl Simulation {
         cp: &ReplayCheckpoint,
     ) -> Result<SimulationReport, SnapError> {
         if self.observer.is_some() || self.profiler.is_some() {
-            return Err(SnapError::Corrupt("checkpoint runs execute unobserved"));
+            return Err(SnapError::Mismatch("checkpoint runs execute unobserved"));
         }
         if cp.tiered != self.config.is_tiered() {
-            return Err(SnapError::Corrupt("checkpoint datapath mismatch"));
+            return Err(SnapError::Mismatch("checkpoint datapath mismatch"));
         }
         if cp.workload != self.spec.name() {
-            return Err(SnapError::Corrupt("checkpoint workload mismatch"));
+            return Err(SnapError::Mismatch("checkpoint workload mismatch"));
         }
         if cp.seed != self.seed {
-            return Err(SnapError::Corrupt("checkpoint seed mismatch"));
+            return Err(SnapError::Mismatch("checkpoint seed mismatch"));
         }
         if cp.controller != controller.name() {
-            return Err(SnapError::Corrupt("checkpoint controller mismatch"));
+            return Err(SnapError::Mismatch("checkpoint controller mismatch"));
         }
         if cp.total_intervals != self.spec.total_intervals() {
-            return Err(SnapError::Corrupt("checkpoint interval count mismatch"));
+            return Err(SnapError::Mismatch("checkpoint interval count mismatch"));
         }
         if cp.next_interval > cp.total_intervals {
             return Err(SnapError::Corrupt("checkpoint interval beyond workload end"));
@@ -1121,28 +1121,28 @@ mod tests {
         let err = Simulation::new(SimulationConfig::tiny(), spec.clone(), 8)
             .resume_from_checkpoint(&mut StaticPolicyController::write_back(), &cp)
             .unwrap_err();
-        assert_eq!(err, SnapError::Corrupt("checkpoint seed mismatch"));
+        assert_eq!(err, SnapError::Mismatch("checkpoint seed mismatch"));
         // Wrong workload.
         let other = WorkloadSpec::web_server_scaled(WorkloadScale::tiny());
         let err = Simulation::new(SimulationConfig::tiny(), other, 7)
             .resume_from_checkpoint(&mut StaticPolicyController::write_back(), &cp)
             .unwrap_err();
-        assert_eq!(err, SnapError::Corrupt("checkpoint workload mismatch"));
+        assert_eq!(err, SnapError::Mismatch("checkpoint workload mismatch"));
         // Wrong controller.
         let err = Simulation::new(SimulationConfig::tiny(), spec.clone(), 7)
             .resume_from_checkpoint(&mut StaticPolicyController::new(WritePolicy::ReadOnly), &cp)
             .unwrap_err();
-        assert_eq!(err, SnapError::Corrupt("checkpoint controller mismatch"));
+        assert_eq!(err, SnapError::Mismatch("checkpoint controller mismatch"));
         // Wrong datapath.
         let err = Simulation::new(SimulationConfig::tiny_two_tier(), spec.clone(), 7)
             .resume_from_checkpoint(&mut StaticPolicyController::write_back(), &cp)
             .unwrap_err();
-        assert_eq!(err, SnapError::Corrupt("checkpoint datapath mismatch"));
+        assert_eq!(err, SnapError::Mismatch("checkpoint datapath mismatch"));
         // Split past the end of the workload.
         let err = Simulation::new(SimulationConfig::tiny(), spec, 7)
             .run_to_checkpoint(&mut StaticPolicyController::write_back(), cp.total_intervals + 1)
             .unwrap_err();
-        assert_eq!(err, SnapError::Corrupt("checkpoint split beyond workload end"));
+        assert_eq!(err, SnapError::Mismatch("checkpoint split beyond workload end"));
     }
 
     #[test]
@@ -1154,7 +1154,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(
             err,
-            lbica_storage::snap::SnapError::Corrupt("checkpoint runs execute unobserved")
+            lbica_storage::snap::SnapError::Mismatch("checkpoint runs execute unobserved")
         );
     }
 

@@ -12,7 +12,7 @@ use lbica_trace::record::TraceRecord;
 
 use crate::config::{DiskDeviceConfig, SimulationConfig};
 use crate::controller::BypassDirective;
-use crate::event::{EventKind, EventQueue};
+use crate::event::{EventKind, EventQueue, NextEvent};
 use crate::tracker::AppTracker;
 
 /// Identifies one of the two device stations.
@@ -33,13 +33,26 @@ impl TierId {
     }
 }
 
+/// A request in service at a station, held in a service slot until its
+/// completion event fires.
+#[derive(Debug, Clone)]
+pub(crate) struct InService {
+    /// When the device finishes the request.
+    pub(crate) time: SimTime,
+    /// The completion event's sequence number (see [`EventQueue`]).
+    pub(crate) seq: u64,
+    pub(crate) request: IoRequest,
+}
+
 /// A device and the queue in front of it, with a fixed number of concurrent
-/// service slots.
+/// service slots. The requests in service — and with them their pending
+/// completion events — are held in the slots themselves.
 pub struct DeviceStation {
     pub(crate) queue: DeviceQueue,
     pub(crate) model: AnyDeviceModel,
     pub(crate) parallelism: usize,
-    pub(crate) in_service: usize,
+    /// Busy service slots, in no particular order.
+    slots: Vec<InService>,
 }
 
 impl std::fmt::Debug for DeviceStation {
@@ -47,7 +60,7 @@ impl std::fmt::Debug for DeviceStation {
         f.debug_struct("DeviceStation")
             .field("queue_depth", &self.queue.depth())
             .field("parallelism", &self.parallelism)
-            .field("in_service", &self.in_service)
+            .field("in_service", &self.slots.len())
             .finish()
     }
 }
@@ -71,7 +84,7 @@ impl DeviceStation {
             queue: DeviceQueue::without_merging(name),
             model: model.into(),
             parallelism,
-            in_service: 0,
+            slots: Vec::with_capacity(parallelism),
         }
     }
 
@@ -82,12 +95,49 @@ impl DeviceStation {
 
     /// Number of requests currently being serviced.
     pub const fn in_service(&self) -> usize {
-        self.in_service
+        self.slots.len()
     }
 
     /// Total outstanding work: queued plus in service.
     pub fn outstanding(&self) -> usize {
-        self.queue.depth() + self.in_service
+        self.queue.depth() + self.slots.len()
+    }
+
+    /// The busy service slots.
+    pub(crate) fn slots(&self) -> &[InService] {
+        &self.slots
+    }
+
+    /// Starts servicing queued requests while a slot is free: each one is
+    /// stamped with its completion time and held in a slot under a sequence
+    /// number drawn from `events`.
+    pub(crate) fn dispatch_ready(&mut self, now: SimTime, events: &mut EventQueue) {
+        while self.slots.len() < self.parallelism {
+            let Some(mut request) = self.queue.dispatch(now) else { break };
+            let time = now + self.model.service_time(&request);
+            request.mark_completed(time);
+            let seq = events.start_service();
+            self.slots.push(InService { time, seq, request });
+        }
+    }
+
+    /// Frees service slot `slot`, returning the request it held.
+    pub(crate) fn finish(&mut self, slot: usize) -> InService {
+        self.slots.swap_remove(slot)
+    }
+
+    /// Returns a restored completion to a service slot.
+    pub(crate) fn hold(&mut self, time: SimTime, seq: u64, request: IoRequest) {
+        self.slots.push(InService { time, seq, request });
+    }
+
+    /// Checks a restored station against the in-service count its snapshot
+    /// stored, once the event list has returned the completions.
+    pub(crate) fn check_in_service(&self, stored: usize) -> Result<(), SnapError> {
+        if self.slots.len() != stored {
+            return Err(SnapError::Corrupt("in-service count disagrees with pending completions"));
+        }
+        Ok(())
     }
 
     /// The device's blended average latency (Eq. 1's `ssdLatency` /
@@ -98,33 +148,47 @@ impl DeviceStation {
 
     /// Returns the station to its freshly constructed state — empty queue,
     /// zeroed statistics, no in-service requests, device history forgotten —
-    /// while keeping the queue's ring buffer allocated.
+    /// while keeping the queue's ring buffer and the slots allocated.
     pub(crate) fn reset(&mut self) {
         self.queue.reset();
         self.model.reset_history();
-        self.in_service = 0;
+        self.slots.clear();
     }
 
     /// Serializes the station for a replay checkpoint: the queue (pending
     /// requests and statistics), the device model's service-relevant state
-    /// and the in-service slot count. Parallelism and the device config are
-    /// not stored — they are rebuilt from the simulation config.
+    /// and the in-service slot count. The in-service requests themselves are
+    /// written with the event list, as completion events. Parallelism and
+    /// the device config are not stored — they are rebuilt from the
+    /// simulation config.
     pub(crate) fn snap_to(&self, w: &mut SnapWriter) {
         self.queue.snap_to(w);
         self.model.snap_state_to(w);
-        w.put_usize(self.in_service);
+        w.put_usize(self.slots.len());
     }
 
     /// Restores state written by [`DeviceStation::snap_to`] into this
-    /// config-built station.
-    pub(crate) fn snap_state_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    /// config-built station, with every slot free. Returns the stored
+    /// in-service count, for [`DeviceStation::check_in_service`] once the
+    /// event list has returned the completions.
+    pub(crate) fn snap_state_from(&mut self, r: &mut SnapReader<'_>) -> Result<usize, SnapError> {
         self.queue = DeviceQueue::snap_from(r)?;
         self.model.snap_state_from(r)?;
-        self.in_service = r.get_usize()?;
-        if self.in_service > self.parallelism {
+        self.slots.clear();
+        let in_service = r.get_usize()?;
+        if in_service > self.parallelism {
             return Err(SnapError::Corrupt("in-service count exceeds parallelism"));
         }
-        Ok(())
+        Ok(in_service)
+    }
+
+    /// The completion events held in the slots, tagged by `tag` for a
+    /// checkpoint's event list.
+    pub(crate) fn held_events<'a>(
+        &'a self,
+        tag: impl Fn(IoRequest) -> EventKind + 'a,
+    ) -> impl Iterator<Item = (SimTime, u64, EventKind)> + 'a {
+        self.slots.iter().map(move |h| (h.time, h.seq, tag(h.request.clone())))
     }
 }
 
@@ -175,8 +239,8 @@ impl StorageSystem {
 
     /// Returns the system to the state [`StorageSystem::new`] would produce
     /// for the same config, reusing every backing allocation: cache slot
-    /// arenas, device-queue ring buffers, event-queue lanes and payload
-    /// slab, tracker slabs and monitor histories all keep their capacity.
+    /// arenas, device-queue ring buffers, service slots, the arrival lane,
+    /// tracker slabs and monitor histories all keep their capacity.
     /// The caller (the [`crate::SimArena`]) guarantees the config is
     /// identical to the one the system was built with.
     pub(crate) fn reset(&mut self, config: &SimulationConfig) {
@@ -267,7 +331,7 @@ impl StorageSystem {
     pub fn schedule_record(&mut self, record: &TraceRecord) {
         let id = self.fresh_id();
         let request = record.to_request(id);
-        self.events.schedule(request.arrival(), EventKind::Arrival(request));
+        self.events.schedule_arrival(request);
     }
 
     /// Runs the event loop until every event at or before `limit` has been
@@ -284,26 +348,27 @@ impl StorageSystem {
     pub fn run_until_with<P: PhaseSink>(&mut self, limit: SimTime, prof: &mut P) {
         loop {
             let mark = prof.mark();
-            let popped = self.events.pop_until(limit);
+            let next = self.events.next_event([&self.ssd, &self.disk], limit);
             prof.record(Phase::EventQueue, mark);
-            let Some(event) = popped else { break };
-            self.clock = event.time;
+            let Some(next) = next else { break };
             self.events_processed += 1;
-            match event.kind {
-                EventKind::Arrival(request) => self.handle_arrival(request, prof),
-                EventKind::Completion { tier, request } => {
-                    self.handle_completion(tier, request, prof)
+            match next {
+                NextEvent::Arrival => self.handle_arrival(prof),
+                NextEvent::Completion { station: 0, slot } => {
+                    self.handle_completion(TierId::Ssd, slot, prof)
                 }
-                EventKind::LevelCompletion { .. } => {
-                    unreachable!("the flat storage system schedules no tiered-level completions")
+                NextEvent::Completion { slot, .. } => {
+                    self.handle_completion(TierId::Disk, slot, prof)
                 }
             }
         }
         self.clock = limit;
     }
 
-    fn handle_arrival<P: PhaseSink>(&mut self, request: IoRequest, prof: &mut P) {
-        let now = self.clock;
+    fn handle_arrival<P: PhaseSink>(&mut self, prof: &mut P) {
+        let request = self.events.pop_arrival();
+        let now = request.arrival();
+        self.clock = now;
         // Temporarily take the scratch buffer so the cache can fill it
         // while `self` stays borrowable for the enqueue fan-out.
         let mut outcome = std::mem::take(&mut self.outcome_scratch);
@@ -368,31 +433,18 @@ impl StorageSystem {
     }
 
     fn try_dispatch(&mut self, tier: TierId) {
-        let now = self.clock;
-        loop {
-            let station = self.station_mut(tier);
-            if station.in_service >= station.parallelism || station.queue.is_empty() {
-                break;
-            }
-            let mut request = match station.queue.dispatch(now) {
-                Some(r) => r,
-                None => break,
-            };
-            let service = station.model.service_time(&request);
-            station.in_service += 1;
-            let completion_time = now + service;
-            request.mark_completed(completion_time);
-            self.events.schedule(completion_time, EventKind::Completion { tier, request });
-        }
+        let station = match tier {
+            TierId::Ssd => &mut self.ssd,
+            TierId::Disk => &mut self.disk,
+        };
+        station.dispatch_ready(self.clock, &mut self.events);
     }
 
-    fn handle_completion<P: PhaseSink>(&mut self, tier: TierId, request: IoRequest, prof: &mut P) {
-        let now = self.clock;
+    fn handle_completion<P: PhaseSink>(&mut self, tier: TierId, slot: usize, prof: &mut P) {
         let mark = prof.mark();
-        {
-            let station = self.station_mut(tier);
-            station.in_service -= 1;
-        }
+        let InService { time: now, request, .. } = self.station_mut(tier).finish(slot);
+        self.events.finish_service();
+        self.clock = now;
         let latency = request.latency().map(|d| d.as_micros()).unwrap_or_default();
         self.iostat.record_completion(tier.monitor_tier(), latency);
         prof.record(Phase::DeviceModel, mark);
@@ -512,7 +564,13 @@ impl StorageSystem {
         self.cache.snap_to(w);
         self.ssd.snap_to(w);
         self.disk.snap_to(w);
-        self.events.snap_to(w);
+        let completion = |tier| move |request| EventKind::Completion { tier, request };
+        let held = self
+            .ssd
+            .held_events(completion(TierId::Ssd))
+            .chain(self.disk.held_events(completion(TierId::Disk)))
+            .collect();
+        self.events.snap_to(w, held);
         w.put_u64(self.clock.as_micros());
         self.app.snap_to(w);
         w.put_u64(self.next_id);
@@ -524,12 +582,27 @@ impl StorageSystem {
     /// Restores state written by [`StorageSystem::snap_to`] into this
     /// config-built system. The config must match the one the snapshot was
     /// taken under; geometry mismatches surface as typed
-    /// [`SnapError::Corrupt`] errors.
+    /// [`SnapError::Corrupt`] errors, and so do completions that disagree
+    /// with the stations' stored in-service counts.
     pub fn snap_state_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.cache.snap_state_from(r)?;
-        self.ssd.snap_state_from(r)?;
-        self.disk.snap_state_from(r)?;
-        self.events.snap_state_from(r)?;
+        let ssd_in_service = self.ssd.snap_state_from(r)?;
+        let disk_in_service = self.disk.snap_state_from(r)?;
+        let (ssd, disk) = (&mut self.ssd, &mut self.disk);
+        self.events.snap_state_from(r, |time, seq, kind| {
+            match kind {
+                EventKind::Completion { tier: TierId::Ssd, request } => {
+                    ssd.hold(time, seq, request)
+                }
+                EventKind::Completion { tier: TierId::Disk, request } => {
+                    disk.hold(time, seq, request)
+                }
+                _ => return Err(SnapError::Corrupt("level completion in a flat system")),
+            }
+            Ok(())
+        })?;
+        self.ssd.check_in_service(ssd_in_service)?;
+        self.disk.check_in_service(disk_in_service)?;
         self.clock = SimTime::from_micros(r.get_u64()?);
         self.app.snap_state_from(r)?;
         self.next_id = r.get_u64()?;
@@ -751,6 +824,87 @@ mod tests {
         assert!(restored.drain(600) && sys.drain(600));
         assert_eq!(restored.app_completed(), sys.app_completed());
         assert_eq!(restored.app_max_latency_us(), sys.app_max_latency_us());
+    }
+
+    /// Peak SSD queue depth when a read arrives at exactly the µs the
+    /// in-service read completes. `arrive_first` schedules that arrival
+    /// before the completion exists, so it takes the smaller seq.
+    fn peak_ssd_depth_at_a_tie(arrive_first: bool) -> usize {
+        let mut sys = tiny_system();
+        // A prewarmed hit at t=0 occupies the single SSD slot until t=90;
+        // the hit at t=10 waits behind it.
+        sys.schedule_record(&record(0, 0, RequestKind::Read));
+        sys.schedule_record(&record(10, 8, RequestKind::Read));
+        if arrive_first {
+            sys.schedule_record(&record(90, 16, RequestKind::Read));
+        } else {
+            sys.run_until(SimTime::from_micros(50));
+            assert_eq!(sys.ssd().in_service(), 1);
+            sys.schedule_record(&record(90, 16, RequestKind::Read));
+        }
+        sys.run_until(SimTime::from_millis(10));
+        assert_eq!(sys.app_completed(), 3);
+        sys.ssd().queue().stats().peak_depth
+    }
+
+    #[test]
+    fn an_arrival_and_a_completion_at_the_same_us_fire_in_seq_order() {
+        // The earlier-scheduled arrival fires first and queues behind both
+        // pending reads; the later one finds the completion already fired
+        // and the waiting read in service.
+        assert_eq!(peak_ssd_depth_at_a_tie(true), 2);
+        assert_eq!(peak_ssd_depth_at_a_tie(false), 1);
+    }
+
+    /// A system with completions in service at both stations.
+    fn busy_system() -> StorageSystem {
+        let mut sys = tiny_system();
+        for i in 0..40u64 {
+            // Alternate prewarmed hits with misses far outside the cache.
+            let sector = if i % 2 == 0 { (i % 500) * 8 } else { 10_000_000 + i * 8 };
+            sys.schedule_record(&record(i * 10, sector, RequestKind::Read));
+        }
+        sys.run_until(SimTime::from_micros(200));
+        assert!(sys.ssd().in_service() > 0 && sys.disk().in_service() > 0);
+        sys
+    }
+
+    fn snap_bytes(sys: &StorageSystem) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        sys.snap_to(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn a_snapshot_with_completions_at_every_station_round_trips_byte_identically() {
+        let sys = busy_system();
+        let bytes = snap_bytes(&sys);
+        let mut restored = tiny_system();
+        let mut r = SnapReader::new(&bytes);
+        restored.snap_state_from(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(restored.ssd().in_service(), sys.ssd().in_service());
+        assert_eq!(restored.disk().in_service(), sys.disk().in_service());
+        assert_eq!(restored.pending_events(), sys.pending_events());
+        assert_eq!(snap_bytes(&restored), bytes);
+    }
+
+    #[test]
+    fn a_snapshot_whose_in_service_count_disagrees_with_its_completions_is_corrupt() {
+        let sys = busy_system();
+        let mut bytes = snap_bytes(&sys);
+        // The SSD station's in-service count is the last field of its
+        // section, which follows the cache's.
+        let section = |f: &dyn Fn(&mut SnapWriter)| {
+            let mut w = SnapWriter::new();
+            f(&mut w);
+            w.len()
+        };
+        let at = section(&|w| sys.cache.snap_to(w)) + section(&|w| sys.ssd.snap_to(w)) - 8;
+        assert_eq!(bytes[at..at + 8], 1u64.to_le_bytes());
+        bytes[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
+        let err = tiny_system().snap_state_from(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert_eq!(err, SnapError::Corrupt("in-service count disagrees with pending completions"));
     }
 
     #[test]

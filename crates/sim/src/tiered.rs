@@ -10,7 +10,7 @@
 
 use lbica_cache::WritePolicy;
 use lbica_obs::{NoProf, Phase, PhaseSink};
-use lbica_storage::device::{AnyDeviceModel, DeviceModel, HddModel, SsdModel};
+use lbica_storage::device::{AnyDeviceModel, HddModel, SsdModel};
 use lbica_storage::queue::DeviceQueue;
 use lbica_storage::request::{IoRequest, RequestClass, RequestId, RequestOrigin};
 use lbica_storage::snap::{SnapError, SnapReader, SnapWriter};
@@ -21,9 +21,9 @@ use lbica_trace::record::TraceRecord;
 
 use crate::config::{DiskDeviceConfig, SimulationConfig};
 use crate::controller::{BypassDirective, TierLoad};
-use crate::event::{EventKind, EventQueue};
+use crate::event::{EventKind, EventQueue, NextEvent};
 use crate::report::TierLevelStats;
-use crate::system::{DeviceStation, TierId};
+use crate::system::{DeviceStation, InService, TierId};
 use crate::tracker::AppTracker;
 
 /// Per-level completion counters the stations cannot track themselves.
@@ -216,7 +216,7 @@ impl TieredStorageSystem {
     pub fn schedule_record(&mut self, record: &TraceRecord) {
         let id = self.fresh_id();
         let request = record.to_request(id);
-        self.events.schedule(request.arrival(), EventKind::Arrival(request));
+        self.events.schedule_arrival(request);
     }
 
     /// Runs the event loop until every event at or before `limit` has been
@@ -231,29 +231,26 @@ impl TieredStorageSystem {
     pub fn run_until_with<P: PhaseSink>(&mut self, limit: SimTime, prof: &mut P) {
         loop {
             let mark = prof.mark();
-            let popped = self.events.pop_until(limit);
+            let stations = self.levels.iter().chain(std::iter::once(&self.disk));
+            let next = self.events.next_event(stations, limit);
             prof.record(Phase::EventQueue, mark);
-            let Some(event) = popped else { break };
-            self.clock = event.time;
+            let Some(next) = next else { break };
             self.events_processed += 1;
-            match event.kind {
-                EventKind::Arrival(request) => self.handle_arrival(request, prof),
-                EventKind::LevelCompletion { level, request } => {
-                    self.handle_level_completion(level, request, prof)
+            match next {
+                NextEvent::Arrival => self.handle_arrival(prof),
+                NextEvent::Completion { station, slot } if station < self.levels.len() => {
+                    self.handle_level_completion(station, slot, prof)
                 }
-                EventKind::Completion { tier: TierId::Disk, request } => {
-                    self.handle_disk_completion(request, prof)
-                }
-                EventKind::Completion { tier: TierId::Ssd, .. } => {
-                    unreachable!("the tiered system addresses cache levels by index")
-                }
+                NextEvent::Completion { slot, .. } => self.handle_disk_completion(slot, prof),
             }
         }
         self.clock = limit;
     }
 
-    fn handle_arrival<P: PhaseSink>(&mut self, request: IoRequest, prof: &mut P) {
-        let now = self.clock;
+    fn handle_arrival<P: PhaseSink>(&mut self, prof: &mut P) {
+        let request = self.events.pop_arrival();
+        let now = request.arrival();
+        self.clock = now;
         let mut outcome = std::mem::take(&mut self.outcome_scratch);
         let mark = prof.mark();
         self.cache.access_into(&request, &mut outcome);
@@ -318,52 +315,18 @@ impl TieredStorageSystem {
     }
 
     fn try_dispatch_level(&mut self, level: usize) {
-        let now = self.clock;
-        loop {
-            let station = &mut self.levels[level];
-            if station.in_service >= station.parallelism || station.queue.is_empty() {
-                break;
-            }
-            let mut request = match station.queue.dispatch(now) {
-                Some(r) => r,
-                None => break,
-            };
-            let service = station.model.service_time(&request);
-            station.in_service += 1;
-            let completion_time = now + service;
-            request.mark_completed(completion_time);
-            self.events.schedule(completion_time, EventKind::LevelCompletion { level, request });
-        }
+        self.levels[level].dispatch_ready(self.clock, &mut self.events);
     }
 
     fn try_dispatch_disk(&mut self) {
-        let now = self.clock;
-        loop {
-            if self.disk.in_service >= self.disk.parallelism || self.disk.queue.is_empty() {
-                break;
-            }
-            let mut request = match self.disk.queue.dispatch(now) {
-                Some(r) => r,
-                None => break,
-            };
-            let service = self.disk.model.service_time(&request);
-            self.disk.in_service += 1;
-            let completion_time = now + service;
-            request.mark_completed(completion_time);
-            self.events
-                .schedule(completion_time, EventKind::Completion { tier: TierId::Disk, request });
-        }
+        self.disk.dispatch_ready(self.clock, &mut self.events);
     }
 
-    fn handle_level_completion<P: PhaseSink>(
-        &mut self,
-        level: usize,
-        request: IoRequest,
-        prof: &mut P,
-    ) {
-        let now = self.clock;
+    fn handle_level_completion<P: PhaseSink>(&mut self, level: usize, slot: usize, prof: &mut P) {
         let mark = prof.mark();
-        self.levels[level].in_service -= 1;
+        let InService { time: now, request, .. } = self.levels[level].finish(slot);
+        self.events.finish_service();
+        self.clock = now;
         let latency = request.latency().map(|d| d.as_micros()).unwrap_or_default();
         self.iostat.record_completion(Tier::Cache, latency);
         let counters = &mut self.counters[level];
@@ -383,10 +346,11 @@ impl TieredStorageSystem {
         prof.record(Phase::DeviceModel, mark);
     }
 
-    fn handle_disk_completion<P: PhaseSink>(&mut self, request: IoRequest, prof: &mut P) {
-        let now = self.clock;
+    fn handle_disk_completion<P: PhaseSink>(&mut self, slot: usize, prof: &mut P) {
         let mark = prof.mark();
-        self.disk.in_service -= 1;
+        let InService { time: now, request, .. } = self.disk.finish(slot);
+        self.events.finish_service();
+        self.clock = now;
         let latency = request.latency().map(|d| d.as_micros()).unwrap_or_default();
         self.iostat.record_completion(Tier::Disk, latency);
         prof.record(Phase::DeviceModel, mark);
@@ -608,7 +572,17 @@ impl TieredStorageSystem {
             w.put_u64(c.total_latency_us);
             w.put_u64(c.max_latency_us);
         }
-        self.events.snap_to(w);
+        let disk_completion = |request| EventKind::Completion { tier: TierId::Disk, request };
+        let held = self
+            .levels
+            .iter()
+            .enumerate()
+            .flat_map(|(level, station)| {
+                station.held_events(move |request| EventKind::LevelCompletion { level, request })
+            })
+            .chain(self.disk.held_events(disk_completion))
+            .collect();
+        self.events.snap_to(w, held);
         w.put_u64(self.clock.as_micros());
         self.app.snap_to(w);
         w.put_u64(self.next_id);
@@ -626,16 +600,34 @@ impl TieredStorageSystem {
         if r.get_usize()? != self.levels.len() {
             return Err(SnapError::Corrupt("station level count mismatch"));
         }
+        let mut level_in_service = Vec::with_capacity(self.levels.len());
         for station in &mut self.levels {
-            station.snap_state_from(r)?;
+            level_in_service.push(station.snap_state_from(r)?);
         }
-        self.disk.snap_state_from(r)?;
+        let disk_in_service = self.disk.snap_state_from(r)?;
         for c in &mut self.counters {
             c.completed = r.get_u64()?;
             c.total_latency_us = r.get_u64()?;
             c.max_latency_us = r.get_u64()?;
         }
-        self.events.snap_state_from(r)?;
+        let (levels, disk) = (&mut self.levels, &mut self.disk);
+        self.events.snap_state_from(r, |time, seq, kind| {
+            match kind {
+                EventKind::LevelCompletion { level, request } => levels
+                    .get_mut(level)
+                    .ok_or(SnapError::Corrupt("completion at a missing cache level"))?
+                    .hold(time, seq, request),
+                EventKind::Completion { tier: TierId::Disk, request } => {
+                    disk.hold(time, seq, request)
+                }
+                _ => return Err(SnapError::Corrupt("flat ssd completion in a tiered system")),
+            }
+            Ok(())
+        })?;
+        for (station, &stored) in self.levels.iter().zip(&level_in_service) {
+            station.check_in_service(stored)?;
+        }
+        self.disk.check_in_service(disk_in_service)?;
         self.clock = SimTime::from_micros(r.get_u64()?);
         self.app.snap_state_from(r)?;
         self.next_id = r.get_u64()?;
@@ -890,6 +882,88 @@ mod tests {
         assert!(restored.drain(600) && sys.drain(600));
         assert_eq!(restored.app_completed(), sys.app_completed());
         assert_eq!(restored.tier_level_stats(), sys.tier_level_stats());
+    }
+
+    /// Peak hot-tier queue depth when a read arrives at exactly the µs the
+    /// in-service read completes (see the flat system's twin test).
+    fn peak_hot_depth_at_a_tie(arrive_first: bool) -> usize {
+        let mut sys = two_tier_system();
+        sys.schedule_record(&record(0, 0, RequestKind::Read));
+        sys.schedule_record(&record(10, 8, RequestKind::Read));
+        if arrive_first {
+            sys.schedule_record(&record(90, 16, RequestKind::Read));
+        } else {
+            sys.run_until(SimTime::from_micros(50));
+            assert_eq!(sys.level(0).in_service(), 1);
+            sys.schedule_record(&record(90, 16, RequestKind::Read));
+        }
+        sys.run_until(SimTime::from_millis(10));
+        assert_eq!(sys.app_completed(), 3);
+        sys.level(0).queue().stats().peak_depth
+    }
+
+    #[test]
+    fn an_arrival_and_a_completion_at_the_same_us_fire_in_seq_order() {
+        assert_eq!(peak_hot_depth_at_a_tie(true), 2);
+        assert_eq!(peak_hot_depth_at_a_tie(false), 1);
+    }
+
+    /// A hierarchy with completions in service at every station.
+    fn busy_system() -> TieredStorageSystem {
+        let mut sys = two_tier_system();
+        for i in 0..60u64 {
+            // Hot-tier hits, warm-tier hits and full misses, interleaved.
+            let block = match i % 3 {
+                0 => i % 500,
+                1 => 600 + i,
+                _ => 1_000_000 + i,
+            };
+            sys.schedule_record(&record(i * 10, block * 8, RequestKind::Read));
+        }
+        sys.run_until(SimTime::from_micros(300));
+        assert!((0..2).all(|l| sys.level(l).in_service() > 0) && sys.disk().in_service() > 0);
+        sys
+    }
+
+    fn snap_bytes(sys: &TieredStorageSystem) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        sys.snap_to(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn a_snapshot_with_completions_at_every_station_round_trips_byte_identically() {
+        let sys = busy_system();
+        let bytes = snap_bytes(&sys);
+        let mut restored = two_tier_system();
+        let mut r = SnapReader::new(&bytes);
+        restored.snap_state_from(&mut r).unwrap();
+        r.finish().unwrap();
+        for l in 0..2 {
+            assert_eq!(restored.level(l).in_service(), sys.level(l).in_service());
+        }
+        assert_eq!(restored.disk().in_service(), sys.disk().in_service());
+        assert_eq!(restored.pending_events(), sys.pending_events());
+        assert_eq!(snap_bytes(&restored), bytes);
+    }
+
+    #[test]
+    fn a_snapshot_whose_in_service_count_disagrees_with_its_completions_is_corrupt() {
+        let sys = busy_system();
+        let mut bytes = snap_bytes(&sys);
+        // The hot tier's in-service count ends its station section, which
+        // follows the cache and the level count.
+        let section = |f: &dyn Fn(&mut SnapWriter)| {
+            let mut w = SnapWriter::new();
+            f(&mut w);
+            w.len()
+        };
+        let at =
+            section(&|w| sys.cache.snap_to(w)) + 8 + section(&|w| sys.levels[0].snap_to(w)) - 8;
+        assert_eq!(bytes[at..at + 8], 1u64.to_le_bytes());
+        bytes[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
+        let err = two_tier_system().snap_state_from(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert_eq!(err, SnapError::Corrupt("in-service count disagrees with pending completions"));
     }
 
     #[test]

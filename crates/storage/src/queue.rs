@@ -258,9 +258,9 @@ impl DeviceQueue {
     /// by SIB, which selects individual victims after estimating their wait
     /// times.
     ///
-    /// Runs in a single pass over the queue: the ids are sorted once and
-    /// membership is a binary search, replacing the old O(depth × ids)
-    /// `contains` + `VecDeque::remove` shuffle.
+    /// Runs in a single in-place pass over the queue: the ids are sorted once
+    /// and membership is a binary search. The survivors stay in the queue's
+    /// own ring buffer, so its capacity survives the removal.
     pub fn remove_by_ids(&mut self, ids: &[RequestId]) -> Vec<IoRequest> {
         if ids.is_empty() || self.pending.is_empty() {
             return Vec::new();
@@ -268,16 +268,15 @@ impl DeviceQueue {
         let mut sorted = ids.to_vec();
         sorted.sort_unstable();
         let mut taken = Vec::new();
-        let mut kept = VecDeque::with_capacity(self.pending.len());
-        for req in self.pending.drain(..) {
-            if sorted.binary_search(&req.id()).is_ok() {
-                self.mix.unrecord(req.class());
-                taken.push(req);
-            } else {
-                kept.push_back(req);
+        let mix = &mut self.mix;
+        self.pending.retain_mut(|req| {
+            if sorted.binary_search(&req.id()).is_err() {
+                return true;
             }
-        }
-        self.pending = kept;
+            mix.unrecord(req.class());
+            taken.push(req.clone());
+            false
+        });
         self.stats.bypassed += taken.len() as u64;
         taken
     }
@@ -480,6 +479,27 @@ mod tests {
         assert!(survivors.iter().all(|id| id % 10 != 0));
         assert_eq!(q.stats().bypassed, 100);
         assert_eq!(q.snapshot().total(), 900);
+    }
+
+    #[test]
+    fn remove_by_ids_works_in_place_and_keeps_the_ring() {
+        let mut q = DeviceQueue::without_merging("ssd");
+        for i in 0..64u64 {
+            let origin =
+                if i % 2 == 0 { RequestOrigin::Application } else { RequestOrigin::Promote };
+            q.enqueue(req(i, RequestKind::Write, origin, i * 1000));
+        }
+        let capacity = q.pending.capacity();
+        // Victims in scrambled order: three application writes, two promotes.
+        let taken = q.remove_by_ids(&[41, 6, 60, 13, 2]);
+        assert_eq!(taken.iter().map(|r| r.id()).collect::<Vec<_>>(), vec![2, 6, 13, 41, 60]);
+        assert_eq!(q.pending.capacity(), capacity, "the ring buffer must not be reallocated");
+        let survivors: Vec<u64> = q.iter().map(|r| r.id()).collect();
+        let expected: Vec<u64> = (0..64).filter(|i| ![2, 6, 13, 41, 60].contains(i)).collect();
+        assert_eq!(survivors, expected);
+        assert_eq!(q.snapshot().writes, 32 - 3);
+        assert_eq!(q.snapshot().promotes, 32 - 2);
+        assert_eq!(q.stats().bypassed, 5);
     }
 
     #[test]

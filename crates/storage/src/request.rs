@@ -158,19 +158,37 @@ impl fmt::Display for RequestClass {
 /// The request carries its full lifecycle timestamps so both the iostat-like
 /// monitor (queue sizes, await) and the latency plots of Figures 4–7 can be
 /// computed from completed requests alone.
+///
+/// The layout is packed to 64 bytes — one cache line — because requests are
+/// moved by value through every device queue and service slot. The three
+/// optional fields (parent, dispatch, completion) are stored as plain values
+/// plus one presence bit each; an absent value is always stored as 0, so the
+/// derived equality stays exact.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IoRequest {
     id: RequestId,
+    range: BlockRange,
+    /// Id of the application request this internal request was derived from
+    /// (promotes/evictions/flushes point back at their trigger); meaningful
+    /// only when `HAS_PARENT` is set.
+    parent: RequestId,
+    arrival: SimTime,
+    /// Meaningful only when `DISPATCHED` is set.
+    dispatch: SimTime,
+    /// Meaningful only when `COMPLETED` is set.
+    completion: SimTime,
     kind: RequestKind,
     origin: RequestOrigin,
-    range: BlockRange,
-    /// Id of the application request this internal request was derived from,
-    /// if any (promotes/evictions/flushes point back at their trigger).
-    parent: Option<RequestId>,
-    arrival: SimTime,
-    dispatch: Option<SimTime>,
-    completion: Option<SimTime>,
+    /// Presence bits of the optional fields.
+    flags: u8,
 }
+
+/// `flags` bit: `parent` holds a value.
+const HAS_PARENT: u8 = 1;
+/// `flags` bit: `dispatch` holds a value.
+const DISPATCHED: u8 = 2;
+/// `flags` bit: `completion` holds a value.
+const COMPLETED: u8 = 4;
 
 impl IoRequest {
     /// Creates a request for `sectors` sectors starting at sector
@@ -186,16 +204,7 @@ impl IoRequest {
         start_sector: u64,
         sectors: u64,
     ) -> Self {
-        IoRequest {
-            id,
-            kind,
-            origin,
-            range: BlockRange::new(Lba::new(start_sector), sectors),
-            parent: None,
-            arrival: SimTime::ZERO,
-            dispatch: None,
-            completion: None,
-        }
+        IoRequest::from_range(id, kind, origin, BlockRange::new(Lba::new(start_sector), sectors))
     }
 
     /// Creates a request over an existing [`BlockRange`].
@@ -207,13 +216,14 @@ impl IoRequest {
     ) -> Self {
         IoRequest {
             id,
+            range,
+            parent: 0,
+            arrival: SimTime::ZERO,
+            dispatch: SimTime::ZERO,
+            completion: SimTime::ZERO,
             kind,
             origin,
-            range,
-            parent: None,
-            arrival: SimTime::ZERO,
-            dispatch: None,
-            completion: None,
+            flags: 0,
         }
     }
 
@@ -225,8 +235,18 @@ impl IoRequest {
 
     /// Records the parent application request this internal request serves.
     pub fn with_parent(mut self, parent: RequestId) -> Self {
-        self.parent = Some(parent);
+        self.parent = parent;
+        self.flags |= HAS_PARENT;
         self
+    }
+
+    /// `value` if presence bit `bit` is set.
+    const fn present<T: Copy>(&self, bit: u8, value: T) -> Option<T> {
+        if self.flags & bit != 0 {
+            Some(value)
+        } else {
+            None
+        }
     }
 
     /// The request identifier.
@@ -251,7 +271,7 @@ impl IoRequest {
 
     /// The parent application request, if this is a derived internal request.
     pub const fn parent(&self) -> Option<RequestId> {
-        self.parent
+        self.present(HAS_PARENT, self.parent)
     }
 
     /// The paper's R/W/P/E class of this request.
@@ -266,35 +286,37 @@ impl IoRequest {
 
     /// When the device started servicing the request, if it has.
     pub const fn dispatch(&self) -> Option<SimTime> {
-        self.dispatch
+        self.present(DISPATCHED, self.dispatch)
     }
 
     /// When the request completed, if it has.
     pub const fn completion(&self) -> Option<SimTime> {
-        self.completion
+        self.present(COMPLETED, self.completion)
     }
 
     /// Marks the request as dispatched to the device at `at`.
     pub fn mark_dispatched(&mut self, at: SimTime) {
-        debug_assert!(self.dispatch.is_none(), "request dispatched twice");
-        self.dispatch = Some(at.max(self.arrival));
+        debug_assert!(self.flags & DISPATCHED == 0, "request dispatched twice");
+        self.dispatch = at.max(self.arrival);
+        self.flags |= DISPATCHED;
     }
 
     /// Marks the request as completed at `at`.
     pub fn mark_completed(&mut self, at: SimTime) {
-        debug_assert!(self.completion.is_none(), "request completed twice");
-        self.completion = Some(at);
+        debug_assert!(self.flags & COMPLETED == 0, "request completed twice");
+        self.completion = at;
+        self.flags |= COMPLETED;
     }
 
     /// Time spent waiting in the queue before dispatch. `None` until the
     /// request is dispatched.
     pub fn queue_time(&self) -> Option<SimDuration> {
-        self.dispatch.map(|d| d.saturating_since(self.arrival))
+        self.dispatch().map(|d| d.saturating_since(self.arrival))
     }
 
     /// Time spent being serviced by the device. `None` until completion.
     pub fn service_time_observed(&self) -> Option<SimDuration> {
-        match (self.dispatch, self.completion) {
+        match (self.dispatch(), self.completion()) {
             (Some(d), Some(c)) => Some(c.saturating_since(d)),
             _ => None,
         }
@@ -302,7 +324,7 @@ impl IoRequest {
 
     /// End-to-end latency (arrival to completion). `None` until completion.
     pub fn latency(&self) -> Option<SimDuration> {
-        self.completion.map(|c| c.saturating_since(self.arrival))
+        self.completion().map(|c| c.saturating_since(self.arrival))
     }
 
     /// How long the request has been waiting at `now`, for in-queue
@@ -328,10 +350,10 @@ impl IoRequest {
         });
         w.put_u64(self.range.start().sector());
         w.put_u64(self.range.sectors());
-        w.put_opt_u64(self.parent);
+        w.put_opt_u64(self.parent());
         w.put_u64(self.arrival.as_micros());
-        w.put_opt_u64(self.dispatch.map(SimTime::as_micros));
-        w.put_opt_u64(self.completion.map(SimTime::as_micros));
+        w.put_opt_u64(self.dispatch().map(SimTime::as_micros));
+        w.put_opt_u64(self.completion().map(SimTime::as_micros));
     }
 
     /// Restores a request serialized by [`IoRequest::snap_to`].
@@ -354,20 +376,23 @@ impl IoRequest {
         if sectors == 0 {
             return Err(SnapError::Corrupt("zero-sector request"));
         }
-        let parent = r.get_opt_u64()?;
-        let arrival = SimTime::from_micros(r.get_u64()?);
-        let dispatch = r.get_opt_u64()?.map(SimTime::from_micros);
-        let completion = r.get_opt_u64()?.map(SimTime::from_micros);
-        Ok(IoRequest {
-            id,
-            kind,
-            origin,
-            range: BlockRange::new(Lba::new(start), sectors),
-            parent,
-            arrival,
-            dispatch,
-            completion,
-        })
+        let mut request =
+            IoRequest::from_range(id, kind, origin, BlockRange::new(Lba::new(start), sectors));
+        if let Some(parent) = r.get_opt_u64()? {
+            request = request.with_parent(parent);
+        }
+        request.arrival = SimTime::from_micros(r.get_u64()?);
+        // Stamps are restored raw, not through `mark_dispatched` (which
+        // clamps to the arrival): a checkpoint restores them as taken.
+        if let Some(at) = r.get_opt_u64()? {
+            request.dispatch = SimTime::from_micros(at);
+            request.flags |= DISPATCHED;
+        }
+        if let Some(at) = r.get_opt_u64()? {
+            request.completion = SimTime::from_micros(at);
+            request.flags |= COMPLETED;
+        }
+        Ok(request)
     }
 }
 
@@ -481,6 +506,34 @@ mod tests {
         bytes[18..26].copy_from_slice(&0u64.to_le_bytes());
         let mut r = SnapReader::new(&bytes);
         assert_eq!(IoRequest::snap_from(&mut r), Err(SnapError::Corrupt("zero-sector request")));
+    }
+
+    #[test]
+    fn request_fits_one_cache_line() {
+        assert_eq!(std::mem::size_of::<IoRequest>(), 64);
+    }
+
+    #[test]
+    fn absent_and_zero_valued_optionals_stay_distinct() {
+        let plain = IoRequest::new(5, RequestKind::Read, RequestOrigin::Promote, 0, 8);
+        assert_eq!(plain.parent(), None);
+        assert_eq!(plain.dispatch(), None);
+        assert_eq!(plain.completion(), None);
+        // A present zero is not an absent value, in the accessors, in
+        // equality and across a snapshot round trip.
+        let mut zeroed = plain.clone().with_parent(0);
+        zeroed.mark_dispatched(SimTime::ZERO);
+        zeroed.mark_completed(SimTime::ZERO);
+        assert_eq!(zeroed.parent(), Some(0));
+        assert_eq!(zeroed.dispatch(), Some(SimTime::ZERO));
+        assert_eq!(zeroed.completion(), Some(SimTime::ZERO));
+        assert_ne!(zeroed, plain);
+        for req in [plain, zeroed] {
+            let mut w = SnapWriter::new();
+            req.snap_to(&mut w);
+            let bytes = w.into_bytes();
+            assert_eq!(IoRequest::snap_from(&mut SnapReader::new(&bytes)).unwrap(), req);
+        }
     }
 
     #[test]

@@ -24,6 +24,9 @@ pub enum SnapError {
     },
     /// A field held a value the schema does not allow.
     Corrupt(&'static str),
+    /// The snapshot decoded, but the caller used it against the wrong run:
+    /// a different cell, a split past the end, or an observed run.
+    Mismatch(&'static str),
     /// The buffer holds bytes past the end of the decoded structure.
     TrailingBytes {
         /// How many bytes were left over.
@@ -38,6 +41,7 @@ impl fmt::Display for SnapError {
                 write!(f, "snapshot truncated: needed {needed} bytes, {remaining} left")
             }
             SnapError::Corrupt(what) => write!(f, "snapshot corrupt: {what}"),
+            SnapError::Mismatch(what) => write!(f, "snapshot does not fit this run: {what}"),
             SnapError::TrailingBytes { remaining } => {
                 write!(f, "snapshot has {remaining} trailing bytes")
             }
