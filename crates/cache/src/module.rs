@@ -415,7 +415,7 @@ impl CacheModule {
     /// already built with the original configuration.
     pub fn snap_state_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let map = SetAssociativeMap::snap_from(r)?;
-        if map.capacity_blocks() != self.config.capacity_blocks() {
+        if !map.same_geometry(&self.map) {
             return Err(SnapError::Corrupt("cache geometry mismatch"));
         }
         self.map = map;
@@ -676,6 +676,32 @@ mod tests {
             bigger.snap_state_from(&mut r),
             Err(lbica_storage::snap::SnapError::Corrupt("cache geometry mismatch"))
         );
+    }
+
+    #[test]
+    fn snap_state_from_rejects_same_capacity_other_geometry() {
+        let cache = module();
+        let mut w = lbica_storage::snap::SnapWriter::new();
+        cache.snap_to(&mut w);
+        let bytes = w.into_bytes();
+        // The same 16-block capacity: half the sets at twice the ways, then
+        // the original 8x2 geometry under FIFO.
+        for (num_sets, associativity, replacement) in
+            [(4, 4, ReplacementKind::Lru), (8, 2, ReplacementKind::Fifo)]
+        {
+            let mut other = CacheModule::new(CacheConfig {
+                num_sets,
+                associativity,
+                replacement,
+                initial_policy: WritePolicy::WriteBack,
+            });
+            let mut r = lbica_storage::snap::SnapReader::new(&bytes);
+            assert_eq!(
+                other.snap_state_from(&mut r),
+                Err(lbica_storage::snap::SnapError::Corrupt("cache geometry mismatch")),
+                "{num_sets}x{associativity} {replacement:?}"
+            );
+        }
     }
 
     #[test]

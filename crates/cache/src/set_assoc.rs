@@ -1,15 +1,16 @@
 //! Set-associative block-to-slot mapping.
 //!
-//! The map is a single contiguous slot arena: per-slot `tags` and `meta`
-//! arrays indexed by `set * associativity + way`, with an intrusive
-//! index-linked recency list per set instead of a side `Vec` of way
-//! indices. Lookups walk a packed tag array (one cache line covers many
-//! ways), recency updates are O(1) pointer splices, and `dirty_candidates`
-//! skips whole sets via a per-set dirty counter. The observable semantics
-//! are bit-identical to the seed's boxed-slot representation (a
-//! `Vec<Option<Slot>>` per set plus a recency `Vec` of way indices): same
-//! hit/eviction decisions, same victim order, same candidate enumeration
-//! order — pinned by the model-based proptest in
+//! The map is one contiguous arena of 16-byte `Slot` records indexed by
+//! `set * associativity + way`: each record holds the block tag, the
+//! occupancy/dirty state and the slot's intrusive recency links, stored as
+//! way indices within its set. A per-set `SetHead` holds the coldest and
+//! hottest way and the set's dirty count. A lookup and its LRU splice
+//! therefore stay inside the set's own few cache lines (a 4-way set is 64
+//! bytes), and `dirty_candidates` skips whole sets via the dirty counter.
+//! The observable semantics are bit-identical to the seed's boxed-slot
+//! representation (a `Vec<Option<Slot>>` per set plus a recency `Vec` of
+//! way indices): same hit/eviction decisions, same victim order, same
+//! candidate enumeration order — pinned by the model-based proptest in
 //! `tests/model_equivalence.rs`.
 
 use std::fmt;
@@ -19,8 +20,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::replacement::ReplacementKind;
 
-/// Sentinel for "no slot" in the intrusive recency links.
-const NIL: u32 = u32::MAX;
+/// Sentinel for "no way" in a set's intrusive recency links.
+const NIL: u16 = u16::MAX;
+
+/// Sentinel for "no slot" in the global slot indices of a snapshot.
+const SNAP_NIL: u32 = u32::MAX;
 
 /// The state of one cache slot (one way of one set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -32,33 +36,38 @@ pub enum SlotState {
     Dirty,
 }
 
-/// Per-slot occupancy + dirty state, packed into one byte-sized enum so the
-/// hot lookup loop reads a contiguous array.
+/// One way of one set: 16 bytes, so four ways share a 64-byte line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-enum SlotMeta {
-    /// The slot is unoccupied.
-    Empty,
-    /// The slot holds a clean block.
-    Clean,
-    /// The slot holds a dirty block.
-    Dirty,
+struct Slot {
+    /// The cached block; meaningless where `state` is `None`.
+    tag: u64,
+    /// The way one step hotter in the set's recency list, or `NIL`.
+    next: u16,
+    /// The way one step colder, or `NIL`.
+    prev: u16,
+    /// `None` when the slot is unoccupied.
+    state: Option<SlotState>,
 }
 
-impl SlotMeta {
-    fn state(self) -> Option<SlotState> {
-        match self {
-            SlotMeta::Empty => None,
-            SlotMeta::Clean => Some(SlotState::Clean),
-            SlotMeta::Dirty => Some(SlotState::Dirty),
-        }
-    }
+impl Slot {
+    const EMPTY: Slot = Slot { tag: 0, next: NIL, prev: NIL, state: None };
+}
 
-    fn from_state(state: SlotState) -> Self {
-        match state {
-            SlotState::Clean => SlotMeta::Clean,
-            SlotState::Dirty => SlotMeta::Dirty,
-        }
-    }
+const _: () = assert!(std::mem::size_of::<Slot>() == 16, "a slot record is 16 bytes");
+
+/// The ends of one set's recency list, plus its dirty-slot count so clean
+/// sets are skipped wholesale when enumerating flush candidates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+struct SetHead {
+    /// Coldest way (the eviction victim), `NIL` when the set is empty.
+    head: u16,
+    /// Hottest way, `NIL` when the set is empty.
+    tail: u16,
+    dirty: u32,
+}
+
+impl SetHead {
+    const EMPTY: SetHead = SetHead { head: NIL, tail: NIL, dirty: 0 };
 }
 
 /// What happened when a block was inserted into the map.
@@ -100,21 +109,10 @@ pub struct SetAssociativeMap {
     /// then replaces the integer division in [`SetAssociativeMap::set_of`].
     set_mask: Option<u64>,
     replacement: ReplacementKind,
-    /// Block tag per slot; meaningless where `meta` is `Empty`.
-    tags: Vec<u64>,
-    /// Occupancy/dirty state per slot.
-    meta: Vec<SlotMeta>,
-    /// Intrusive recency links per slot: `next` points one step hotter,
-    /// `prev` one step colder; `NIL` terminates.
-    next: Vec<u32>,
-    prev: Vec<u32>,
-    /// Coldest slot per set (the eviction victim), `NIL` when empty.
-    head: Vec<u32>,
-    /// Hottest slot per set, `NIL` when empty.
-    tail: Vec<u32>,
-    /// Dirty-slot count per set, so clean sets are skipped wholesale when
-    /// enumerating flush candidates.
-    set_dirty: Vec<u32>,
+    /// One record per slot, set-major.
+    slots: Vec<Slot>,
+    /// One record per set.
+    sets: Vec<SetHead>,
     len: usize,
     dirty: usize,
 }
@@ -124,14 +122,16 @@ impl SetAssociativeMap {
     ///
     /// # Panics
     ///
-    /// Panics if `num_sets` or `associativity` is zero, or if the total
-    /// slot count overflows the `u32` slot-index space.
+    /// Panics if `num_sets` or `associativity` is zero, if `associativity`
+    /// does not fit the `u16` way links, or if the total slot count
+    /// overflows the `u32` slot-index space.
     pub fn new(num_sets: usize, associativity: usize, replacement: ReplacementKind) -> Self {
         assert!(num_sets > 0, "a cache needs at least one set");
         assert!(associativity > 0, "a cache needs at least one way per set");
+        assert!(associativity < NIL as usize, "associativity must fit the u16 way links");
         let slots = num_sets
             .checked_mul(associativity)
-            .filter(|&n| n < NIL as usize)
+            .filter(|&n| n < SNAP_NIL as usize)
             .expect("slot count must fit the u32 index space");
         let set_mask = if num_sets.is_power_of_two() { Some(num_sets as u64 - 1) } else { None };
         SetAssociativeMap {
@@ -139,13 +139,8 @@ impl SetAssociativeMap {
             associativity,
             set_mask,
             replacement,
-            tags: vec![0; slots],
-            meta: vec![SlotMeta::Empty; slots],
-            next: vec![NIL; slots],
-            prev: vec![NIL; slots],
-            head: vec![NIL; num_sets],
-            tail: vec![NIL; num_sets],
-            set_dirty: vec![0; num_sets],
+            slots: vec![Slot::EMPTY; slots],
+            sets: vec![SetHead::EMPTY; num_sets],
             len: 0,
             dirty: 0,
         }
@@ -154,6 +149,13 @@ impl SetAssociativeMap {
     /// Total number of slots (blocks the cache can hold).
     pub fn capacity_blocks(&self) -> usize {
         self.num_sets * self.associativity
+    }
+
+    /// Whether `other` has the same sets, ways and replacement policy, so a
+    /// snapshot of one can stand in for the other.
+    pub fn same_geometry(&self, other: &SetAssociativeMap) -> bool {
+        (self.num_sets, self.associativity, self.replacement)
+            == (other.num_sets, other.associativity, other.replacement)
     }
 
     /// Number of blocks currently cached.
@@ -186,59 +188,82 @@ impl SetAssociativeMap {
         set * self.associativity
     }
 
-    /// Finds the slot holding `block` within its set.
-    fn find(&self, block: u64) -> Option<usize> {
-        let base = self.set_base(self.set_of(block));
-        (base..base + self.associativity)
-            .find(|&slot| self.meta[slot] != SlotMeta::Empty && self.tags[slot] == block)
-    }
-
-    /// The first unoccupied slot of a set, mirroring the original
-    /// first-free-way scan.
-    fn free_slot(&self, set: usize) -> Option<usize> {
+    /// The ways of a set.
+    fn ways(&self, set: usize) -> &[Slot] {
         let base = self.set_base(set);
-        (base..base + self.associativity).find(|&slot| self.meta[slot] == SlotMeta::Empty)
+        &self.slots[base..base + self.associativity]
     }
 
-    /// Appends `slot` at the hot end of its set's recency list.
-    fn push_hot(&mut self, set: usize, slot: usize) {
-        let slot = slot as u32;
-        let old_tail = self.tail[set];
-        self.prev[slot as usize] = old_tail;
-        self.next[slot as usize] = NIL;
-        if old_tail == NIL {
-            self.head[set] = slot;
-        } else {
-            self.next[old_tail as usize] = slot;
-        }
-        self.tail[set] = slot;
+    /// The `(set, way)` a slot handle addresses.
+    fn split(&self, slot: u32) -> (usize, usize) {
+        let slot = slot as usize;
+        let set = slot / self.associativity;
+        (set, slot - self.set_base(set))
     }
 
-    /// Splices `slot` out of its set's recency list.
-    fn unlink(&mut self, set: usize, slot: usize) {
-        let p = self.prev[slot];
-        let n = self.next[slot];
-        if p == NIL {
-            self.head[set] = n;
-        } else {
-            self.next[p as usize] = n;
-        }
-        if n == NIL {
-            self.tail[set] = p;
-        } else {
-            self.prev[n as usize] = p;
-        }
-        self.prev[slot] = NIL;
-        self.next[slot] = NIL;
+    /// Finds the way of `set` holding `block`.
+    fn find(&self, set: usize, block: u64) -> Option<usize> {
+        self.ways(set).iter().position(|s| s.tag == block && s.state.is_some())
     }
 
-    /// Records an access to an occupied slot: under LRU it moves to the hot
+    /// Appends `way` at the hot end of its set's recency list.
+    fn push_hot(&mut self, set: usize, way: usize) {
+        let base = self.set_base(set);
+        let links = &mut self.sets[set];
+        let slot = &mut self.slots[base + way];
+        slot.prev = links.tail;
+        slot.next = NIL;
+        match links.tail {
+            NIL => links.head = way as u16,
+            tail => self.slots[base + tail as usize].next = way as u16,
+        }
+        links.tail = way as u16;
+    }
+
+    /// Splices `way` out of its set's recency list.
+    fn unlink(&mut self, set: usize, way: usize) {
+        let base = self.set_base(set);
+        let Slot { prev, next, .. } = self.slots[base + way];
+        let links = &mut self.sets[set];
+        match prev {
+            NIL => links.head = next,
+            p => self.slots[base + p as usize].next = next,
+        }
+        match next {
+            NIL => links.tail = prev,
+            n => self.slots[base + n as usize].prev = prev,
+        }
+        let slot = &mut self.slots[base + way];
+        slot.prev = NIL;
+        slot.next = NIL;
+    }
+
+    /// Records an access to an occupied way: under LRU it moves to the hot
     /// end, under FIFO the insertion order is left untouched.
-    fn touch_slot(&mut self, set: usize, slot: usize) {
-        if self.replacement == ReplacementKind::Lru && self.tail[set] != slot as u32 {
-            self.unlink(set, slot);
-            self.push_hot(set, slot);
+    fn touch_way(&mut self, set: usize, way: usize) {
+        if self.replacement == ReplacementKind::Lru && self.sets[set].tail != way as u16 {
+            self.unlink(set, way);
+            self.push_hot(set, way);
         }
+    }
+
+    /// Rewrites a way's state, keeping `len`, `dirty` and the set's dirty
+    /// count in step.
+    fn set_state(&mut self, set: usize, way: usize, state: Option<SlotState>) {
+        let base = self.set_base(set);
+        let old = std::mem::replace(&mut self.slots[base + way].state, state);
+        let dirty = |s: Option<SlotState>| u32::from(s == Some(SlotState::Dirty));
+        self.len = self.len + usize::from(state.is_some()) - usize::from(old.is_some());
+        self.sets[set].dirty = self.sets[set].dirty + dirty(state) - dirty(old);
+        self.dirty = self.dirty + dirty(state) as usize - dirty(old) as usize;
+    }
+
+    /// Empties an occupied way, returning the state it held.
+    fn remove(&mut self, set: usize, way: usize) -> SlotState {
+        let state = self.ways(set)[way].state.expect("removing an empty slot");
+        self.set_state(set, way, None);
+        self.unlink(set, way);
+        state
     }
 
     /// Clears every slot without deallocating, restoring the exact state of
@@ -246,13 +271,8 @@ impl SetAssociativeMap {
     /// the backing arenas keep their capacity so a reused map performs no
     /// allocations.
     pub fn reset(&mut self) {
-        self.tags.fill(0);
-        self.meta.fill(SlotMeta::Empty);
-        self.next.fill(NIL);
-        self.prev.fill(NIL);
-        self.head.fill(NIL);
-        self.tail.fill(NIL);
-        self.set_dirty.fill(0);
+        self.slots.fill(Slot::EMPTY);
+        self.sets.fill(SetHead::EMPTY);
         self.len = 0;
         self.dirty = 0;
     }
@@ -269,97 +289,77 @@ impl SetAssociativeMap {
         let assoc = self.associativity;
         let sets = self.num_sets as u64;
         let start_rem = first_block % sets;
-        for set in 0..self.num_sets {
-            let base = self.set_base(set);
+        for (set, ways) in self.slots.chunks_exact_mut(assoc).enumerate() {
             // First block ≥ first_block that maps to this set.
-            let rel = (set as u64 + sets - start_rem) % sets;
-            let first_in_set = first_block + rel;
-            for way in 0..assoc {
-                let slot = base + way;
-                self.tags[slot] = first_in_set + way as u64 * sets;
-                self.meta[slot] = SlotMeta::Clean;
-                self.next[slot] = if way + 1 == assoc { NIL } else { (slot + 1) as u32 };
-                self.prev[slot] = if way == 0 { NIL } else { (slot - 1) as u32 };
+            let first_in_set = first_block + (set as u64 + sets - start_rem) % sets;
+            for (way, slot) in ways.iter_mut().enumerate() {
+                *slot = Slot {
+                    tag: first_in_set + way as u64 * sets,
+                    next: if way + 1 == assoc { NIL } else { way as u16 + 1 },
+                    prev: if way == 0 { NIL } else { way as u16 - 1 },
+                    state: Some(SlotState::Clean),
+                };
             }
-            self.head[set] = base as u32;
-            self.tail[set] = (base + assoc - 1) as u32;
         }
-        self.set_dirty.fill(0);
+        self.sets.fill(SetHead { head: 0, tail: (assoc - 1) as u16, dirty: 0 });
         self.len = self.capacity_blocks();
         self.dirty = 0;
     }
 
     /// Locates the slot holding `block` without a recency update. The
-    /// returned handle feeds the `*_at` operations below and stays valid
-    /// until the block is invalidated or evicted: recency updates splice
-    /// links but never move a block between slots.
+    /// returned handle (`set * associativity + way`) feeds the `*_at`
+    /// operations below and stays valid until the block is invalidated or
+    /// evicted: recency updates splice links but never move a block
+    /// between slots.
     pub fn locate(&self, block: u64) -> Option<u32> {
-        self.find(block).map(|slot| slot as u32)
+        let set = self.set_of(block);
+        self.find(set, block).map(|way| (self.set_base(set) + way) as u32)
     }
 
     /// Records a hit on an occupied slot handle — identical to
     /// [`SetAssociativeMap::touch`] on the block it holds, minus the tag
     /// scan.
     pub fn touch_at(&mut self, slot: u32) {
-        let slot = slot as usize;
-        debug_assert!(self.meta[slot] != SlotMeta::Empty, "touch_at on an empty slot");
-        self.touch_slot(slot / self.associativity, slot);
+        debug_assert!(self.slots[slot as usize].state.is_some(), "touch_at on an empty slot");
+        let (set, way) = self.split(slot);
+        self.touch_way(set, way);
     }
 
     /// The state of the block in an occupied slot handle.
     pub fn state_at(&self, slot: u32) -> SlotState {
-        self.meta[slot as usize].state().expect("state_at on an empty slot")
+        self.slots[slot as usize].state.expect("state_at on an empty slot")
     }
 
     /// Marks the block in an occupied slot handle dirty — identical to
     /// [`SetAssociativeMap::mark_dirty`] minus the tag scan.
     pub fn mark_dirty_at(&mut self, slot: u32) {
-        let slot = slot as usize;
-        if self.meta[slot] == SlotMeta::Clean {
-            self.meta[slot] = SlotMeta::Dirty;
-            self.dirty += 1;
-            self.set_dirty[slot / self.associativity] += 1;
-        } else {
-            debug_assert!(self.meta[slot] == SlotMeta::Dirty, "mark_dirty_at on an empty slot");
-        }
+        debug_assert!(self.slots[slot as usize].state.is_some(), "mark_dirty_at on an empty slot");
+        let (set, way) = self.split(slot);
+        self.set_state(set, way, Some(SlotState::Dirty));
     }
 
     /// Removes the block in an occupied slot handle, returning its state —
     /// identical to [`SetAssociativeMap::invalidate`] minus the tag scan.
     pub fn invalidate_at(&mut self, slot: u32) -> SlotState {
-        let slot = slot as usize;
-        let set = slot / self.associativity;
-        let state = self.meta[slot].state().expect("invalidate_at on an empty slot");
-        self.meta[slot] = SlotMeta::Empty;
-        self.unlink(set, slot);
-        self.len -= 1;
-        if state == SlotState::Dirty {
-            self.dirty -= 1;
-            self.set_dirty[set] -= 1;
-        }
-        state
+        let (set, way) = self.split(slot);
+        self.remove(set, way)
     }
 
     /// Whether `block` is cached.
     pub fn contains(&self, block: u64) -> bool {
-        self.find(block).is_some()
+        self.locate(block).is_some()
     }
 
     /// The state of `block` if cached.
     pub fn state(&self, block: u64) -> Option<SlotState> {
-        self.find(block).and_then(|slot| self.meta[slot].state())
+        self.locate(block).map(|slot| self.state_at(slot))
     }
 
     /// Records a hit on `block` (recency update). Returns `false` when the
     /// block is not cached.
     pub fn touch(&mut self, block: u64) -> bool {
-        match self.find(block) {
-            Some(slot) => {
-                self.touch_slot(self.set_of(block), slot);
-                true
-            }
-            None => false,
-        }
+        let set = self.set_of(block);
+        self.find(set, block).map(|way| self.touch_way(set, way)).is_some()
     }
 
     /// Inserts `block` with the given state, evicting a victim when the set
@@ -367,101 +367,50 @@ impl SetAssociativeMap {
     /// (clean→dirty transitions are recorded; dirty blocks stay dirty).
     pub fn insert(&mut self, block: u64, state: SlotState) -> InsertOutcome {
         let set = self.set_of(block);
-
-        if let Some(slot) = self.find(block) {
-            self.touch_slot(set, slot);
-            if self.meta[slot] == SlotMeta::Clean && state == SlotState::Dirty {
-                self.meta[slot] = SlotMeta::Dirty;
-                self.dirty += 1;
-                self.set_dirty[set] += 1;
+        if let Some(way) = self.find(set, block) {
+            self.touch_way(set, way);
+            if state == SlotState::Dirty {
+                self.set_state(set, way, Some(state));
             }
             return InsertOutcome::AlreadyPresent;
         }
 
-        if let Some(slot) = self.free_slot(set) {
-            self.tags[slot] = block;
-            self.meta[slot] = SlotMeta::from_state(state);
-            self.push_hot(set, slot);
-            self.len += 1;
-            if state == SlotState::Dirty {
-                self.dirty += 1;
-                self.set_dirty[set] += 1;
-            }
-            return InsertOutcome::Inserted;
+        let free = self.ways(set).iter().position(|s| s.state.is_none());
+        // A full set evicts its recency victim (the coldest way).
+        let way = free.unwrap_or(self.sets[set].head as usize);
+        let slot = self.set_base(set) + way;
+        let victim = self.slots[slot];
+        if free.is_none() {
+            self.unlink(set, way);
         }
-
-        // Set is full: evict the recency victim (the coldest slot).
-        let victim_slot = self.head[set] as usize;
-        debug_assert!(self.head[set] != NIL, "full set has a victim");
-        let victim = self.tags[victim_slot];
-        let victim_state = self.meta[victim_slot];
-        self.unlink(set, victim_slot);
-        self.tags[victim_slot] = block;
-        self.meta[victim_slot] = SlotMeta::from_state(state);
-        self.push_hot(set, victim_slot);
-
-        if state == SlotState::Dirty {
-            self.dirty += 1;
-            self.set_dirty[set] += 1;
-        }
-        match victim_state {
-            SlotMeta::Dirty => {
-                self.dirty -= 1;
-                self.set_dirty[set] -= 1;
-                InsertOutcome::EvictedDirty { victim }
-            }
-            SlotMeta::Clean => InsertOutcome::EvictedClean { victim },
-            SlotMeta::Empty => unreachable!("victim slot is occupied"),
+        self.slots[slot].tag = block;
+        self.set_state(set, way, Some(state));
+        self.push_hot(set, way);
+        match victim.state {
+            None => InsertOutcome::Inserted,
+            Some(SlotState::Clean) => InsertOutcome::EvictedClean { victim: victim.tag },
+            Some(SlotState::Dirty) => InsertOutcome::EvictedDirty { victim: victim.tag },
         }
     }
 
     /// Marks a cached block dirty. Returns `false` when the block is not
     /// cached.
     pub fn mark_dirty(&mut self, block: u64) -> bool {
-        match self.find(block) {
-            Some(slot) => {
-                if self.meta[slot] == SlotMeta::Clean {
-                    let set = self.set_of(block);
-                    self.meta[slot] = SlotMeta::Dirty;
-                    self.dirty += 1;
-                    self.set_dirty[set] += 1;
-                }
-                true
-            }
-            None => false,
-        }
+        let set = self.set_of(block);
+        self.find(set, block).map(|way| self.set_state(set, way, Some(SlotState::Dirty))).is_some()
     }
 
     /// Marks a cached block clean (after a flush). Returns `false` when the
     /// block is not cached.
     pub fn mark_clean(&mut self, block: u64) -> bool {
-        match self.find(block) {
-            Some(slot) => {
-                if self.meta[slot] == SlotMeta::Dirty {
-                    let set = self.set_of(block);
-                    self.meta[slot] = SlotMeta::Clean;
-                    self.dirty -= 1;
-                    self.set_dirty[set] -= 1;
-                }
-                true
-            }
-            None => false,
-        }
+        let set = self.set_of(block);
+        self.find(set, block).map(|way| self.set_state(set, way, Some(SlotState::Clean))).is_some()
     }
 
     /// Removes `block` from the cache, returning its state if it was cached.
     pub fn invalidate(&mut self, block: u64) -> Option<SlotState> {
-        let slot = self.find(block)?;
         let set = self.set_of(block);
-        let state = self.meta[slot].state().expect("found slot is occupied");
-        self.meta[slot] = SlotMeta::Empty;
-        self.unlink(set, slot);
-        self.len -= 1;
-        if state == SlotState::Dirty {
-            self.dirty -= 1;
-            self.set_dirty[set] -= 1;
-        }
-        Some(state)
+        self.find(set, block).map(|way| self.remove(set, way))
     }
 
     /// Returns up to `max` dirty block indices, coldest sets first, for the
@@ -481,17 +430,14 @@ impl SetAssociativeMap {
         if max == 0 || self.dirty == 0 {
             return;
         }
-        for set in 0..self.num_sets {
-            if self.set_dirty[set] == 0 {
+        for (ways, links) in self.slots.chunks_exact(self.associativity).zip(&self.sets) {
+            if links.dirty == 0 {
                 continue;
             }
-            let base = self.set_base(set);
-            for slot in base..base + self.associativity {
-                if self.meta[slot] == SlotMeta::Dirty {
-                    out.push(self.tags[slot]);
-                    if out.len() >= max {
-                        return;
-                    }
+            for slot in ways.iter().filter(|s| s.state == Some(SlotState::Dirty)) {
+                out.push(slot.tag);
+                if out.len() >= max {
+                    return;
                 }
             }
         }
@@ -499,17 +445,14 @@ impl SetAssociativeMap {
 
     /// Iterates all cached block indices.
     pub fn blocks(&self) -> impl Iterator<Item = u64> + '_ {
-        self.meta
-            .iter()
-            .zip(self.tags.iter())
-            .filter(|(meta, _)| **meta != SlotMeta::Empty)
-            .map(|(_, tag)| *tag)
+        self.slots.iter().filter(|s| s.state.is_some()).map(|s| s.tag)
     }
 
-    /// Serializes the map — geometry, slot arrays and recency links — for a
-    /// replay checkpoint. Derived fields (`set_mask`, per-set dirty
-    /// counters, `len`, `dirty`) are recomputed on restore rather than
-    /// stored, shrinking the corruption surface.
+    /// Serializes the map — geometry, slot records and recency links, the
+    /// links as global slot indices — for a replay checkpoint. Derived
+    /// fields (`set_mask`, per-set dirty counters, `len`, `dirty`) are
+    /// recomputed on restore rather than stored, shrinking the corruption
+    /// surface.
     pub fn snap_to(&self, w: &mut SnapWriter) {
         w.put_usize(self.num_sets);
         w.put_usize(self.associativity);
@@ -517,74 +460,113 @@ impl SetAssociativeMap {
             ReplacementKind::Lru => 0,
             ReplacementKind::Fifo => 1,
         });
-        for slot in 0..self.tags.len() {
-            w.put_u64(self.tags[slot]);
-            w.put_u8(match self.meta[slot] {
-                SlotMeta::Empty => 0,
-                SlotMeta::Clean => 1,
-                SlotMeta::Dirty => 2,
+        let global = |set: usize, way: u16| match way {
+            NIL => SNAP_NIL,
+            way => (self.set_base(set) + way as usize) as u32,
+        };
+        for (i, slot) in self.slots.iter().enumerate() {
+            let set = i / self.associativity;
+            w.put_u64(slot.tag);
+            w.put_u8(match slot.state {
+                None => 0,
+                Some(SlotState::Clean) => 1,
+                Some(SlotState::Dirty) => 2,
             });
-            w.put_u32(self.next[slot]);
-            w.put_u32(self.prev[slot]);
+            w.put_u32(global(set, slot.next));
+            w.put_u32(global(set, slot.prev));
         }
-        for set in 0..self.num_sets {
-            w.put_u32(self.head[set]);
-            w.put_u32(self.tail[set]);
+        for (set, links) in self.sets.iter().enumerate() {
+            w.put_u32(global(set, links.head));
+            w.put_u32(global(set, links.tail));
         }
     }
 
-    /// Restores a map serialized by [`SetAssociativeMap::snap_to`].
+    /// Restores a map serialized by [`SetAssociativeMap::snap_to`]. Every
+    /// link must stay inside its own set, and each set's recency list must
+    /// run from its head through exactly its occupied ways to its tail;
+    /// anything else is [`SnapError::Corrupt`].
     pub fn snap_from(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let num_sets = r.get_usize()?;
         let associativity = r.get_usize()?;
-        if num_sets == 0 || associativity == 0 {
+        if num_sets == 0 || associativity == 0 || associativity >= NIL as usize {
             return Err(SnapError::Corrupt("cache map geometry"));
         }
         let slots = num_sets
             .checked_mul(associativity)
-            .filter(|&n| n < NIL as usize)
+            .filter(|&n| n < SNAP_NIL as usize)
             .ok_or(SnapError::Corrupt("cache map geometry"))?;
         let replacement = match r.get_u8()? {
             0 => ReplacementKind::Lru,
             1 => ReplacementKind::Fifo,
             _ => return Err(SnapError::Corrupt("replacement kind tag")),
         };
-        let link_ok = |v: u32| v == NIL || (v as usize) < slots;
+        // Each slot record is 17 bytes and each set's ends 8: refuse a
+        // geometry the buffer cannot hold before allocating for it.
+        let needed = slots * 17 + num_sets * 8;
+        if r.remaining() < needed {
+            return Err(SnapError::UnexpectedEof { needed, remaining: r.remaining() });
+        }
+        // A global link as a way of the set starting at `base`.
+        let way_of = |link: u32, base: usize| match link {
+            SNAP_NIL => Ok(NIL),
+            link => (link as usize)
+                .checked_sub(base)
+                .filter(|&way| way < associativity)
+                .map(|way| way as u16)
+                .ok_or(SnapError::Corrupt("recency link out of range")),
+        };
         let mut map = SetAssociativeMap::new(num_sets, associativity, replacement);
-        for slot in 0..slots {
-            map.tags[slot] = r.get_u64()?;
-            map.meta[slot] = match r.get_u8()? {
-                0 => SlotMeta::Empty,
-                1 => SlotMeta::Clean,
-                2 => SlotMeta::Dirty,
+        for (i, slot) in map.slots.iter_mut().enumerate() {
+            let base = i - i % associativity;
+            slot.tag = r.get_u64()?;
+            slot.state = match r.get_u8()? {
+                0 => None,
+                1 => Some(SlotState::Clean),
+                2 => Some(SlotState::Dirty),
                 _ => return Err(SnapError::Corrupt("slot meta tag")),
             };
-            map.next[slot] = r.get_u32()?;
-            map.prev[slot] = r.get_u32()?;
-            if !link_ok(map.next[slot]) || !link_ok(map.prev[slot]) {
-                return Err(SnapError::Corrupt("recency link out of range"));
-            }
+            slot.next = way_of(r.get_u32()?, base)?;
+            slot.prev = way_of(r.get_u32()?, base)?;
         }
         for set in 0..num_sets {
-            map.head[set] = r.get_u32()?;
-            map.tail[set] = r.get_u32()?;
-            if !link_ok(map.head[set]) || !link_ok(map.tail[set]) {
-                return Err(SnapError::Corrupt("recency link out of range"));
+            let base = map.set_base(set);
+            let links = &mut map.sets[set];
+            links.head = way_of(r.get_u32()?, base)?;
+            links.tail = way_of(r.get_u32()?, base)?;
+            let ways = &map.slots[base..base + associativity];
+            if !chain_ok(ways, *links) {
+                return Err(SnapError::Corrupt("recency list"));
             }
-        }
-        for slot in 0..slots {
-            match map.meta[slot] {
-                SlotMeta::Empty => {}
-                SlotMeta::Clean => map.len += 1,
-                SlotMeta::Dirty => {
-                    map.len += 1;
+            for slot in ways.iter().filter(|s| s.state.is_some()) {
+                map.len += 1;
+                if slot.state == Some(SlotState::Dirty) {
                     map.dirty += 1;
-                    map.set_dirty[slot / associativity] += 1;
+                    links.dirty += 1;
                 }
             }
         }
         Ok(map)
     }
+}
+
+/// Whether a set's recency list starts at `links.head`, visits each
+/// occupied way exactly once through `next` with `prev` mirroring it, and
+/// ends at `links.tail`, while every empty way stays unlinked. A revisit
+/// cannot pass: its `prev` would have to match two different predecessors.
+fn chain_ok(ways: &[Slot], links: SetHead) -> bool {
+    if ways.iter().any(|s| s.state.is_none() && (s.next != NIL || s.prev != NIL)) {
+        return false;
+    }
+    let occupied = ways.iter().filter(|s| s.state.is_some()).count();
+    let (mut prev, mut way, mut seen) = (NIL, links.head, 0);
+    while way != NIL {
+        let slot = ways[way as usize];
+        if seen == occupied || slot.state.is_none() || slot.prev != prev {
+            return false;
+        }
+        (prev, way, seen) = (way, slot.next, seen + 1);
+    }
+    seen == occupied && prev == links.tail
 }
 
 impl fmt::Display for SetAssociativeMap {
@@ -756,12 +738,12 @@ mod tests {
         for b in 0..12 {
             m.insert(b, if b % 2 == 0 { SlotState::Dirty } else { SlotState::Clean });
         }
-        assert_eq!(m.set_dirty.iter().map(|&d| d as usize).sum::<usize>(), m.dirty_blocks());
+        assert_eq!(m.sets.iter().map(|s| s.dirty as usize).sum::<usize>(), m.dirty_blocks());
         for b in 0..12 {
             m.invalidate(b);
         }
         assert_eq!(m.dirty_blocks(), 0);
-        assert!(m.set_dirty.iter().all(|&d| d == 0));
+        assert!(m.sets.iter().all(|s| s.dirty == 0));
     }
 
     #[test]

@@ -5,13 +5,17 @@
 //! reimplementation of the same set-associative + LRU/FIFO semantics.
 //! Driving both with identical random operation sequences and asserting
 //! identical observable outcomes pins the arena rewrite to the original
-//! behaviour far more tightly than example-based tests can.
+//! behaviour far more tightly than example-based tests can. The slot-handle
+//! operations (`locate` + `*_at`) are driven against the model's
+//! block-addressed ones, and every final state must survive a snapshot
+//! round trip.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
 use lbica_cache::{InsertOutcome, ReplacementKind, SetAssociativeMap, SlotState};
+use lbica_storage::snap::{SnapReader, SnapWriter};
 
 /// One set of the reference model: a block→state map plus an explicit
 /// recency order (coldest first), bounded by the associativity.
@@ -141,15 +145,27 @@ enum Op {
     MarkDirty(u64),
     MarkClean(u64),
     Invalidate(u64),
+    /// `locate`, then `touch_at` on the handle.
+    TouchAt(u64),
+    /// `locate`, then `mark_dirty_at`.
+    MarkDirtyAt(u64),
+    /// `locate`, then `invalidate_at`.
+    InvalidateAt(u64),
+    /// `locate`, then `state_at`.
+    StateAt(u64),
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    (0u8..5, 0u64..96, any::<bool>()).prop_map(|(which, block, dirty)| match which {
+    (0u8..9, 0u64..96, any::<bool>()).prop_map(|(which, block, dirty)| match which {
         0 => Op::Insert(block, if dirty { SlotState::Dirty } else { SlotState::Clean }),
         1 => Op::Touch(block),
         2 => Op::MarkDirty(block),
         3 => Op::MarkClean(block),
-        _ => Op::Invalidate(block),
+        4 => Op::Invalidate(block),
+        5 => Op::TouchAt(block),
+        6 => Op::MarkDirtyAt(block),
+        7 => Op::InvalidateAt(block),
+        _ => Op::StateAt(block),
     })
 }
 
@@ -157,7 +173,8 @@ fn arb_replacement() -> impl Strategy<Value = ReplacementKind> {
     prop_oneof![Just(ReplacementKind::Lru), Just(ReplacementKind::Fifo)]
 }
 
-/// Geometries covering the pow2 bitmask fast path and the modulo fallback.
+/// Geometries covering the pow2 bitmask fast path and the modulo fallback,
+/// direct-mapped sets, odd ways and sets wider than one cache line.
 fn arb_geometry() -> impl Strategy<Value = (usize, usize)> {
     prop_oneof![
         Just((8usize, 2usize)), // power-of-two sets
@@ -165,6 +182,9 @@ fn arb_geometry() -> impl Strategy<Value = (usize, usize)> {
         Just((4, 4)),
         Just((6, 3)),
         Just((1, 8)),
+        Just((16, 1)), // direct-mapped
+        Just((5, 3)),
+        Just((3, 16)),
     ]
 }
 
@@ -199,6 +219,26 @@ proptest! {
                 Op::Invalidate(block) => {
                     prop_assert_eq!(real.invalidate(block), model.invalidate(block), "invalidate({}) at {}", block, step);
                 }
+                Op::TouchAt(block) | Op::MarkDirtyAt(block) | Op::InvalidateAt(block) | Op::StateAt(block) => {
+                    let slot = real.locate(block);
+                    prop_assert_eq!(slot.is_some(), model.state(block).is_some(), "locate({}) at {}", block, step);
+                    if let Some(slot) = slot {
+                        match *op {
+                            Op::TouchAt(_) => {
+                                real.touch_at(slot);
+                                model.touch(block);
+                            }
+                            Op::MarkDirtyAt(_) => {
+                                real.mark_dirty_at(slot);
+                                model.mark_dirty(block);
+                            }
+                            Op::InvalidateAt(_) => {
+                                prop_assert_eq!(Some(real.invalidate_at(slot)), model.invalidate(block), "invalidate_at({}) at {}", block, step);
+                            }
+                            _ => prop_assert_eq!(Some(real.state_at(slot)), model.state(block), "state_at({}) at {}", block, step),
+                        }
+                    }
+                }
             }
 
             // After every op: occupancy, dirty accounting and per-block
@@ -224,5 +264,19 @@ proptest! {
             .collect();
         model_dirty.sort_unstable();
         prop_assert_eq!(real_dirty, model_dirty);
+
+        // A snapshot round trip restores an equal map that then makes the
+        // same insert and eviction decision in every set.
+        let mut w = SnapWriter::new();
+        real.snap_to(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        let mut restored = SetAssociativeMap::snap_from(&mut r).expect("own snapshot restores");
+        prop_assert!(r.finish().is_ok());
+        prop_assert_eq!(&restored, &real);
+        for block in 96..96 + num_sets as u64 {
+            prop_assert_eq!(restored.insert(block, SlotState::Clean), real.insert(block, SlotState::Clean));
+        }
+        prop_assert_eq!(restored, real);
     }
 }

@@ -943,7 +943,7 @@ impl TieredCacheModule {
         }
         for level in 0..levels {
             let map = SetAssociativeMap::snap_from(r)?;
-            if map.capacity_blocks() != self.maps[level].capacity_blocks() {
+            if !map.same_geometry(&self.maps[level]) {
                 return Err(SnapError::Corrupt("tier geometry mismatch"));
             }
             self.maps[level] = map;
@@ -1472,5 +1472,26 @@ mod tests {
             flat.snap_state_from(&mut r),
             Err(lbica_storage::snap::SnapError::Corrupt("tier level count mismatch"))
         );
+    }
+
+    #[test]
+    fn snap_state_from_rejects_same_capacity_other_geometry() {
+        let cache = two_level();
+        let mut w = lbica_storage::snap::SnapWriter::new();
+        cache.snap_to(&mut w);
+        let bytes = w.into_bytes();
+
+        // Level 1 keeps its 8-block capacity: 2x4 instead of 4x2, then
+        // 4x2 under FIFO.
+        let mut fifo = spec(4, 2);
+        fifo.cache.replacement = ReplacementKind::Fifo;
+        for lower in [spec(2, 4), fifo] {
+            let mut other = TieredCacheModule::new(TierTopology::two_level(spec(2, 2), lower));
+            let mut r = lbica_storage::snap::SnapReader::new(&bytes);
+            assert_eq!(
+                other.snap_state_from(&mut r),
+                Err(lbica_storage::snap::SnapError::Corrupt("tier geometry mismatch"))
+            );
+        }
     }
 }

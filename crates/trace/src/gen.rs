@@ -143,40 +143,73 @@ pub struct AccessPattern {
     request_blocks: u64,
     cursor: u64,
     rng: StdRng,
-    /// Cumulative popularity thresholds for [`PatternSpec::Zipfian`], one
-    /// `u64` per rank; `None` for every other spec. `zipf_cdf[k]` is the
-    /// largest draw that selects rank `k`, and the final entry is forced to
-    /// `u64::MAX`, so the per-access draw is a pure integer
-    /// `partition_point` with no float comparisons.
-    zipf_cdf: Option<Arc<[u64]>>,
+    /// The popularity table for [`PatternSpec::Zipfian`]; `None` for
+    /// every other spec.
+    zipf_cdf: Option<Arc<ZipfCdf>>,
+}
+
+/// How many top bits of a draw select its guide bucket.
+const GUIDE_BITS: u32 = 12;
+
+/// A Zipf popularity table and a guide into it, so the per-access draw is
+/// a pure integer search with no float comparisons that touches a few
+/// adjacent cache lines instead of a whole-table binary search.
+#[derive(Debug)]
+pub(crate) struct ZipfCdf {
+    /// One threshold per rank: `cdf[k]` is the largest draw that selects
+    /// rank `k`, and the final entry is forced to `u64::MAX`.
+    cdf: Box<[u64]>,
+    /// `2^GUIDE_BITS + 1` ranks: `guide[j]` is the first rank whose
+    /// threshold reaches `j << (64 - GUIDE_BITS)`, and the last entry is
+    /// the last rank. A draw in bucket `j` selects a rank in
+    /// `guide[j]..=guide[j + 1]`.
+    guide: Box<[u32]>,
+}
+
+impl ZipfCdf {
+    /// The rank a draw selects: exactly `cdf.partition_point(|&c| c < draw)`,
+    /// searched only within the draw's guide bucket.
+    fn rank(&self, draw: u64) -> usize {
+        let bucket = (draw >> (64 - GUIDE_BITS)) as usize;
+        let (lo, hi) = (self.guide[bucket] as usize, self.guide[bucket + 1] as usize);
+        lo + self.cdf[lo..hi].partition_point(|&cum| cum < draw)
+    }
 }
 
 /// Builds the cumulative Zipf table: entry `k` holds the (scaled) cumulative
 /// probability of ranks `0..=k`. Floats appear only here, in a fixed
 /// sequential fold order, so the table is a deterministic function of
 /// `(working_set_blocks, skew_permille)`. The running sums are kept as
-/// `f64` bits in the table itself and rescaled in place, so the build
-/// allocates nothing beyond the table.
-pub(crate) fn build_zipf_cdf(working_set_blocks: u64, skew_permille: u32) -> Arc<[u64]> {
-    let n = usize::try_from(working_set_blocks).expect("zipfian working set fits in memory");
+/// `f64` bits in the table itself and rescaled in place. One pass over the
+/// finished table then builds the guide.
+pub(crate) fn build_zipf_cdf(working_set_blocks: u64, skew_permille: u32) -> Arc<ZipfCdf> {
+    assert!(working_set_blocks > 0, "pattern footprint must be non-empty");
+    let last = u32::try_from(working_set_blocks - 1).expect("zipfian ranks fit u32");
     let s = f64::from(skew_permille) / 1000.0;
-    let mut cdf: Arc<[u64]> = std::iter::repeat_n(0, n).collect();
-    let slots = Arc::get_mut(&mut cdf).expect("a fresh table is unshared");
+    let mut cdf = vec![0_u64; last as usize + 1].into_boxed_slice();
     let mut total = 0.0_f64;
-    for (rank, slot) in slots.iter_mut().enumerate() {
+    for (rank, slot) in cdf.iter_mut().enumerate() {
         total += (rank as f64 + 1.0).powf(-s);
         *slot = total.to_bits();
     }
-    for slot in slots.iter_mut() {
+    for slot in cdf.iter_mut() {
         let cum = f64::from_bits(*slot);
         *slot = ((cum / total) * (u64::MAX as f64)) as u64;
     }
     // Guarantee full coverage of the draw space regardless of rounding.
-    // (An empty footprint is rejected where a generator is built.)
-    if let Some(last) = slots.last_mut() {
-        *last = u64::MAX;
-    }
-    cdf
+    cdf[last as usize] = u64::MAX;
+    let mut rank = 0;
+    let guide = (0..1_u64 << GUIDE_BITS)
+        .map(|bucket| {
+            // Stops at the last rank at the latest: its threshold is `u64::MAX`.
+            while cdf[rank as usize] < bucket << (64 - GUIDE_BITS) {
+                rank += 1;
+            }
+            rank
+        })
+        .chain([last])
+        .collect();
+    Arc::new(ZipfCdf { cdf, guide })
 }
 
 impl AccessPattern {
@@ -201,14 +234,14 @@ impl AccessPattern {
         base_block: u64,
         request_blocks: u64,
         seed: u64,
-        zipf_cdf: Option<Arc<[u64]>>,
+        zipf_cdf: Option<Arc<ZipfCdf>>,
     ) -> Self {
         assert!(request_blocks > 0, "requests must span at least one block");
         assert!(spec.footprint_blocks() > 0, "pattern footprint must be non-empty");
         let zipf_cdf =
             zipf_cdf.or_else(|| spec.zipf_key().map(|(blocks, skew)| build_zipf_cdf(blocks, skew)));
         debug_assert!(
-            zipf_cdf.as_ref().is_none_or(|t| t.len() as u64 == spec.footprint_blocks()),
+            zipf_cdf.as_ref().is_none_or(|t| t.cdf.len() as u64 == spec.footprint_blocks()),
             "the Zipf table covers the working set"
         );
         AccessPattern {
@@ -281,9 +314,8 @@ impl AccessPattern {
                     RequestKind::Write
                 };
                 let draw: u64 = self.rng.next_u64();
-                let cdf = self.zipf_cdf.as_deref().expect("zipfian generators carry a table");
-                let rank = cdf.partition_point(|&cum| cum < draw);
-                (rank as u64, kind)
+                let table = self.zipf_cdf.as_deref().expect("zipfian generators carry a table");
+                (table.rank(draw) as u64, kind)
             }
         }
     }
@@ -475,6 +507,30 @@ mod tests {
             (0..256).map(|_| p.next_access()).collect::<Vec<_>>()
         };
         assert_eq!(make(), make());
+    }
+
+    #[test]
+    fn guided_zipf_rank_equals_the_full_table_search() {
+        let mut rng = StdRng::seed_from_u64(0x2171);
+        for n in [1u64, 2, 3, 4095, 4096, 4097, 16384, 32768] {
+            for skew in [0u32, 1, 600, 900, 1200, 1500, 3000] {
+                let table = build_zipf_cdf(n, skew);
+                assert_eq!(table.guide.len(), (1 << GUIDE_BITS) + 1);
+                let floors = (0..1u64 << GUIDE_BITS).map(|j| j << (64 - GUIDE_BITS));
+                let probes = floors
+                    .chain(table.cdf.iter().copied())
+                    .flat_map(|d| [d.wrapping_sub(1), d, d.wrapping_add(1)])
+                    .chain([0, u64::MAX])
+                    .chain((0..20_000).map(|_| rng.next_u64()));
+                for draw in probes {
+                    assert_eq!(
+                        table.rank(draw),
+                        table.cdf.partition_point(|&c| c < draw),
+                        "n {n}, skew {skew}, draw {draw:#x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 use lbica_storage::block::BLOCK_SECTORS;
 
 use crate::gen::{
-    build_zipf_cdf, generate_stream_into, AccessPattern, ArrivalProcess, PatternSpec,
+    build_zipf_cdf, generate_stream_into, AccessPattern, ArrivalProcess, PatternSpec, ZipfCdf,
 };
 use crate::io::BinaryTraceCodec;
 use crate::record::TraceRecord;
@@ -280,7 +280,7 @@ struct ReplayTrace {
 struct ZipfTables(Vec<((u64, u32), LazyTable)>);
 
 /// A popularity table, built on first use.
-type LazyTable = OnceLock<Arc<[u64]>>;
+type LazyTable = OnceLock<Arc<ZipfCdf>>;
 
 impl ZipfTables {
     /// Reserves a slot for `pattern`'s table unless it is not Zipfian or
@@ -295,7 +295,7 @@ impl ZipfTables {
 
     /// `pattern`'s table, built on first use. `None` for other patterns,
     /// and for a deserialized spec, which carries no slots.
-    fn get(&self, pattern: &PatternSpec) -> Option<Arc<[u64]>> {
+    fn get(&self, pattern: &PatternSpec) -> Option<Arc<ZipfCdf>> {
         let key = pattern.zipf_key()?;
         let (_, table) = self.0.iter().find(|(k, _)| *k == key)?;
         Some(Arc::clone(table.get_or_init(|| build_zipf_cdf(key.0, key.1))))
