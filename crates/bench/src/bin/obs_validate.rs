@@ -5,8 +5,6 @@
 //! obs_validate telemetry  FILE.jsonl   # sweep --telemetry stream
 //! obs_validate metrics    FILE.json    # folded metrics snapshot
 //! obs_validate trace      FILE.json    # Chrome/Perfetto trace
-//! obs_validate profile    FILE.json    # sweep --profile phase profile
-//! obs_validate bench-diff FILE.json    # bench diff --out report
 //! ```
 //!
 //! Exits 0 and prints a one-line summary when the artifact is
@@ -21,7 +19,7 @@ use std::process::ExitCode;
 
 use lbica_obs::validate;
 
-const USAGE: &str = "usage: obs_validate telemetry|trace|metrics|profile|bench-diff FILE";
+const USAGE: &str = "usage: obs_validate telemetry|trace|metrics FILE";
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -47,9 +45,6 @@ fn main() -> ExitCode {
             .map(|s| format!("{} events ({} spans, {} counters)", s.events, s.spans, s.counters)),
         "metrics" => validate::metrics_json(&text)
             .map(|s| format!("{} scalars, {} histograms", s.scalars, s.histograms)),
-        "profile" => validate::profile_json(&text).map(|s| format!("{} phases", s.phases)),
-        "bench-diff" => validate::bench_diff_json(&text)
-            .map(|s| format!("{} cells, {} regressions", s.cells, s.regressions)),
         other => {
             eprintln!("error: unknown artifact kind `{other}`");
             eprintln!("{USAGE}");

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! sweep [--matrix NAME] [--jobs N] [--out DIR] [--shard I/N]
-//!       [--telemetry FILE] [--profile FILE] [--trace-cell IDX]
+//!       [--telemetry FILE] [--trace-cell IDX]
 //!       [--checkpoint-cell IDX] [--list]
 //! sweep merge PART.json... [--out DIR] [--telemetry FILE]
 //! ```
@@ -25,7 +25,8 @@
 //! * `replay` — captured traces round-tripped through the binary codec
 //!   and replayed (6 cells).
 //! * `paper` — the canonical figure matrix at published scale (9 cells,
-//!   slow).
+//!   slow); `paper-tiered` adds its two-level twins (18 cells), the
+//!   matrix of the `perfbench` benchmark's `paper-tiered` workload.
 //!
 //! `--checkpoint-cell IDX` re-runs cell IDX split at its midpoint through
 //! a binary-encoded replay checkpoint and fails unless the resumed report
@@ -63,17 +64,6 @@
 //! (`sweep_<matrix>.cell<IDX>.trace.json`, loadable in Perfetto or
 //! `chrome://tracing`) into `--out`. Trace timestamps are sim-time, so
 //! the file is deterministic for a given cell.
-//!
-//! `--profile FILE` attaches the `lbica-obs` phase profiler to every
-//! simulation: each worker accumulates per-phase wall-clock locally and
-//! folds its profile into a shared [`ProfileFold`] when it exits, so the
-//! aggregate is commutative and `--jobs`-independent in *shape* (the
-//! nanosecond figures are wall-clock and vary run to run). The merged
-//! `lbica-prof/v1` document lands in FILE and the sorted self-time table
-//! prints to stderr. Like telemetry, profiling is strictly out-of-band:
-//! the CSV/JSON summaries stay byte-identical with or without it.
-//!
-//! [`ProfileFold`]: lbica_lab::ProfileFold
 
 use std::env;
 use std::fs;
@@ -105,7 +95,12 @@ fn paper_matrix() -> ScenarioMatrix {
     ScenarioMatrix::paper(config.scale, config.sim, config.seed)
 }
 
-const MATRICES: [MatrixDef; 13] = [
+fn paper_tiered_matrix() -> ScenarioMatrix {
+    let config = SuiteConfig::harness();
+    ScenarioMatrix::paper_tiered(config.scale, config.sim, config.seed)
+}
+
+const MATRICES: [MatrixDef; 14] = [
     MatrixDef {
         name: "tiny",
         desc: "4 workloads x 3 controllers x 3 seeds, tiny scale (36 cells)",
@@ -171,6 +166,11 @@ const MATRICES: [MatrixDef; 13] = [
         desc: "the canonical figure matrix at published scale (9 cells, slow)",
         build: paper_matrix,
     },
+    MatrixDef {
+        name: "paper-tiered",
+        desc: "the figure matrix flat + two-level hot/QLC hierarchy (18 cells, slow)",
+        build: paper_tiered_matrix,
+    },
 ];
 
 fn matrix_name_list() -> String {
@@ -181,7 +181,7 @@ fn usage() -> String {
     format!(
         "\
 usage: sweep [--matrix NAME] [--jobs N] [--out DIR] [--shard I/N]
-             [--telemetry FILE] [--profile FILE] [--trace-cell IDX]
+             [--telemetry FILE] [--trace-cell IDX]
              [--checkpoint-cell IDX] [--list] [--help]
        sweep merge PART.json... [--out DIR] [--telemetry FILE]
 
@@ -200,9 +200,6 @@ flags:
   --telemetry FILE write a JSONL execution-telemetry stream to FILE plus folded
                    metrics snapshots beside it (FILE -> *.metrics.json/.prom);
                    wall-clock lands only here, never in the summaries
-  --profile FILE   attach the phase profiler to every simulation and write the
-                   merged lbica-prof/v1 phase profile to FILE (self-time table
-                   on stderr); summaries stay byte-identical either way
   --trace-cell IDX after the sweep, re-run cell IDX with the trace ring attached
                    and write sweep_<matrix>.cell<IDX>.trace.json (Chrome/
                    Perfetto trace-event format) into --out
@@ -223,7 +220,6 @@ struct Options {
     out_dir: PathBuf,
     shard: Option<(usize, usize)>,
     telemetry: Option<PathBuf>,
-    profile: Option<PathBuf>,
     trace_cell: Option<usize>,
     checkpoint_cell: Option<usize>,
 }
@@ -274,7 +270,6 @@ fn parse_args() -> Result<Option<Options>, String> {
         out_dir: PathBuf::from("target/sweep"),
         shard: None,
         telemetry: None,
-        profile: None,
         trace_cell: None,
         checkpoint_cell: None,
     };
@@ -299,10 +294,6 @@ fn parse_args() -> Result<Option<Options>, String> {
             "--telemetry" => {
                 opts.telemetry =
                     Some(PathBuf::from(flag_value(&mut args, "--telemetry", "a file path")?));
-            }
-            "--profile" => {
-                opts.profile =
-                    Some(PathBuf::from(flag_value(&mut args, "--profile", "a file path")?));
             }
             "--trace-cell" => {
                 let idx = flag_value(&mut args, "--trace-cell", "a cell index")?;
@@ -336,12 +327,6 @@ fn parse_args() -> Result<Option<Options>, String> {
     if opts.checkpoint_cell.is_some() && opts.shard.is_some() {
         return Err("--checkpoint-cell cannot be combined with --shard \
                     (check the cell from an unsharded run)"
-            .to_string());
-    }
-    if opts.profile.is_some() && opts.shard.is_some() {
-        return Err("--profile cannot be combined with --shard \
-                    (profile an unsharded run; per-shard profiles would cover \
-                    disjoint cell ranges)"
             .to_string());
     }
     Ok(Some(opts))
@@ -655,32 +640,16 @@ fn run_sweep(opts: &Options) -> Result<(), String> {
     let fan = FanOut::new(&hooks);
 
     let started = Instant::now();
-    let profile_fold = opts.profile.as_deref().map(|_| lbica_lab::ProfileFold::new());
-    let summary = match &profile_fold {
-        Some(fold) => executor.aggregate_profiled(&matrix, &opts.matrix, &fan, fold),
-        None => executor.aggregate_with_telemetry(&matrix, &opts.matrix, &fan),
-    }
-    // Per-tenant offered-load rows regenerate from the matrix definition,
-    // never from execution, so attaching them keeps the summary
-    // `--jobs`-independent; tenant-free matrices attach nothing.
-    .with_tenant_rows(&matrix);
+    let summary = executor
+        .aggregate_with_telemetry(&matrix, &opts.matrix, &fan)
+        // Per-tenant offered-load rows regenerate from the matrix definition,
+        // never from execution, so attaching them keeps the summary
+        // `--jobs`-independent; tenant-free matrices attach nothing.
+        .with_tenant_rows(&matrix);
     eprintln!("sweep finished in {:.2?}", started.elapsed());
     drop(hooks);
     if let Some(s) = sinks {
         s.finish()?;
-    }
-    if let (Some(fold), Some(path)) = (&profile_fold, opts.profile.as_deref()) {
-        let merged = fold.snapshot();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent)
-                    .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-            }
-        }
-        fs::write(path, merged.render_json(&opts.matrix))
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprint!("{}", merged.render_table());
-        println!("wrote {}", path.display());
     }
 
     write_summary(&opts.out_dir, &opts.matrix, &summary)?;
@@ -783,7 +752,10 @@ mod tests {
                 .unwrap_or_else(|e| panic!("matrix `{}` failed to build: {e}", def.name));
             assert!(!matrix.is_empty(), "matrix `{}` is empty", def.name);
         }
-        assert!(build_matrix("no-such-matrix").is_err());
+        assert_eq!(build_matrix("paper-tiered").expect("registered").len(), 18);
+        for name in ["", "no-such-matrix", "bogus", "Tiny", "paper_tiered", "smoke"] {
+            assert!(build_matrix(name).is_err(), "unlisted matrix `{name}` must be rejected");
+        }
     }
 
     #[test]

@@ -14,23 +14,19 @@
 //! [`harness::run_suite`] runs all nine simulations (3 workloads × 3
 //! controllers) concurrently on the `lbica-lab` sweep executor, and the
 //! `reproduce` binary writes the corresponding CSV files and console
-//! tables. The `sweep` binary drives arbitrary `lbica-lab` scenario
-//! matrices (`--matrix tiny|geometry|devices|paper`, `--jobs`, `--out`)
-//! and emits aggregated CSV/JSON summaries. The `bench_throughput` binary
-//! measures simulator throughput (events/sec) over a matrix and emits the
-//! `BENCH_sim.json` trajectory document defined in [`perf`].
+//! tables. The `sweep` binary drives the named `lbica-lab` scenario
+//! matrices (`--matrix tiny|paper|paper-tiered|...`, `--jobs`, `--out`)
+//! and emits aggregated CSV/JSON summaries. Simulator speed is measured
+//! by the standalone `perfbench` package at the repository root, not by
+//! this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod csv;
-pub mod diff;
 pub mod harness;
-pub mod perf;
 
-pub use diff::{diff, history_table, BenchCell, BenchDoc, CellDelta, DiffReport};
 pub use harness::{
     run_controller, run_suite, run_suite_with_jobs, run_workload, ControllerKind, SuiteConfig,
     SuiteResult, WorkloadResult,
 };
-pub use perf::{Baseline, CellPerf, ScalingPoint, ThroughputRun};

@@ -10,8 +10,8 @@ use crate::aggregate::{Aggregator, SweepSummary};
 use crate::matrix::{CellRange, ScenarioMatrix};
 use crate::scenario::Scenario;
 use crate::telemetry::{
-    events_rate, utilization, CellTelemetry, ProfileFold, ProgressHook, SweepTelemetry,
-    TelemetryEvent, TelemetryHook,
+    events_rate, utilization, CellTelemetry, ProgressHook, SweepTelemetry, TelemetryEvent,
+    TelemetryHook,
 };
 
 /// Runs the cells of a [`ScenarioMatrix`] across worker threads.
@@ -71,7 +71,7 @@ impl SweepExecutor {
     where
         F: Fn(usize, &Scenario, SimulationReport) + Sync,
     {
-        self.run_cells(matrix, range, None, |_, index, scenario, report, _| {
+        self.run_cells(matrix, range, |_, index, scenario, report, _| {
             handle(index, scenario, report);
         });
     }
@@ -80,17 +80,9 @@ impl SweepExecutor {
     /// `range`, invoking `handle(worker, index, scenario, report,
     /// wall_us)` as each cell completes. The worker index and wall-clock
     /// time exist only for telemetry — nothing derived from them may flow
-    /// into reports. With `profile` set, every worker threads a local
-    /// [`lbica_obs::PhaseProfiler`] through its cells and folds it into
-    /// the shared aggregate once, on exit — reports are byte-identical
-    /// either way.
-    pub(crate) fn run_cells<F>(
-        &self,
-        matrix: &ScenarioMatrix,
-        range: CellRange,
-        profile: Option<&ProfileFold>,
-        handle: F,
-    ) where
+    /// into reports.
+    pub(crate) fn run_cells<F>(&self, matrix: &ScenarioMatrix, range: CellRange, handle: F)
+    where
         F: Fn(usize, usize, &Scenario, SimulationReport, u64) + Sync,
     {
         assert!(range.end <= matrix.len(), "cell range reaches past the matrix");
@@ -112,7 +104,6 @@ impl SweepExecutor {
                     // construction, so reports stay byte-identical for any
                     // jobs count and any claim order.
                     let mut arena = lbica_sim::SimArena::new();
-                    let mut local_prof = profile.map(|_| lbica_obs::PhaseProfiler::new());
                     loop {
                         let index = cursor.fetch_add(1, Ordering::Relaxed);
                         if index >= range.end {
@@ -120,19 +111,9 @@ impl SweepExecutor {
                         }
                         let scenario = matrix.cell(index).expect("cursor index in bounds");
                         let started = Instant::now();
-                        let report = match local_prof.take() {
-                            Some(prof) => {
-                                let (report, prof) = scenario.run_profiled_in(prof, &mut arena);
-                                local_prof = Some(prof);
-                                report
-                            }
-                            None => scenario.run_in(&mut arena),
-                        };
+                        let report = scenario.run_in(&mut arena);
                         let wall_us = started.elapsed().as_micros() as u64;
                         handle(worker, index, &scenario, report, wall_us);
-                    }
-                    if let (Some(fold), Some(prof)) = (profile, local_prof) {
-                        fold.fold(&prof);
                     }
                 });
             }
@@ -151,7 +132,6 @@ impl SweepExecutor {
         range: CellRange,
         matrix_name: &str,
         hook: &dyn TelemetryHook,
-        profile: Option<&ProfileFold>,
         on_cell: impl Fn(usize, &Scenario, &SimulationReport) + Sync,
     ) {
         let total = range.len();
@@ -165,7 +145,7 @@ impl SweepExecutor {
         let busy: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
         let events = AtomicU64::new(0);
         let started = Instant::now();
-        self.run_cells(matrix, range, profile, |worker, index, scenario, report, wall_us| {
+        self.run_cells(matrix, range, |worker, index, scenario, report, wall_us| {
             on_cell(index, scenario, &report);
             busy[worker].fetch_add(wall_us, Ordering::Relaxed);
             events.fetch_add(report.perf.events_processed, Ordering::Relaxed);
@@ -225,43 +205,9 @@ impl SweepExecutor {
         hook: &dyn TelemetryHook,
     ) -> SweepSummary {
         let aggregator = Mutex::new(Aggregator::new());
-        self.run_with_telemetry(
-            matrix,
-            matrix.full_range(),
-            matrix_name,
-            hook,
-            None,
-            |_, s, report| {
-                aggregator.lock().expect("aggregator lock").observe(s, report);
-            },
-        );
-        aggregator.into_inner().expect("aggregator lock").summary()
-    }
-
-    /// [`SweepExecutor::aggregate_with_telemetry`] with phase profiling:
-    /// every worker threads a local profiler through its cells and folds
-    /// it into `profile` on exit. The summary is byte-identical to the
-    /// unprofiled entry points' — profiling attributes wall time, it never
-    /// steers — and the folded profile is order-independent (commutative
-    /// adds), though its *values* are wall-clock measurements.
-    pub fn aggregate_profiled(
-        &self,
-        matrix: &ScenarioMatrix,
-        matrix_name: &str,
-        hook: &dyn TelemetryHook,
-        profile: &ProfileFold,
-    ) -> SweepSummary {
-        let aggregator = Mutex::new(Aggregator::new());
-        self.run_with_telemetry(
-            matrix,
-            matrix.full_range(),
-            matrix_name,
-            hook,
-            Some(profile),
-            |_, s, report| {
-                aggregator.lock().expect("aggregator lock").observe(s, report);
-            },
-        );
+        self.run_with_telemetry(matrix, matrix.full_range(), matrix_name, hook, |_, s, report| {
+            aggregator.lock().expect("aggregator lock").observe(s, report);
+        });
         aggregator.into_inner().expect("aggregator lock").summary()
     }
 

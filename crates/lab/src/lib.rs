@@ -62,6 +62,6 @@ pub use partial::{MergeError, MergedSweep, PartialError, PartialSweep, PARTIAL_S
 pub use scenario::{derive_seed, Scenario};
 pub use sink::{CsvSink, JsonSink};
 pub use telemetry::{
-    CellTelemetry, FanOut, JsonlTelemetry, MetricsFold, NullTelemetry, ProfileFold, StderrProgress,
+    CellTelemetry, FanOut, JsonlTelemetry, MetricsFold, NullTelemetry, StderrProgress,
     SweepTelemetry, TelemetryEvent, TelemetryHook,
 };

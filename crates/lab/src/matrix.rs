@@ -375,10 +375,11 @@ impl ScenarioMatrix {
             .with_literal_seed(seed)
     }
 
-    /// The perf-trajectory matrix tracked by the committed
-    /// `BENCH_sim.json`: the paper's canonical cells plus the same
-    /// workloads against a two-level (hot + QLC warm) hierarchy derived
-    /// from the same configuration — 18 cells sharing one literal seed.
+    /// The matrix of the `perfbench` benchmark's `paper-tiered` workload
+    /// (and `sweep --matrix paper-tiered`): the paper's canonical cells
+    /// plus the same workloads against a two-level (hot + QLC warm)
+    /// hierarchy derived from the same configuration — 18 cells sharing
+    /// one literal seed.
     pub fn paper_tiered(scale: WorkloadScale, sim: SimulationConfig, seed: u64) -> Self {
         ScenarioMatrix::paper(scale, sim, seed).push_config("tier2", sim.two_tier_qlc())
     }

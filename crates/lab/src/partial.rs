@@ -117,17 +117,10 @@ impl PartialSweep {
     ) -> Self {
         let range = matrix.shard(shard_index, shard_count);
         let slots: Mutex<Vec<Option<CellSummary>>> = Mutex::new(vec![None; range.len()]);
-        executor.run_with_telemetry(
-            matrix,
-            range,
-            matrix_name,
-            hook,
-            None,
-            |index, scenario, report| {
-                let cell = CellSummary::capture(index, scenario, report);
-                slots.lock().expect("slot lock")[index - range.start] = Some(cell);
-            },
-        );
+        executor.run_with_telemetry(matrix, range, matrix_name, hook, |index, scenario, report| {
+            let cell = CellSummary::capture(index, scenario, report);
+            slots.lock().expect("slot lock")[index - range.start] = Some(cell);
+        });
         let cells = slots
             .into_inner()
             .expect("slot lock")

@@ -185,25 +185,6 @@ impl Scenario {
         let observer = sim.take_observer().expect("observer survives the run");
         (report, observer)
     }
-
-    /// Runs the cell with a phase profiler attached, returning the report
-    /// together with the profiler (its accumulators grown by this run's
-    /// wall time). The report is byte-identical to [`Scenario::run_in`]'s
-    /// — the profiler attributes time, it never steers. Passing the same
-    /// profiler through consecutive cells accumulates a worker-local
-    /// profile that a [`crate::ProfileFold`] merges commutatively.
-    pub fn run_profiled_in(
-        &self,
-        profiler: lbica_obs::PhaseProfiler,
-        arena: &mut lbica_sim::SimArena,
-    ) -> (SimulationReport, lbica_obs::PhaseProfiler) {
-        let mut controller = self.controller.build();
-        let mut sim = Simulation::new(self.config, self.workload.clone(), self.stream_seed)
-            .with_profiler(profiler);
-        let report = sim.run_in(controller.as_mut(), arena);
-        let profiler = sim.take_profiler().expect("profiler survives the run");
-        (report, profiler)
-    }
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use std::io;
 use std::sync::Mutex;
 
 use lbica_obs::validate::TELEMETRY_SCHEMA;
-use lbica_obs::{CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot, PhaseProfiler};
+use lbica_obs::{CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot};
 use lbica_sim::SimulationReport;
 
 use crate::sink::json_string;
@@ -419,38 +419,6 @@ impl TelemetryHook for MetricsFold {
         registry.set_max(peak_queue, report.perf.peak_event_queue_depth as u64);
         registry.record_us(cell_avg_latency, report.app_avg_latency_us);
         registry.record_us(cell_p99_latency, report.app_p99_latency_us);
-    }
-}
-
-/// Folds per-worker [`PhaseProfiler`]s into one aggregate sweep profile.
-///
-/// Unlike the hooks above this is not a [`TelemetryHook`]: profiles are
-/// accumulated worker-locally across all the cells a worker ran and folded
-/// exactly once when the worker exits, not per cell. The fold is plain
-/// per-phase addition — commutative and associative — so the aggregate is
-/// independent of worker count and claim order (the `MetricsFold`
-/// contract), even though the folded quantities are wall-clock readings.
-/// Profiles are telemetry artifacts only; nothing in a summary or sink
-/// reads them.
-#[derive(Debug, Default)]
-pub struct ProfileFold {
-    inner: Mutex<PhaseProfiler>,
-}
-
-impl ProfileFold {
-    /// An empty fold.
-    pub fn new() -> Self {
-        ProfileFold::default()
-    }
-
-    /// Merges one worker's accumulated profile into the aggregate.
-    pub fn fold(&self, profile: &PhaseProfiler) {
-        self.inner.lock().expect("profile fold lock").merge(profile);
-    }
-
-    /// The aggregate profile folded so far.
-    pub fn snapshot(&self) -> PhaseProfiler {
-        self.inner.lock().expect("profile fold lock").clone()
     }
 }
 

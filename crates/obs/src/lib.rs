@@ -23,10 +23,6 @@
 //!   registry plus one ring with pre-registered instruments for the event
 //!   vocabulary of the sim (interval rollover, burst, policy change,
 //!   bypass/spill/promotion/demotion, queue high-water marks).
-//! - [`PhaseProfiler`] ([`prof`]) — wall-time attribution of the hot loop
-//!   itself across a fixed phase vocabulary, compiled to a no-op
-//!   ([`NoProf`]) when absent. Profiles merge commutatively across sweep
-//!   workers and render to `lbica-prof/v1` documents.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -35,7 +31,6 @@ pub mod chrome;
 pub mod escape;
 pub mod metrics;
 pub mod observer;
-pub mod prof;
 pub mod ring;
 pub mod validate;
 
@@ -43,5 +38,4 @@ pub use metrics::{
     CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot, METRICS_SCHEMA,
 };
 pub use observer::{QueueTier, SimObserver};
-pub use prof::{NoProf, Phase, PhaseProfiler, PhaseSink, PHASE_COUNT, PROF_SCHEMA};
 pub use ring::{SmallLabel, TraceEvent, TraceEventKind, TraceRing};

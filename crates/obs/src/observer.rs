@@ -4,7 +4,8 @@
 //! with pre-registered instruments for the simulator's event vocabulary.
 //! The runners call its emit methods at interval granularity; with no
 //! observer attached the runners skip every call, so the per-event hot loop
-//! carries zero observability cost and `bench_throughput` is unaffected.
+//! carries zero observability cost and the `perfbench` benchmark's plain
+//! runs are unaffected.
 //!
 //! Determinism contract: the observer only *reads* simulation state. Its
 //! ring and metrics are stamped in sim-time, so two runs of the same

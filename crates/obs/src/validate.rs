@@ -1,25 +1,16 @@
 //! Structural validators for observability artifacts.
 //!
 //! The vendored `serde` stub means the workspace has no general JSON
-//! parser, so CI validates telemetry artifacts the same way
-//! `lbica-bench`'s `perf` module validates `BENCH_sim.json`: a
+//! parser, so CI validates telemetry artifacts structurally: a
 //! string-aware balance check plus required schema markers and keys. The
 //! checks are deliberately structural — enough to catch truncated files,
 //! broken escaping and schema drift without a full parser.
 
 use crate::metrics::METRICS_SCHEMA;
-use crate::prof::{Phase, PROF_SCHEMA};
 
 /// Schema identifier stamped on the first record of a telemetry JSONL
 /// stream.
 pub const TELEMETRY_SCHEMA: &str = "lbica-telemetry/v1";
-
-/// Schema identifier stamped on `bench diff` regression reports.
-///
-/// The report itself is rendered by `lbica-bench`'s `diff` module; the
-/// constant lives here so the validator and the renderer agree on it
-/// (bench depends on obs, not the other way around).
-pub const BENCH_DIFF_SCHEMA: &str = "lbica-bench-diff/v1";
 
 /// Checks that `s` is non-empty, has balanced `{}`/`[]` outside string
 /// literals, and terminates outside a string.
@@ -164,68 +155,10 @@ pub fn telemetry_jsonl(s: &str) -> Result<TelemetryStats, String> {
     Ok(stats)
 }
 
-/// Summary of a validated phase-profile document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProfileStats {
-    /// Number of per-phase entries in the document.
-    pub phases: usize,
-}
-
-/// Validates a `lbica-prof/v1` document rendered by
-/// [`PhaseProfiler::render_json`](crate::PhaseProfiler::render_json):
-/// balanced, schema-tagged, and carrying one entry per known phase.
-pub fn profile_json(s: &str) -> Result<ProfileStats, String> {
-    check_balanced(s)?;
-    if !s.contains(&format!("\"schema\": \"{PROF_SCHEMA}\"")) {
-        return Err(format!("missing schema marker {PROF_SCHEMA:?}"));
-    }
-    for key in ["\"label\":", "\"total_ns\":", "\"total_calls\":", "\"phases\":"] {
-        if !s.contains(key) {
-            return Err(format!("missing required key {key}"));
-        }
-    }
-    for phase in Phase::ALL {
-        if !s.contains(&format!("\"phase\": \"{}\"", phase.name())) {
-            return Err(format!("missing entry for phase {:?}", phase.name()));
-        }
-    }
-    Ok(ProfileStats { phases: s.matches("\"phase\":").count() })
-}
-
-/// Summary of a validated `bench diff` report document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BenchDiffStats {
-    /// Per-cell delta entries in the report.
-    pub cells: usize,
-    /// Cells flagged as regressions beyond the tolerance.
-    pub regressions: usize,
-}
-
-/// Validates a `lbica-bench-diff/v1` report rendered by `bench diff`:
-/// balanced, schema-tagged, and carrying the tolerance plus at least one
-/// per-cell delta entry.
-pub fn bench_diff_json(s: &str) -> Result<BenchDiffStats, String> {
-    check_balanced(s)?;
-    if !s.contains(&format!("\"schema\": \"{BENCH_DIFF_SCHEMA}\"")) {
-        return Err(format!("missing schema marker {BENCH_DIFF_SCHEMA:?}"));
-    }
-    for key in ["\"tolerance_pct\":", "\"regressions\":", "\"cells\":"] {
-        if !s.contains(key) {
-            return Err(format!("missing required key {key}"));
-        }
-    }
-    let cells = s.matches("\"id\":").count();
-    if cells == 0 {
-        return Err("report contains no per-cell deltas".into());
-    }
-    Ok(BenchDiffStats { cells, regressions: s.matches("\"regression\": true").count() })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
-    use crate::prof::{PhaseProfiler, PhaseSink};
     use crate::ring::{TraceEvent, TraceEventKind, TraceRing};
 
     #[test]
@@ -294,43 +227,6 @@ mod tests {
         // Unbalanced line.
         assert!(telemetry_jsonl(&stream.replace("\"index\": 0}", "\"index\": 0")).is_err());
         assert!(telemetry_jsonl("").is_err());
-    }
-
-    #[test]
-    fn accepts_rendered_phase_profile() {
-        let mut prof = PhaseProfiler::new();
-        let mark = prof.mark();
-        prof.record(Phase::CacheMap, mark);
-        let json = prof.render_json("tiny");
-        let stats = profile_json(&json).expect("valid profile");
-        assert_eq!(stats.phases, Phase::ALL.len());
-    }
-
-    #[test]
-    fn rejects_broken_phase_profile() {
-        let json = PhaseProfiler::new().render_json("tiny");
-        assert!(profile_json(&json[..json.len() - 3]).is_err());
-        assert!(profile_json(&json.replace("lbica-prof/v1", "lbica-prof/v0")).is_err());
-        assert!(profile_json(&json.replace("cache_map", "cache_mop")).is_err());
-        assert!(profile_json("").is_err());
-    }
-
-    #[test]
-    fn validates_bench_diff_report_shape() {
-        let report = format!(
-            "{{\n  \"schema\": \"{BENCH_DIFF_SCHEMA}\",\n  \"tolerance_pct\": 20.0,\n  \
-             \"regressions\": 1,\n  \"cells\": [\n    \
-             {{\"id\": \"a\", \"regression\": false}},\n    \
-             {{\"id\": \"b\", \"regression\": true}}\n  ]\n}}\n"
-        );
-        let stats = bench_diff_json(&report).expect("valid report");
-        assert_eq!(stats.cells, 2);
-        assert_eq!(stats.regressions, 1);
-
-        assert!(bench_diff_json(&report[..report.len() - 4]).is_err());
-        assert!(bench_diff_json(&report.replace("/v1", "/v0")).is_err());
-        assert!(bench_diff_json(&report.replace("\"id\"", "\"di\"")).is_err());
-        assert!(bench_diff_json("").is_err());
     }
 
     #[test]

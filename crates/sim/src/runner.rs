@@ -1,6 +1,6 @@
 //! The per-workload simulation driver.
 
-use lbica_obs::{NoProf, Phase, PhaseProfiler, PhaseSink, QueueTier, SimObserver};
+use lbica_obs::{QueueTier, SimObserver};
 use lbica_trace::workload::WorkloadSpec;
 
 use crate::arena::SimArena;
@@ -37,14 +37,13 @@ pub struct Simulation {
     /// Cap of the end-of-run drain in 100 ms steps (0: no drain).
     drain_steps: u32,
     observer: Option<SimObserver>,
-    profiler: Option<PhaseProfiler>,
 }
 
 impl Simulation {
     /// Creates a simulation of `spec` with the given configuration and
     /// random seed.
     pub fn new(config: SimulationConfig, spec: WorkloadSpec, seed: u64) -> Self {
-        Simulation { config, spec, seed, drain_steps: DRAIN_STEPS, observer: None, profiler: None }
+        Simulation { config, spec, seed, drain_steps: DRAIN_STEPS, observer: None }
     }
 
     /// Disables draining outstanding requests after the last interval
@@ -69,23 +68,6 @@ impl Simulation {
     /// if one was attached.
     pub fn take_observer(&mut self) -> Option<SimObserver> {
         self.observer.take()
-    }
-
-    /// Attaches a phase profiler that attributes the run's *wall* time to
-    /// the hot loop's subsystems (builder style). Like the observer, the
-    /// profiler is write-only: a profiled run's report is byte-identical
-    /// to an unprofiled one, and with no profiler attached the loop runs
-    /// its [`lbica_obs::NoProf`] monomorphization — the exact pre-profiler
-    /// code, zero instrumentation cost.
-    pub fn with_profiler(mut self, profiler: PhaseProfiler) -> Self {
-        self.profiler = Some(profiler);
-        self
-    }
-
-    /// Detaches and returns the profiler (with the run's accumulated
-    /// phase totals), if one was attached.
-    pub fn take_profiler(&mut self) -> Option<PhaseProfiler> {
-        self.profiler.take()
     }
 
     /// The workload being simulated.
@@ -121,37 +103,18 @@ impl Simulation {
         controller: &mut dyn CacheController,
         arena: &mut SimArena,
     ) -> SimulationReport {
-        // The profiler is threaded as a generic PhaseSink so the
-        // no-profiler path monomorphizes to the uninstrumented loop; it is
-        // taken out of `self` for the duration of the run and restored
-        // afterwards (mirroring how callers retrieve it via
-        // `take_profiler`).
-        match self.profiler.take() {
-            Some(mut prof) => {
-                let report = if self.config.is_tiered() {
-                    self.run_tiered(controller, arena, &mut prof)
-                } else {
-                    self.run_flat(controller, arena, &mut prof)
-                };
-                self.profiler = Some(prof);
-                report
-            }
-            None => {
-                if self.config.is_tiered() {
-                    self.run_tiered(controller, arena, &mut NoProf)
-                } else {
-                    self.run_flat(controller, arena, &mut NoProf)
-                }
-            }
+        if self.config.is_tiered() {
+            self.run_tiered(controller, arena)
+        } else {
+            self.run_flat(controller, arena)
         }
     }
 
     /// The flat-datapath interval loop (see [`Simulation::run_in`]).
-    fn run_flat<P: PhaseSink>(
+    fn run_flat(
         &mut self,
         controller: &mut dyn CacheController,
         arena: &mut SimArena,
-        prof: &mut P,
     ) -> SimulationReport {
         let mut system = arena.take_flat(&self.config);
         system.set_policy(controller.initial_policy());
@@ -169,22 +132,17 @@ impl Simulation {
         for index in 0..total_intervals {
             // 1. Feed the interval's arrivals and run the event loop to the
             //    interval boundary.
-            let mark = prof.mark();
             self.spec.generate_interval_into(index, self.seed, &mut records);
             for record in &records {
                 system.schedule_record(record);
             }
-            prof.record(Phase::EventQueue, mark);
             let boundary = SimTime::from_micros((index as u64 + 1) * interval_us);
-            system.run_until_with(boundary, prof);
+            system.run_until(boundary);
 
             // 2. Gather the iostat/blktrace measurements for the interval.
-            let mark = prof.mark();
             let mut report = system.end_interval(index);
-            prof.record(Phase::Report, mark);
 
             // 3. Consult the controller and apply its decision.
-            let mark = prof.mark();
             let decision = {
                 let ctx = ControllerContext {
                     interval_index: index,
@@ -213,7 +171,6 @@ impl Simulation {
             }
             let moved = system.apply_bypass(&decision.bypass) as u64;
             bypassed_total += moved;
-            prof.record(Phase::Controller, mark);
 
             // Out-of-band observability: reads interval measurements, never
             // feeds anything back into the system or the report.
@@ -253,7 +210,7 @@ impl Simulation {
 
         // Let in-flight and queued requests finish so aggregate latencies
         // cover the whole workload (up to the drain cap).
-        system.drain_with(self.drain_steps, prof);
+        system.drain(self.drain_steps);
 
         if let Some(obs) = self.observer.as_mut() {
             controller.export_obs(obs, interval_us);
@@ -265,7 +222,6 @@ impl Simulation {
             obs.observe_app_latency(system.app_latency_histogram());
         }
 
-        let mark = prof.mark();
         let report = SimulationReport {
             workload: self.spec.name().to_string(),
             controller: controller.name().to_string(),
@@ -287,7 +243,6 @@ impl Simulation {
             },
             tier_stats: Vec::new(),
         };
-        prof.record(Phase::Report, mark);
         arena.store_flat(self.config, system);
         arena.store_records(records);
         report
@@ -301,15 +256,12 @@ impl Simulation {
     /// The loop is deliberately duplicated rather than abstracted over the
     /// two system types: the flat path is pinned bit-identical to the seed
     /// by the figure characterization tests, and keeping it monomorphic and
-    /// untouched is the cheapest way to guarantee that. (Both loops are
-    /// generic over the [`PhaseSink`] only — the `NoProf` instantiation
-    /// compiles to the uninstrumented loop.) Changes to the interval
-    /// protocol must be applied to both loops.
-    fn run_tiered<P: PhaseSink>(
+    /// untouched is the cheapest way to guarantee that. Changes to the
+    /// interval protocol must be applied to both loops.
+    fn run_tiered(
         &mut self,
         controller: &mut dyn CacheController,
         arena: &mut SimArena,
-        prof: &mut P,
     ) -> SimulationReport {
         let mut system = arena.take_tiered(&self.config);
         // On an explicitly per-tier topology `set_policy` drives the hot
@@ -331,21 +283,16 @@ impl Simulation {
         let mut records = arena.take_records();
 
         for index in 0..total_intervals {
-            let mark = prof.mark();
             self.spec.generate_interval_into(index, self.seed, &mut records);
             for record in &records {
                 system.schedule_record(record);
             }
-            prof.record(Phase::EventQueue, mark);
             let boundary = SimTime::from_micros((index as u64 + 1) * interval_us);
-            system.run_until_with(boundary, prof);
+            system.run_until(boundary);
 
-            let mut report = system.end_interval_with(index, prof);
-            let mark = prof.mark();
+            let mut report = system.end_interval(index);
             system.tier_loads_into(&mut tier_loads);
-            prof.record(Phase::Report, mark);
 
-            let mark = prof.mark();
             let decision = {
                 let ctx = ControllerContext {
                     interval_index: index,
@@ -397,7 +344,6 @@ impl Simulation {
             let spill_writes = system.spilled_requests() - spilled_writes_before;
             let spill_reads = system.spilled_reads() - spilled_reads_before;
             bypassed_total += moved - (spill_writes + spill_reads);
-            prof.record(Phase::Controller, mark);
 
             // Out-of-band observability, mirroring the flat loop plus the
             // tier-movement events only this datapath can produce.
@@ -442,7 +388,7 @@ impl Simulation {
             intervals.push(report);
         }
 
-        system.drain_with(self.drain_steps, prof);
+        system.drain(self.drain_steps);
 
         if let Some(obs) = self.observer.as_mut() {
             controller.export_obs(obs, interval_us);
@@ -457,7 +403,6 @@ impl Simulation {
         // The headline cache stats stay hot-tier shaped (hit/miss/bypass of
         // the level every application request is judged against); the full
         // per-level breakdown rides in `tier_stats`.
-        let mark = prof.mark();
         let report = SimulationReport {
             workload: self.spec.name().to_string(),
             controller: controller.name().to_string(),
@@ -479,7 +424,6 @@ impl Simulation {
             },
             tier_stats: system.tier_level_stats(),
         };
-        prof.record(Phase::Report, mark);
         arena.store_tiered(self.config, system);
         arena.store_records(records);
         report
@@ -494,13 +438,13 @@ impl Simulation {
     /// which the monitors carry no state that would have to be serialized.
     /// `split_at` may equal the workload's interval count, in which case the
     /// resume only drains and builds the report. Checkpointed runs execute
-    /// unobserved and unprofiled: attach neither, or this returns an error.
+    /// unobserved: attach no observer, or this returns an error.
     pub fn run_to_checkpoint(
         &mut self,
         controller: &mut dyn CacheController,
         split_at: u32,
     ) -> Result<ReplayCheckpoint, SnapError> {
-        if self.observer.is_some() || self.profiler.is_some() {
+        if self.observer.is_some() {
             return Err(SnapError::Mismatch("checkpoint runs execute unobserved"));
         }
         let total_intervals = self.spec.total_intervals();
@@ -579,7 +523,7 @@ impl Simulation {
         controller: &mut dyn CacheController,
         cp: &ReplayCheckpoint,
     ) -> Result<SimulationReport, SnapError> {
-        if self.observer.is_some() || self.profiler.is_some() {
+        if self.observer.is_some() {
             return Err(SnapError::Mismatch("checkpoint runs execute unobserved"));
         }
         if cp.tiered != self.config.is_tiered() {
@@ -621,7 +565,7 @@ impl Simulation {
                 &mut policy_changes,
                 &mut bypassed_total,
             );
-            system.drain_with(self.drain_steps, &mut NoProf);
+            system.drain(self.drain_steps);
             Ok(SimulationReport {
                 workload: self.spec.name().to_string(),
                 controller: controller.name().to_string(),
@@ -657,7 +601,7 @@ impl Simulation {
                 &mut policy_changes,
                 &mut bypassed_total,
             );
-            system.drain_with(self.drain_steps, &mut NoProf);
+            system.drain(self.drain_steps);
             Ok(SimulationReport {
                 workload: self.spec.name().to_string(),
                 controller: controller.name().to_string(),
@@ -684,8 +628,8 @@ impl Simulation {
 
     /// Intervals `[start, end)` of the flat loop, shared by the two
     /// checkpoint paths. The body mirrors [`Simulation::run_flat`] step for
-    /// step (minus profiling and observability, which checkpointed runs do
-    /// not support) — the pinned `run_flat` datapath itself stays untouched.
+    /// step (minus observability, which checkpointed runs do not
+    /// support) — the pinned `run_flat` datapath itself stays untouched.
     #[allow(clippy::too_many_arguments)]
     fn flat_span(
         &mut self,
@@ -705,7 +649,7 @@ impl Simulation {
                 system.schedule_record(record);
             }
             let boundary = SimTime::from_micros((index as u64 + 1) * interval_us);
-            system.run_until_with(boundary, &mut NoProf);
+            system.run_until(boundary);
 
             let mut report = system.end_interval(index);
             let decision = {
@@ -761,9 +705,9 @@ impl Simulation {
                 system.schedule_record(record);
             }
             let boundary = SimTime::from_micros((index as u64 + 1) * interval_us);
-            system.run_until_with(boundary, &mut NoProf);
+            system.run_until(boundary);
 
-            let mut report = system.end_interval_with(index, &mut NoProf);
+            let mut report = system.end_interval(index);
             system.tier_loads_into(&mut tier_loads);
 
             let decision = {
@@ -987,37 +931,6 @@ mod tests {
                 .find(|c| c.name == "lbica_sim_events_processed_total")
                 .expect("events counter registered");
             assert_eq!(events.value, plain.perf.events_processed);
-        }
-    }
-
-    #[test]
-    fn profiled_runs_produce_identical_reports_to_unprofiled_ones() {
-        use lbica_obs::{Phase, PhaseProfiler};
-        for config in [SimulationConfig::tiny(), SimulationConfig::tiny_two_tier()] {
-            let spec = WorkloadSpec::tpcc_scaled(WorkloadScale::tiny());
-            let plain = Simulation::new(config, spec.clone(), 11)
-                .run(&mut StaticPolicyController::write_back());
-            let mut profiled =
-                Simulation::new(config, spec, 11).with_profiler(PhaseProfiler::new());
-            let report = profiled.run(&mut StaticPolicyController::write_back());
-            assert_eq!(plain, report, "profiler must not perturb the report");
-
-            let prof = profiled.take_profiler().expect("profiler attached");
-            assert!(profiled.take_profiler().is_none());
-            // Every event pops through the EventQueue phase, plus one feed
-            // region per interval.
-            assert!(
-                prof.calls(Phase::EventQueue) > plain.perf.events_processed,
-                "event-queue regions cover every pop"
-            );
-            assert!(prof.calls(Phase::CacheMap) > 0);
-            assert_eq!(prof.calls(Phase::Controller), plain.intervals.len() as u64);
-            if config.is_tiered() {
-                assert_eq!(prof.calls(Phase::TierMovement), plain.intervals.len() as u64);
-            } else {
-                assert_eq!(prof.calls(Phase::TierMovement), 0, "flat runs never move tiers");
-            }
-            assert!(prof.calls(Phase::Report) > plain.intervals.len() as u64);
         }
     }
 

@@ -1,7 +1,6 @@
 //! The simulated storage system: cache module + two device stations.
 
 use lbica_cache::{CacheModule, CacheOutcome, TargetDevice, WritePolicy};
-use lbica_obs::{NoProf, Phase, PhaseSink};
 use lbica_storage::device::{AnyDeviceModel, DeviceModel, HddModel, SsdModel};
 use lbica_storage::queue::DeviceQueue;
 use lbica_storage::request::{IoRequest, RequestClass, RequestId, RequestOrigin};
@@ -337,53 +336,32 @@ impl StorageSystem {
     /// Runs the event loop until every event at or before `limit` has been
     /// processed, then advances the clock to `limit`.
     pub fn run_until(&mut self, limit: SimTime) {
-        self.run_until_with(limit, &mut NoProf);
-    }
-
-    /// [`StorageSystem::run_until`] with a [`PhaseSink`] attributing wall
-    /// time to the hot loop's phases. The [`NoProf`] monomorphization is
-    /// the unprofiled loop exactly — every sink call inlines to nothing —
-    /// and a real profiler never feeds anything back, so the simulation is
-    /// byte-identical either way.
-    pub fn run_until_with<P: PhaseSink>(&mut self, limit: SimTime, prof: &mut P) {
-        loop {
-            let mark = prof.mark();
-            let next = self.events.next_event([&self.ssd, &self.disk], limit);
-            prof.record(Phase::EventQueue, mark);
-            let Some(next) = next else { break };
+        while let Some(next) = self.events.next_event([&self.ssd, &self.disk], limit) {
             self.events_processed += 1;
             match next {
-                NextEvent::Arrival => self.handle_arrival(prof),
+                NextEvent::Arrival => self.handle_arrival(),
                 NextEvent::Completion { station: 0, slot } => {
-                    self.handle_completion(TierId::Ssd, slot, prof)
+                    self.handle_completion(TierId::Ssd, slot)
                 }
-                NextEvent::Completion { slot, .. } => {
-                    self.handle_completion(TierId::Disk, slot, prof)
-                }
+                NextEvent::Completion { slot, .. } => self.handle_completion(TierId::Disk, slot),
             }
         }
         self.clock = limit;
     }
 
-    fn handle_arrival<P: PhaseSink>(&mut self, prof: &mut P) {
+    fn handle_arrival(&mut self) {
         let request = self.events.pop_arrival();
         let now = request.arrival();
         self.clock = now;
         // Temporarily take the scratch buffer so the cache can fill it
         // while `self` stays borrowable for the enqueue fan-out.
         let mut outcome = std::mem::take(&mut self.outcome_scratch);
-        let mark = prof.mark();
         self.cache.access_into(&request, &mut outcome);
-        prof.record(Phase::CacheMap, mark);
         let datapath_ops =
             outcome.ops().iter().filter(|op| op.origin == RequestOrigin::Application).count()
                 as u32;
-        let mark = prof.mark();
         self.app.register(request.id(), now, datapath_ops);
-        prof.record(Phase::Tracker, mark);
-        let mark = prof.mark();
         self.enqueue_outcome(request.id(), &outcome, now);
-        prof.record(Phase::DeviceModel, mark);
         self.outcome_scratch = outcome;
     }
 
@@ -440,24 +418,18 @@ impl StorageSystem {
         station.dispatch_ready(self.clock, &mut self.events);
     }
 
-    fn handle_completion<P: PhaseSink>(&mut self, tier: TierId, slot: usize, prof: &mut P) {
-        let mark = prof.mark();
+    fn handle_completion(&mut self, tier: TierId, slot: usize) {
         let InService { time: now, request, .. } = self.station_mut(tier).finish(slot);
         self.events.finish_service();
         self.clock = now;
         let latency = request.latency().map(|d| d.as_micros()).unwrap_or_default();
         self.iostat.record_completion(tier.monitor_tier(), latency);
-        prof.record(Phase::DeviceModel, mark);
         if request.origin() == RequestOrigin::Application {
             if let Some(parent) = request.parent() {
-                let mark = prof.mark();
                 self.app.complete_op(parent, now);
-                prof.record(Phase::Tracker, mark);
             }
         }
-        let mark = prof.mark();
         self.try_dispatch(tier);
-        prof.record(Phase::DeviceModel, mark);
     }
 
     /// Closes monitoring interval `index`, returning its report (queue
@@ -572,8 +544,7 @@ impl StorageSystem {
             .collect();
         self.events.snap_to(w, held);
         w.put_u64(self.clock.as_micros());
-        self.app.snap_to(w);
-        w.put_u64(self.next_id);
+        self.app.snap_to(w, self.next_id);
         w.put_u64(self.events_processed);
         self.iostat.snap_to(w);
         self.probe.snap_to(w);
@@ -604,8 +575,7 @@ impl StorageSystem {
         self.ssd.check_in_service(ssd_in_service)?;
         self.disk.check_in_service(disk_in_service)?;
         self.clock = SimTime::from_micros(r.get_u64()?);
-        self.app.snap_state_from(r)?;
-        self.next_id = r.get_u64()?;
+        self.next_id = self.app.snap_state_from(r)?;
         self.events_processed = r.get_u64()?;
         self.iostat.snap_state_from(r)?;
         self.probe.snap_state_from(r)?;
@@ -622,12 +592,6 @@ impl StorageSystem {
     /// a hard cap that bounds the wall-clock cost of a pathological
     /// backlog. Returns `true` if the system fully drained.
     pub fn drain(&mut self, max_steps: u32) -> bool {
-        self.drain_with(max_steps, &mut NoProf)
-    }
-
-    /// [`StorageSystem::drain`] with phase attribution (see
-    /// [`StorageSystem::run_until_with`]).
-    pub fn drain_with<P: PhaseSink>(&mut self, max_steps: u32, prof: &mut P) -> bool {
         let step = SimDuration::from_millis(100);
         let mut steps = 0;
         while self.pending_events() > 0 {
@@ -635,7 +599,7 @@ impl StorageSystem {
                 return false;
             }
             let boundary = self.now() + step;
-            self.run_until_with(boundary, prof);
+            self.run_until(boundary);
             steps += 1;
         }
         true
@@ -905,6 +869,29 @@ mod tests {
         bytes[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
         let err = tiny_system().snap_state_from(&mut SnapReader::new(&bytes)).unwrap_err();
         assert_eq!(err, SnapError::Corrupt("in-service count disagrees with pending completions"));
+    }
+
+    #[test]
+    fn a_checkpointed_live_id_past_the_next_id_is_corrupt() {
+        use crate::controller::StaticPolicyController;
+        use lbica_trace::workload::{WorkloadScale, WorkloadSpec};
+        let config = SimulationConfig::tiny();
+        let spec = WorkloadSpec::tpcc_scaled(WorkloadScale::tiny());
+        let sim = || crate::Simulation::new(config, spec.clone(), 11);
+        let mut cp = sim()
+            .run_to_checkpoint(
+                &mut StaticPolicyController::write_back(),
+                spec.total_intervals() / 2,
+            )
+            .unwrap();
+        let mut sys = StorageSystem::new(&config);
+        sys.snap_state_from(&mut SnapReader::new(&cp.state)).unwrap();
+        // Unbounded, the dense id index would grow to 2^56 entries and abort.
+        sys.app.overwrite_first_live_id(&mut cp.state, sys.next_id, 1 << 56);
+        let err = sim()
+            .resume_from_checkpoint(&mut StaticPolicyController::write_back(), &cp)
+            .unwrap_err();
+        assert_eq!(err, SnapError::Corrupt("live request id at or past the next id"));
     }
 
     #[test]

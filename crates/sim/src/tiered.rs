@@ -9,7 +9,6 @@
 //! here only when the configuration describes two or more levels.
 
 use lbica_cache::WritePolicy;
-use lbica_obs::{NoProf, Phase, PhaseSink};
 use lbica_storage::device::{AnyDeviceModel, HddModel, SsdModel};
 use lbica_storage::queue::DeviceQueue;
 use lbica_storage::request::{IoRequest, RequestClass, RequestId, RequestOrigin};
@@ -222,48 +221,32 @@ impl TieredStorageSystem {
     /// Runs the event loop until every event at or before `limit` has been
     /// processed, then advances the clock to `limit`.
     pub fn run_until(&mut self, limit: SimTime) {
-        self.run_until_with(limit, &mut NoProf);
-    }
-
-    /// [`TieredStorageSystem::run_until`] with a [`PhaseSink`] attributing
-    /// wall time to the hot loop's phases (see
-    /// [`crate::StorageSystem::run_until_with`] for the contract).
-    pub fn run_until_with<P: PhaseSink>(&mut self, limit: SimTime, prof: &mut P) {
         loop {
-            let mark = prof.mark();
             let stations = self.levels.iter().chain(std::iter::once(&self.disk));
-            let next = self.events.next_event(stations, limit);
-            prof.record(Phase::EventQueue, mark);
-            let Some(next) = next else { break };
+            let Some(next) = self.events.next_event(stations, limit) else { break };
             self.events_processed += 1;
             match next {
-                NextEvent::Arrival => self.handle_arrival(prof),
+                NextEvent::Arrival => self.handle_arrival(),
                 NextEvent::Completion { station, slot } if station < self.levels.len() => {
-                    self.handle_level_completion(station, slot, prof)
+                    self.handle_level_completion(station, slot)
                 }
-                NextEvent::Completion { slot, .. } => self.handle_disk_completion(slot, prof),
+                NextEvent::Completion { slot, .. } => self.handle_disk_completion(slot),
             }
         }
         self.clock = limit;
     }
 
-    fn handle_arrival<P: PhaseSink>(&mut self, prof: &mut P) {
+    fn handle_arrival(&mut self) {
         let request = self.events.pop_arrival();
         let now = request.arrival();
         self.clock = now;
         let mut outcome = std::mem::take(&mut self.outcome_scratch);
-        let mark = prof.mark();
         self.cache.access_into(&request, &mut outcome);
-        prof.record(Phase::CacheMap, mark);
         let datapath_ops =
             outcome.ops().iter().filter(|op| op.origin == RequestOrigin::Application).count()
                 as u32;
-        let mark = prof.mark();
         self.app.register(request.id(), now, datapath_ops);
-        prof.record(Phase::Tracker, mark);
-        let mark = prof.mark();
         self.enqueue_outcome(request.id(), &outcome, now);
-        prof.record(Phase::DeviceModel, mark);
         self.outcome_scratch = outcome;
     }
 
@@ -322,8 +305,7 @@ impl TieredStorageSystem {
         self.disk.dispatch_ready(self.clock, &mut self.events);
     }
 
-    fn handle_level_completion<P: PhaseSink>(&mut self, level: usize, slot: usize, prof: &mut P) {
-        let mark = prof.mark();
+    fn handle_level_completion(&mut self, level: usize, slot: usize) {
         let InService { time: now, request, .. } = self.levels[level].finish(slot);
         self.events.finish_service();
         self.clock = now;
@@ -333,69 +315,43 @@ impl TieredStorageSystem {
         counters.completed += 1;
         counters.total_latency_us += latency;
         counters.max_latency_us = counters.max_latency_us.max(latency);
-        prof.record(Phase::DeviceModel, mark);
         if request.origin() == RequestOrigin::Application {
             if let Some(parent) = request.parent() {
-                let mark = prof.mark();
                 self.app.complete_op(parent, now);
-                prof.record(Phase::Tracker, mark);
             }
         }
-        let mark = prof.mark();
         self.try_dispatch_level(level);
-        prof.record(Phase::DeviceModel, mark);
     }
 
-    fn handle_disk_completion<P: PhaseSink>(&mut self, slot: usize, prof: &mut P) {
-        let mark = prof.mark();
+    fn handle_disk_completion(&mut self, slot: usize) {
         let InService { time: now, request, .. } = self.disk.finish(slot);
         self.events.finish_service();
         self.clock = now;
         let latency = request.latency().map(|d| d.as_micros()).unwrap_or_default();
         self.iostat.record_completion(Tier::Disk, latency);
-        prof.record(Phase::DeviceModel, mark);
         if request.origin() == RequestOrigin::Application {
             if let Some(parent) = request.parent() {
-                let mark = prof.mark();
                 self.app.complete_op(parent, now);
-                prof.record(Phase::Tracker, mark);
             }
         }
-        let mark = prof.mark();
         self.try_dispatch_disk();
-        prof.record(Phase::DeviceModel, mark);
     }
 
     /// Closes monitoring interval `index`, returning its report. The cache
     /// tier aggregates every level's completions; the queue depth reported
     /// is the *hot tier's* (the signal the paper's detector watches).
     pub fn end_interval(&mut self, index: u32) -> lbica_trace::monitor::IntervalReport {
-        self.end_interval_with(index, &mut NoProf)
-    }
-
-    /// [`TieredStorageSystem::end_interval`] with phase attribution: the
-    /// deferred tier-movement commit lands in [`Phase::TierMovement`], the
-    /// measurement gathering in [`Phase::Report`].
-    pub fn end_interval_with<P: PhaseSink>(
-        &mut self,
-        index: u32,
-        prof: &mut P,
-    ) -> lbica_trace::monitor::IntervalReport {
         // Fold the interval's deferred tier-movement deltas into the base
         // counters in one pass. Observationally invisible —
         // `TieredCacheModule::movement` always reports base + pending — but
         // it keeps the deferred buffer's folding cost off the per-event path
         // and bounds it to one add per level per interval.
-        let mark = prof.mark();
         self.cache.commit_moves();
-        prof.record(Phase::TierMovement, mark);
-        let mark = prof.mark();
         let cache_depth = self.levels[0].outstanding();
         let disk_depth = self.disk.outstanding();
         let mut report = self.iostat.finish_interval(index, cache_depth, disk_depth);
         report.cache_queue_mix = self.probe.take();
         report.policy_label = self.cache.policy().label().to_string();
-        prof.record(Phase::Report, mark);
         report
     }
 
@@ -584,8 +540,7 @@ impl TieredStorageSystem {
             .collect();
         self.events.snap_to(w, held);
         w.put_u64(self.clock.as_micros());
-        self.app.snap_to(w);
-        w.put_u64(self.next_id);
+        self.app.snap_to(w, self.next_id);
         w.put_u64(self.events_processed);
         w.put_u64(self.spilled_requests);
         w.put_u64(self.spilled_reads);
@@ -629,8 +584,7 @@ impl TieredStorageSystem {
         }
         self.disk.check_in_service(disk_in_service)?;
         self.clock = SimTime::from_micros(r.get_u64()?);
-        self.app.snap_state_from(r)?;
-        self.next_id = r.get_u64()?;
+        self.next_id = self.app.snap_state_from(r)?;
         self.events_processed = r.get_u64()?;
         self.spilled_requests = r.get_u64()?;
         self.spilled_reads = r.get_u64()?;
@@ -647,12 +601,6 @@ impl TieredStorageSystem {
     /// Drains outstanding work in fixed 100 ms steps, bounded by
     /// `max_steps`; returns `true` if the system fully drained.
     pub fn drain(&mut self, max_steps: u32) -> bool {
-        self.drain_with(max_steps, &mut NoProf)
-    }
-
-    /// [`TieredStorageSystem::drain`] with phase attribution (see
-    /// [`TieredStorageSystem::run_until_with`]).
-    pub fn drain_with<P: PhaseSink>(&mut self, max_steps: u32, prof: &mut P) -> bool {
         let step = SimDuration::from_millis(100);
         let mut steps = 0;
         while self.pending_events() > 0 {
@@ -660,7 +608,7 @@ impl TieredStorageSystem {
                 return false;
             }
             let boundary = self.now() + step;
-            self.run_until_with(boundary, prof);
+            self.run_until(boundary);
             steps += 1;
         }
         true
@@ -964,6 +912,29 @@ mod tests {
         bytes[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
         let err = two_tier_system().snap_state_from(&mut SnapReader::new(&bytes)).unwrap_err();
         assert_eq!(err, SnapError::Corrupt("in-service count disagrees with pending completions"));
+    }
+
+    #[test]
+    fn a_checkpointed_live_id_past_the_next_id_is_corrupt() {
+        use crate::controller::StaticPolicyController;
+        use lbica_trace::workload::{WorkloadScale, WorkloadSpec};
+        let config = SimulationConfig::tiny_two_tier();
+        let spec = WorkloadSpec::tpcc_scaled(WorkloadScale::tiny());
+        let sim = || crate::Simulation::new(config, spec.clone(), 11);
+        let mut cp = sim()
+            .run_to_checkpoint(
+                &mut StaticPolicyController::write_back(),
+                spec.total_intervals() / 2,
+            )
+            .unwrap();
+        let mut sys = TieredStorageSystem::new(&config);
+        sys.snap_state_from(&mut SnapReader::new(&cp.state)).unwrap();
+        // Unbounded, the dense id index would grow to 2^56 entries and abort.
+        sys.app.overwrite_first_live_id(&mut cp.state, sys.next_id, 1 << 56);
+        let err = sim()
+            .resume_from_checkpoint(&mut StaticPolicyController::write_back(), &cp)
+            .unwrap_err();
+        assert_eq!(err, SnapError::Corrupt("live request id at or past the next id"));
     }
 
     #[test]

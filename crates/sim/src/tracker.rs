@@ -102,10 +102,12 @@ impl AppTracker {
     }
 
     /// Serializes the tracker for a replay checkpoint: the completed-side
-    /// aggregates plus every in-flight request as an `(id, arrival,
-    /// pending_ops)` triple in id order. Slab slot assignments are *not*
-    /// recorded — they are unobservable bookkeeping, rebuilt on restore.
-    pub fn snap_to(&self, w: &mut SnapWriter) {
+    /// aggregates, every in-flight request as an `(id, arrival,
+    /// pending_ops)` triple in id order, then `next_id` — the owning
+    /// system's request-id high-water mark, which bounds every live id on
+    /// restore. Slab slot assignments are *not* recorded — they are
+    /// unobservable bookkeeping, rebuilt on restore.
+    pub fn snap_to(&self, w: &mut SnapWriter, next_id: RequestId) {
         w.put_u64(self.completed);
         w.put_u64(self.total_latency_us);
         w.put_u64(self.max_latency_us);
@@ -119,17 +121,24 @@ impl AppTracker {
                 w.put_u32(entry.pending_ops);
             }
         }
+        w.put_u64(next_id);
     }
 
     /// Restores state written by [`AppTracker::snap_to`] into this tracker
-    /// (whose own accounting is discarded).
-    pub fn snap_state_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    /// (whose own accounting is discarded) and returns the stored
+    /// `next_id`. Every live id must lie below it: the dense id index
+    /// grows to the largest live id, so a corrupted id is rejected before
+    /// it can ask for an unbounded allocation.
+    pub fn snap_state_from(&mut self, r: &mut SnapReader<'_>) -> Result<RequestId, SnapError> {
         self.reset();
         self.completed = r.get_u64()?;
         self.total_latency_us = r.get_u64()?;
         self.max_latency_us = r.get_u64()?;
         self.latency = LatencyHistogram::snap_from(r)?;
         let live = r.get_usize()?;
+        // Staged until `next_id` is known. No `with_capacity` on the
+        // untrusted count: a hostile length fails on the first short read.
+        let mut staged = Vec::new();
         for _ in 0..live {
             let id = r.get_u64()?;
             let arrival = SimTime::from_micros(r.get_u64()?);
@@ -137,12 +146,19 @@ impl AppTracker {
             if pending_ops == 0 {
                 return Err(SnapError::Corrupt("live request with zero pending ops"));
             }
+            staged.push((id, arrival, pending_ops));
+        }
+        let next_id = r.get_u64()?;
+        if staged.iter().any(|&(id, ..)| id >= next_id) {
+            return Err(SnapError::Corrupt("live request id at or past the next id"));
+        }
+        for (id, arrival, pending_ops) in staged {
             if self.index.get(id as usize).is_some_and(|&s| s != NIL) {
                 return Err(SnapError::Corrupt("duplicate live request id"));
             }
             self.register(id, arrival, pending_ops);
         }
-        Ok(())
+        Ok(next_id)
     }
 
     /// Registers an application request that fans out into `pending_ops`
@@ -197,6 +213,26 @@ impl AppTracker {
             self.index[parent as usize] = NIL;
             self.free.push(slot);
         }
+    }
+}
+
+#[cfg(test)]
+impl AppTracker {
+    /// Finds this tracker's section inside a checkpoint's `state` bytes by
+    /// its encoding and overwrites its first live id with `id`.
+    pub(crate) fn overwrite_first_live_id(&self, state: &mut [u8], next_id: RequestId, id: u64) {
+        assert!(self.outstanding() > 0, "the checkpoint has live requests");
+        let mut w = SnapWriter::new();
+        self.snap_to(&mut w, next_id);
+        let section = w.into_bytes();
+        let start = state
+            .windows(section.len())
+            .position(|window| window == section)
+            .expect("the tracker section is in the checkpoint");
+        // Live `(id, arrival, pending_ops)` triples of 20 bytes each sit
+        // right before the trailing next_id.
+        let at = start + section.len() - 8 - 20 * self.outstanding();
+        state[at..at + 8].copy_from_slice(&id.to_le_bytes());
     }
 }
 
@@ -279,11 +315,11 @@ mod tests {
         t.complete_op(21, SimTime::from_micros(120));
 
         let mut w = SnapWriter::new();
-        t.snap_to(&mut w);
+        t.snap_to(&mut w, 23);
         let bytes = w.into_bytes();
         let mut restored = AppTracker::new();
         let mut r = SnapReader::new(&bytes);
-        restored.snap_state_from(&mut r).unwrap();
+        assert_eq!(restored.snap_state_from(&mut r).unwrap(), 23);
         r.finish().unwrap();
 
         assert_eq!(restored.completed(), t.completed());
@@ -306,11 +342,12 @@ mod tests {
         let mut t = AppTracker::new();
         t.register(7, SimTime::from_micros(5), 3);
         let mut w = SnapWriter::new();
-        t.snap_to(&mut w);
+        t.snap_to(&mut w, 8);
         let mut bytes = w.into_bytes();
-        // The trailing u32 is the live entry's pending_ops.
+        // The live entry's pending_ops is the u32 before the trailing
+        // next_id.
         let n = bytes.len();
-        bytes[n - 4..].fill(0);
+        bytes[n - 12..n - 8].fill(0);
         let err = AppTracker::new().snap_state_from(&mut SnapReader::new(&bytes)).unwrap_err();
         assert!(matches!(err, SnapError::Corrupt("live request with zero pending ops")));
     }

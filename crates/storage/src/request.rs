@@ -18,7 +18,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::block::{BlockRange, Lba};
+use crate::block::{BlockRange, Lba, SECTOR_SIZE};
 use crate::snap::{SnapError, SnapReader, SnapWriter};
 use crate::time::{SimDuration, SimTime};
 
@@ -376,6 +376,11 @@ impl IoRequest {
         if sectors == 0 {
             return Err(SnapError::Corrupt("zero-sector request"));
         }
+        // The range's end LBA and its byte length must be representable:
+        // the device models and `Lba::offset` compute both unchecked.
+        if start.checked_add(sectors).is_none() || sectors.checked_mul(SECTOR_SIZE).is_none() {
+            return Err(SnapError::Corrupt("request range overflows"));
+        }
         let mut request =
             IoRequest::from_range(id, kind, origin, BlockRange::new(Lba::new(start), sectors));
         if let Some(parent) = r.get_opt_u64()? {
@@ -506,6 +511,23 @@ mod tests {
         bytes[18..26].copy_from_slice(&0u64.to_le_bytes());
         let mut r = SnapReader::new(&bytes);
         assert_eq!(IoRequest::snap_from(&mut r), Err(SnapError::Corrupt("zero-sector request")));
+    }
+
+    #[test]
+    fn snapshot_rejects_ranges_that_overflow() {
+        let mut w = SnapWriter::new();
+        IoRequest::new(1, RequestKind::Write, RequestOrigin::Application, 0, 8).snap_to(&mut w);
+        let bytes = w.into_bytes();
+        // Start LBA at bytes 10..18, sector count at 18..26: a byte length
+        // past u64, then an end LBA past u64.
+        for (at, value) in [(18, u64::MAX), (10, u64::MAX - 1)] {
+            let mut corrupted = bytes.clone();
+            corrupted[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            assert_eq!(
+                IoRequest::snap_from(&mut SnapReader::new(&corrupted)),
+                Err(SnapError::Corrupt("request range overflows"))
+            );
+        }
     }
 
     #[test]
