@@ -286,7 +286,7 @@ pub fn tenant_rows(matrix: &ScenarioMatrix) -> Vec<TenantRow> {
                             } else {
                                 row.write_records += 1;
                             }
-                            row.sectors += record.sectors;
+                            row.sectors += u64::from(record.sectors);
                         }
                     }
                 }

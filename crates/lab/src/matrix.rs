@@ -3,11 +3,12 @@
 use lbica_cache::{ReplacementKind, WritePolicy};
 use lbica_sim::{DiskDeviceConfig, SimulationConfig};
 use lbica_tier::InclusionPolicy;
+use lbica_trace::hash::{fnv1a, splitmix64, FNV_OFFSET};
 use lbica_trace::io::BinaryTraceCodec;
 use lbica_trace::workload::{DiurnalCurve, WorkloadScale, WorkloadSpec};
 
 use crate::controller::ControllerKind;
-use crate::scenario::{derive_seed, fnv1a, splitmix64, Scenario, FNV_OFFSET};
+use crate::scenario::{derive_seed, Scenario};
 
 /// A half-open `[start, end)` range of cell indices within a
 /// [`ScenarioMatrix`] — the unit of work a shard of a distributed sweep
@@ -886,5 +887,15 @@ mod tests {
             ))
             .push_config("tiny", SimulationConfig::tiny().with_cache_sets(64));
         assert_ne!(base.fingerprint(), regeared.fingerprint());
+    }
+
+    #[test]
+    fn replay_cells_share_one_copy_of_the_trace() {
+        let m = ScenarioMatrix::replay_demo();
+        let shared = m.workloads()[0].replay_records().as_ptr();
+        let (a, b) = (m.cell(0).unwrap(), m.cell(1).unwrap());
+        assert_eq!(a.workload().name(), b.workload().name());
+        assert_eq!(a.workload().replay_records().as_ptr(), shared);
+        assert_eq!(b.workload().replay_records().as_ptr(), shared);
     }
 }

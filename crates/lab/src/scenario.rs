@@ -1,6 +1,7 @@
 //! One cell of a scenario matrix.
 
 use lbica_sim::{Simulation, SimulationConfig, SimulationReport};
+use lbica_trace::hash::{fnv1a, splitmix64, FNV_OFFSET};
 use lbica_trace::workload::WorkloadSpec;
 
 use crate::controller::ControllerKind;
@@ -24,23 +25,6 @@ pub fn derive_seed(workload: &str, config_label: &str, seed: u64) -> u64 {
     h = fnv1a(&[0xff], h);
     h = fnv1a(&seed.to_le_bytes(), h);
     splitmix64(h)
-}
-
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-pub(crate) fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-// splitmix64 finalizer: FNV alone avalanches poorly in the high bits.
-pub(crate) fn splitmix64(mut h: u64) -> u64 {
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
 }
 
 /// One fully-specified experiment: a workload driven through a simulator

@@ -390,9 +390,15 @@ mod tests {
         q.schedule_arrival(arrival(1, 300));
         let mut ssd = DeviceStation::new("ssd", SsdModel::samsung_863a(), 1);
         let mut disk = DeviceStation::new("disk", SsdModel::samsung_863a(), 4);
-        ssd.hold(SimTime::from_micros(300), q.start_service(), arrival(10, 0));
-        disk.hold(SimTime::from_micros(50), q.start_service(), arrival(11, 0));
-        disk.hold(SimTime::from_micros(100), q.start_service(), arrival(12, 0));
+        let served = |id, t| {
+            let mut request = arrival(id, 0);
+            request.mark_dispatched(SimTime::ZERO);
+            request.mark_completed(SimTime::from_micros(t));
+            request
+        };
+        ssd.hold(SimTime::from_micros(300), q.start_service(), served(10, 300)).unwrap();
+        disk.hold(SimTime::from_micros(50), q.start_service(), served(11, 50)).unwrap();
+        disk.hold(SimTime::from_micros(100), q.start_service(), served(12, 100)).unwrap();
         let mut fired = Vec::new();
         while let Some(next) = q.next_event([&ssd, &disk], SimTime::from_secs(1)) {
             let id = match next {

@@ -132,8 +132,7 @@ impl Simulation {
         for index in 0..total_intervals {
             // 1. Feed the interval's arrivals and run the event loop to the
             //    interval boundary.
-            self.spec.generate_interval_into(index, self.seed, &mut records);
-            for record in &records {
+            for record in self.spec.interval_records(index, self.seed, &mut records) {
                 system.schedule_record(record);
             }
             let boundary = SimTime::from_micros((index as u64 + 1) * interval_us);
@@ -283,8 +282,7 @@ impl Simulation {
         let mut records = arena.take_records();
 
         for index in 0..total_intervals {
-            self.spec.generate_interval_into(index, self.seed, &mut records);
-            for record in &records {
+            for record in self.spec.interval_records(index, self.seed, &mut records) {
                 system.schedule_record(record);
             }
             let boundary = SimTime::from_micros((index as u64 + 1) * interval_us);
@@ -644,8 +642,7 @@ impl Simulation {
         let interval_us = self.spec.interval_us();
         let mut records = Vec::new();
         for index in start..end {
-            self.spec.generate_interval_into(index, self.seed, &mut records);
-            for record in &records {
+            for record in self.spec.interval_records(index, self.seed, &mut records) {
                 system.schedule_record(record);
             }
             let boundary = SimTime::from_micros((index as u64 + 1) * interval_us);
@@ -700,8 +697,7 @@ impl Simulation {
         let mut tier_loads: Vec<TierLoad> = Vec::with_capacity(system.tier_count());
         let mut records = Vec::new();
         for index in start..end {
-            self.spec.generate_interval_into(index, self.seed, &mut records);
-            for record in &records {
+            for record in self.spec.interval_records(index, self.seed, &mut records) {
                 system.schedule_record(record);
             }
             let boundary = SimTime::from_micros((index as u64 + 1) * interval_us);

@@ -125,9 +125,23 @@ impl DeviceStation {
         self.slots.swap_remove(slot)
     }
 
-    /// Returns a restored completion to a service slot.
-    pub(crate) fn hold(&mut self, time: SimTime, seq: u64, request: IoRequest) {
+    /// Returns a restored completion to a service slot. The request must
+    /// carry the stamps [`DeviceStation::dispatch_ready`] gave it: a
+    /// dispatch stamp and a completion stamp equal to the event's time.
+    pub(crate) fn hold(
+        &mut self,
+        time: SimTime,
+        seq: u64,
+        request: IoRequest,
+    ) -> Result<(), SnapError> {
+        if request.dispatch().is_none() || request.completion().is_none() {
+            return Err(SnapError::Corrupt("held completion lacks a service stamp"));
+        }
+        if request.completion() != Some(time) {
+            return Err(SnapError::Corrupt("held completion stamp differs from its event time"));
+        }
         self.slots.push(InService { time, seq, request });
+        Ok(())
     }
 
     /// Checks a restored station against the in-service count its snapshot
@@ -188,6 +202,38 @@ impl DeviceStation {
         tag: impl Fn(IoRequest) -> EventKind + 'a,
     ) -> impl Iterator<Item = (SimTime, u64, EventKind)> + 'a {
         self.slots.iter().map(move |h| (h.time, h.seq, tag(h.request.clone())))
+    }
+}
+
+#[cfg(test)]
+impl DeviceStation {
+    /// Gives the station a service stamp no run produces and returns the
+    /// error restoring its checkpoint must give. `case` 0 queues a request
+    /// already stamped as dispatched, 1 strips an in-service request of its
+    /// stamps, 2 moves an in-service completion off its stamp.
+    pub(crate) fn misstamp(&mut self, case: u8) -> SnapError {
+        let slot = self.slots.first_mut().expect("a request in service");
+        let held = &slot.request;
+        match case {
+            0 => {
+                let far = held.range().start().sector() + (1 << 40);
+                let mut queued = IoRequest::new(held.id(), held.kind(), held.origin(), far, 8)
+                    .with_arrival(held.arrival());
+                queued.mark_dispatched(held.arrival());
+                self.queue.enqueue(queued);
+                SnapError::Corrupt("queued request carries a service stamp")
+            }
+            1 => {
+                slot.request =
+                    IoRequest::from_range(held.id(), held.kind(), held.origin(), held.range())
+                        .with_arrival(held.arrival());
+                SnapError::Corrupt("held completion lacks a service stamp")
+            }
+            _ => {
+                slot.time += SimDuration::from_micros(1);
+                SnapError::Corrupt("held completion stamp differs from its event time")
+            }
+        }
     }
 }
 
@@ -560,17 +606,10 @@ impl StorageSystem {
         let ssd_in_service = self.ssd.snap_state_from(r)?;
         let disk_in_service = self.disk.snap_state_from(r)?;
         let (ssd, disk) = (&mut self.ssd, &mut self.disk);
-        self.events.snap_state_from(r, |time, seq, kind| {
-            match kind {
-                EventKind::Completion { tier: TierId::Ssd, request } => {
-                    ssd.hold(time, seq, request)
-                }
-                EventKind::Completion { tier: TierId::Disk, request } => {
-                    disk.hold(time, seq, request)
-                }
-                _ => return Err(SnapError::Corrupt("level completion in a flat system")),
-            }
-            Ok(())
+        self.events.snap_state_from(r, |time, seq, kind| match kind {
+            EventKind::Completion { tier: TierId::Ssd, request } => ssd.hold(time, seq, request),
+            EventKind::Completion { tier: TierId::Disk, request } => disk.hold(time, seq, request),
+            _ => Err(SnapError::Corrupt("level completion in a flat system")),
         })?;
         self.ssd.check_in_service(ssd_in_service)?;
         self.disk.check_in_service(disk_in_service)?;
@@ -869,6 +908,17 @@ mod tests {
         bytes[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
         let err = tiny_system().snap_state_from(&mut SnapReader::new(&bytes)).unwrap_err();
         assert_eq!(err, SnapError::Corrupt("in-service count disagrees with pending completions"));
+    }
+
+    #[test]
+    fn a_snapshot_with_misstamped_requests_is_corrupt() {
+        for case in 0..3 {
+            let mut sys = busy_system();
+            let expected = sys.ssd.misstamp(case);
+            let err =
+                tiny_system().snap_state_from(&mut SnapReader::new(&snap_bytes(&sys))).unwrap_err();
+            assert_eq!(err, expected, "case {case}");
+        }
     }
 
     #[test]

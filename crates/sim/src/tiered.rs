@@ -566,18 +566,13 @@ impl TieredStorageSystem {
             c.max_latency_us = r.get_u64()?;
         }
         let (levels, disk) = (&mut self.levels, &mut self.disk);
-        self.events.snap_state_from(r, |time, seq, kind| {
-            match kind {
-                EventKind::LevelCompletion { level, request } => levels
-                    .get_mut(level)
-                    .ok_or(SnapError::Corrupt("completion at a missing cache level"))?
-                    .hold(time, seq, request),
-                EventKind::Completion { tier: TierId::Disk, request } => {
-                    disk.hold(time, seq, request)
-                }
-                _ => return Err(SnapError::Corrupt("flat ssd completion in a tiered system")),
-            }
-            Ok(())
+        self.events.snap_state_from(r, |time, seq, kind| match kind {
+            EventKind::LevelCompletion { level, request } => levels
+                .get_mut(level)
+                .ok_or(SnapError::Corrupt("completion at a missing cache level"))?
+                .hold(time, seq, request),
+            EventKind::Completion { tier: TierId::Disk, request } => disk.hold(time, seq, request),
+            _ => Err(SnapError::Corrupt("flat ssd completion in a tiered system")),
         })?;
         for (station, &stored) in self.levels.iter().zip(&level_in_service) {
             station.check_in_service(stored)?;
@@ -912,6 +907,18 @@ mod tests {
         bytes[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
         let err = two_tier_system().snap_state_from(&mut SnapReader::new(&bytes)).unwrap_err();
         assert_eq!(err, SnapError::Corrupt("in-service count disagrees with pending completions"));
+    }
+
+    #[test]
+    fn a_snapshot_with_misstamped_requests_is_corrupt() {
+        for case in 0..3 {
+            let mut sys = busy_system();
+            let expected = sys.levels[1].misstamp(case);
+            let err = two_tier_system()
+                .snap_state_from(&mut SnapReader::new(&snap_bytes(&sys)))
+                .unwrap_err();
+            assert_eq!(err, expected, "case {case}");
+        }
     }
 
     #[test]

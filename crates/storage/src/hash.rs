@@ -1,0 +1,20 @@
+//! FNV-1a with a splitmix64 finisher: the one recipe behind the
+//! workspace's derived seeds and fingerprints.
+
+/// The FNV-1a 64-bit offset basis: the state of an empty hash.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a state `hash`.
+pub fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
+    for &b in bytes {
+        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// The splitmix64 finalizer: FNV alone avalanches poorly in the high bits.
+pub fn splitmix64(mut h: u64) -> u64 {
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
+}

@@ -18,6 +18,8 @@
 //! * [`snap`] — [`SnapWriter`] / [`SnapReader`], the hand-rolled
 //!   little-endian encoding replay checkpoints use to serialize mid-flight
 //!   simulation state across every crate in the workspace.
+//! * [`hash`] — FNV-1a and the splitmix64 finisher, from which cell seeds,
+//!   tenant seeds and matrix fingerprints are derived.
 //!
 //! # Example
 //!
@@ -40,6 +42,7 @@
 pub mod block;
 pub mod device;
 pub mod error;
+pub mod hash;
 pub mod histogram;
 pub mod queue;
 pub mod request;

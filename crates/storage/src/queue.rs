@@ -346,6 +346,11 @@ impl DeviceQueue {
         let mut mix = QueueSnapshot::default();
         for _ in 0..len {
             let req = IoRequest::snap_from(r)?;
+            // A queued request has not been served yet: the device stamps it
+            // on dispatch, and a second stamp is a logic error.
+            if req.dispatch().is_some() || req.completion().is_some() {
+                return Err(SnapError::Corrupt("queued request carries a service stamp"));
+            }
             mix.record(req.class());
             pending.push_back(req);
         }

@@ -61,19 +61,20 @@ impl TraceAnalysis {
             } else {
                 analysis.writes += 1;
             }
-            analysis.total_sectors += record.sectors;
-            analysis.min_request_sectors = analysis.min_request_sectors.min(record.sectors);
-            analysis.max_request_sectors = analysis.max_request_sectors.max(record.sectors);
+            let sectors = u64::from(record.sectors);
+            analysis.total_sectors += sectors;
+            analysis.min_request_sectors = analysis.min_request_sectors.min(sectors);
+            analysis.max_request_sectors = analysis.max_request_sectors.max(sectors);
             first = first.min(record.timestamp_us);
             last = last.max(record.timestamp_us);
 
             if prev_end == Some(record.sector) {
                 analysis.sequential_successors += 1;
             }
-            prev_end = Some(record.sector + record.sectors);
+            prev_end = Some(record.sector + sectors);
 
             let first_block = record.sector / BLOCK_SECTORS;
-            let last_block = (record.sector + record.sectors - 1) / BLOCK_SECTORS;
+            let last_block = (record.sector + sectors - 1) / BLOCK_SECTORS;
             for block in first_block..=last_block {
                 footprint.insert(block);
             }

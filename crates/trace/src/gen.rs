@@ -141,6 +141,8 @@ pub struct AccessPattern {
     spec: PatternSpec,
     base_block: u64,
     request_blocks: u64,
+    /// `request_blocks` in sectors, the length of every access.
+    request_sectors: u32,
     cursor: u64,
     rng: StdRng,
     /// The popularity table for [`PatternSpec::Zipfian`]; `None` for
@@ -220,7 +222,8 @@ impl AccessPattern {
     ///
     /// # Panics
     ///
-    /// Panics if `request_blocks` is zero or the spec's footprint is zero.
+    /// Panics if `request_blocks` is zero, longer than `u32::MAX` sectors,
+    /// or the spec's footprint is zero.
     pub fn new(spec: PatternSpec, base_block: u64, request_blocks: u64, seed: u64) -> Self {
         AccessPattern::with_zipf_table(spec, base_block, request_blocks, seed, None)
     }
@@ -237,6 +240,7 @@ impl AccessPattern {
         zipf_cdf: Option<Arc<ZipfCdf>>,
     ) -> Self {
         assert!(request_blocks > 0, "requests must span at least one block");
+        let request_sectors = request_sectors(request_blocks);
         assert!(spec.footprint_blocks() > 0, "pattern footprint must be non-empty");
         let zipf_cdf =
             zipf_cdf.or_else(|| spec.zipf_key().map(|(blocks, skew)| build_zipf_cdf(blocks, skew)));
@@ -248,6 +252,7 @@ impl AccessPattern {
             spec,
             base_block,
             request_blocks,
+            request_sectors,
             cursor: 0,
             rng: StdRng::seed_from_u64(seed),
             zipf_cdf,
@@ -321,11 +326,24 @@ impl AccessPattern {
     }
 
     /// Generates the next access as `(start_sector, sectors, kind)`.
-    pub fn next_access(&mut self) -> (u64, u64, RequestKind) {
+    pub fn next_access(&mut self) -> (u64, u32, RequestKind) {
         let (block, kind) = self.pick_block();
         let sector = (self.base_block + block) * BLOCK_SECTORS;
-        (sector, self.request_blocks * BLOCK_SECTORS, kind)
+        (sector, self.request_sectors, kind)
     }
+}
+
+/// The length in sectors of a `request_blocks`-block request.
+///
+/// # Panics
+///
+/// Panics if it exceeds `u32::MAX` sectors, the range of
+/// [`TraceRecord::sectors`].
+pub(crate) fn request_sectors(request_blocks: u64) -> u32 {
+    request_blocks
+        .checked_mul(BLOCK_SECTORS)
+        .and_then(|sectors| u32::try_from(sectors).ok())
+        .expect("a request spans at most u32::MAX sectors")
 }
 
 /// An open-loop arrival process with exponential inter-arrival times at a
@@ -403,7 +421,7 @@ mod tests {
         for _ in 0..500 {
             let (sector, sectors, kind) = p.next_access();
             assert!(kind.is_read());
-            assert_eq!(sectors, BLOCK_SECTORS);
+            assert_eq!(u64::from(sectors), BLOCK_SECTORS);
             let block = sector / BLOCK_SECTORS;
             assert!((1000..1100).contains(&block));
         }
@@ -548,6 +566,14 @@ mod tests {
     #[should_panic(expected = "at least one block")]
     fn zero_request_blocks_panics() {
         let _ = AccessPattern::new(PatternSpec::RandomRead { working_set_blocks: 10 }, 0, 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most u32::MAX sectors")]
+    fn requests_longer_than_the_record_length_field_panic() {
+        let blocks = (u64::from(u32::MAX) + 1) / BLOCK_SECTORS;
+        let _ =
+            AccessPattern::new(PatternSpec::RandomRead { working_set_blocks: 10 }, 0, blocks, 1);
     }
 
     #[test]

@@ -156,10 +156,8 @@ fn parse_import_line(fields: &[&str]) -> Result<TraceRecord, ImportLineError> {
     if sectors == 0 {
         return Err(ImportLineError::ZeroLength);
     }
-    if sectors > u64::from(u32::MAX) {
-        return Err(ImportLineError::LengthTooLarge);
-    }
-    if sector.checked_add(sectors).is_none() {
+    let sectors = u32::try_from(sectors).map_err(|_| ImportLineError::LengthTooLarge)?;
+    if sector.checked_add(u64::from(sectors)).is_none() {
         return Err(ImportLineError::RangeOverflow);
     }
     let kind = match direction.to_ascii_lowercase().as_str() {
@@ -245,23 +243,12 @@ impl BinaryTraceCodec {
     pub const RECORD_BYTES: usize = 8 + 8 + 4 + 1;
 
     /// Encodes records into a byte buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a record's length exceeds the format's 32-bit field
-    /// (`u32::MAX` sectors — two terabytes per request; real traces top out
-    /// at a few thousand).
     pub fn encode(&self, records: &[TraceRecord]) -> Bytes {
         let mut buf = BytesMut::with_capacity(records.len() * Self::RECORD_BYTES);
         for rec in records {
-            assert!(
-                rec.sectors <= u32::MAX as u64,
-                "record length {} sectors exceeds the binary format's 32-bit field",
-                rec.sectors
-            );
             buf.put_u64_le(rec.timestamp_us);
             buf.put_u64_le(rec.sector);
-            buf.put_u32_le(rec.sectors as u32);
+            buf.put_u32_le(rec.sectors);
             buf.put_u8(if rec.kind.is_read() { 0 } else { 1 });
         }
         buf.freeze()
@@ -295,7 +282,7 @@ impl BinaryTraceCodec {
             }
             let ts = data.get_u64_le();
             let sector = data.get_u64_le();
-            let sectors = data.get_u32_le() as u64;
+            let sectors = data.get_u32_le();
             let dir = data.get_u8();
             if sectors == 0 {
                 return Err(io::Error::new(
@@ -386,7 +373,7 @@ mod tests {
     #[test]
     fn binary_codec_round_trips_extreme_field_values() {
         let extremes = vec![
-            TraceRecord::new(u64::MAX, u64::MAX, u32::MAX as u64, RequestKind::Write),
+            TraceRecord::new(u64::MAX, u64::MAX, u32::MAX, RequestKind::Write),
             TraceRecord::new(0, 0, 1, RequestKind::Read),
         ];
         let decoded = BinaryTraceCodec.decode(BinaryTraceCodec.encode(&extremes)).unwrap();
@@ -398,10 +385,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "32-bit field")]
-    fn binary_encoder_rejects_oversized_lengths() {
-        let too_big = vec![TraceRecord::new(0, 0, u32::MAX as u64 + 1, RequestKind::Read)];
-        let _ = BinaryTraceCodec.encode(&too_big);
+    fn text_reader_rejects_lengths_past_the_32_bit_field() {
+        // Both codecs carry the length in 32 bits, so a longer one is a
+        // parse error rather than a record the binary encoder cannot store.
+        let line = format!("0 0 {} R", u64::from(u32::MAX) + 1);
+        let err = TraceRecord::parse_line(&line).unwrap_err();
+        assert!(err.to_string().contains("length"));
+        let err = read_text_trace(line.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("line 1"));
     }
 
     #[test]

@@ -40,6 +40,9 @@ pub mod monitor;
 pub mod record;
 pub mod workload;
 
+/// Re-exported for the lab's cell seeds, so they and the tenant seeds share one hash.
+pub use lbica_storage::hash;
+
 pub use analyze::{analyze_intervals, TraceAnalysis};
 pub use gen::{AccessPattern, ArrivalProcess, PatternSpec};
 pub use io::{

@@ -10,6 +10,11 @@ use lbica_storage::time::SimTime;
 /// One logged block-layer request, in the spirit of a `blktrace` queue
 /// event: a timestamp, an LBA, a length in sectors and a direction.
 ///
+/// A record is 24 bytes: two `u64`s, a `u32` length and a one-byte
+/// direction, padded to the `u64` alignment. The length is `u32` because
+/// both codecs store it in 32 bits; a replayed capture holds one record per
+/// request, so this size is what a trace costs in memory.
+///
 /// ```
 /// use lbica_trace::record::TraceRecord;
 /// use lbica_storage::request::RequestKind;
@@ -25,21 +30,24 @@ pub struct TraceRecord {
     /// Starting sector.
     pub sector: u64,
     /// Length in sectors.
-    pub sectors: u64,
+    pub sectors: u32,
     /// Read or write.
     pub kind: RequestKind,
 }
 
+const _: () = assert!(std::mem::size_of::<TraceRecord>() == 24);
+
 impl TraceRecord {
     /// Creates a record.
-    pub fn new(timestamp_us: u64, sector: u64, sectors: u64, kind: RequestKind) -> Self {
+    pub fn new(timestamp_us: u64, sector: u64, sectors: u32, kind: RequestKind) -> Self {
         TraceRecord { timestamp_us, sector, sectors, kind }
     }
 
     /// Converts the record into an application [`IoRequest`] with the given
     /// id.
     pub fn to_request(&self, id: RequestId) -> IoRequest {
-        IoRequest::new(id, self.kind, RequestOrigin::Application, self.sector, self.sectors)
+        let sectors = u64::from(self.sectors);
+        IoRequest::new(id, self.kind, RequestOrigin::Application, self.sector, sectors)
             .with_arrival(SimTime::from_micros(self.timestamp_us))
     }
 
@@ -76,7 +84,7 @@ impl TraceRecord {
         let sectors = parts
             .next()
             .ok_or_else(|| ParseRecordError::missing("length"))?
-            .parse::<u64>()
+            .parse::<u32>()
             .map_err(|_| ParseRecordError::invalid("length"))?;
         if sectors == 0 {
             return Err(ParseRecordError::invalid("length"));
@@ -149,6 +157,7 @@ mod tests {
         assert!(TraceRecord::parse_line("a 2 3 R").is_err());
         assert!(TraceRecord::parse_line("1 2 0 R").is_err());
         assert!(TraceRecord::parse_line("1 2 3 R extra").is_err());
+        assert!(TraceRecord::parse_line("1 2 4294967295 R").is_ok());
         let err = TraceRecord::parse_line("1 2 3").unwrap_err();
         assert!(err.to_string().contains("direction"));
     }

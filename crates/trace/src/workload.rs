@@ -18,15 +18,14 @@ use std::sync::{Arc, OnceLock};
 use serde::{Deserialize, Serialize};
 
 use lbica_storage::block::BLOCK_SECTORS;
+use lbica_storage::hash::{fnv1a, splitmix64, FNV_OFFSET};
 
 use crate::gen::{
-    build_zipf_cdf, generate_stream_into, AccessPattern, ArrivalProcess, PatternSpec, ZipfCdf,
+    build_zipf_cdf, generate_stream_into, request_sectors, AccessPattern, ArrivalProcess,
+    PatternSpec, ZipfCdf,
 };
 use crate::io::BinaryTraceCodec;
 use crate::record::TraceRecord;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Derives a tenant's private stream seed from the cell seed and the tenant
 /// ordinal alone (FNV-1a over the two coordinates with a separator, then a
@@ -35,18 +34,9 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// `t`'s stream is stable when tenants are added, removed, or the matrix
 /// axes are reordered.
 fn tenant_seed(seed: u64, tenant: u32) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in seed.to_le_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h = (h ^ 0xff).wrapping_mul(FNV_PRIME);
-    for b in u64::from(tenant).to_le_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    let mut z = h;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    let h = fnv1a(&seed.to_le_bytes(), FNV_OFFSET);
+    let h = fnv1a(&[0xff], h);
+    splitmix64(fnv1a(&u64::from(tenant).to_le_bytes(), h))
 }
 
 /// Whether a phase is expected to overload the I/O cache.
@@ -110,7 +100,13 @@ impl BurstPhase {
     }
 
     /// Sets the request size in blocks (builder style).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the request is longer than `u32::MAX` sectors, the range
+    /// of [`TraceRecord::sectors`].
     pub fn with_request_blocks(mut self, blocks: u64) -> Self {
+        request_sectors(blocks);
         self.request_blocks = blocks;
         self
     }
@@ -262,25 +258,37 @@ impl std::fmt::Display for TraceSpanError {
 impl std::error::Error for TraceSpanError {}
 
 /// A captured trace carried by a replay workload: records sorted by
-/// timestamp plus the number of monitoring intervals the trace spans.
+/// timestamp plus the number of monitoring intervals the trace spans. The
+/// records are shared, so every clone of the spec reads the same copy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct ReplayTrace {
-    records: Vec<TraceRecord>,
+    records: Arc<Vec<TraceRecord>>,
     intervals: u32,
+}
+
+impl ReplayTrace {
+    /// The records of monitoring interval `index`, in timestamp order.
+    fn interval(&self, index: u32, interval_us: u64) -> &[TraceRecord] {
+        let lo = u64::from(index) * interval_us;
+        let hi = lo + interval_us;
+        let start = self.records.partition_point(|r| r.timestamp_us < lo);
+        let end = self.records.partition_point(|r| r.timestamp_us < hi);
+        &self.records[start..end]
+    }
 }
 
 /// The cumulative popularity tables of a spec's Zipfian phases, one per
 /// distinct `(working_set_blocks, skew_permille)`, so `zipfian_scaled`'s
 /// warm-up and cool-down share one. Each table is built on the first
-/// interval that samples it and then shared through `Arc` by every later
-/// interval (and by clones taken after the build). The tables are a pure
-/// function of the phases, so they take no part in equality or debug
-/// output.
+/// interval that samples it, by the spec or by any of its clones: the
+/// slots themselves are shared, so a clone taken before the build reuses
+/// the table another clone builds. The tables are a pure function of the
+/// phases, so they take no part in equality or debug output.
 #[derive(Clone, Default)]
 struct ZipfTables(Vec<((u64, u32), LazyTable)>);
 
-/// A popularity table, built on first use.
-type LazyTable = OnceLock<Arc<ZipfCdf>>;
+/// A popularity table, built on first use and shared by every clone.
+type LazyTable = Arc<OnceLock<Arc<ZipfCdf>>>;
 
 impl ZipfTables {
     /// Reserves a slot for `pattern`'s table unless it is not Zipfian or
@@ -288,7 +296,7 @@ impl ZipfTables {
     fn register(&mut self, pattern: &PatternSpec) {
         if let Some(key) = pattern.zipf_key() {
             if !self.0.iter().any(|(k, _)| *k == key) {
-                self.0.push((key, OnceLock::new()));
+                self.0.push((key, LazyTable::default()));
             }
         }
     }
@@ -317,6 +325,10 @@ impl std::fmt::Debug for ZipfTables {
 /// A complete phase-structured workload — or, when built from a captured
 /// trace via [`WorkloadSpec::replay`], a deterministic replay that feeds
 /// the recorded arrivals through the same interval loop.
+///
+/// Cloning is cheap: it copies the phases, while a replay's records and the
+/// Zipf popularity tables are shared between the clones, so one copy of
+/// each exists however many scenario cells run the workload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadSpec {
     name: String,
@@ -397,7 +409,7 @@ impl WorkloadSpec {
             interval_us,
             phases: Vec::new(),
             base_block: 0,
-            replay: Some(ReplayTrace { records, intervals }),
+            replay: Some(ReplayTrace { records: Arc::new(records), intervals }),
             diurnal: None,
             tenants: None,
             zipf_tables: ZipfTables::default(),
@@ -606,11 +618,7 @@ impl WorkloadSpec {
     pub fn generate_interval_into(&self, index: u32, seed: u64, out: &mut Vec<TraceRecord>) {
         out.clear();
         if let Some(replay) = &self.replay {
-            let lo = index as u64 * self.interval_us;
-            let hi = lo + self.interval_us;
-            let start = replay.records.partition_point(|r| r.timestamp_us < lo);
-            let end = replay.records.partition_point(|r| r.timestamp_us < hi);
-            out.extend_from_slice(&replay.records[start..end]);
+            out.extend_from_slice(replay.interval(index, self.interval_us));
             return;
         }
         let permille = u64::from(self.interval_factor_permille(index));
@@ -624,6 +632,26 @@ impl WorkloadSpec {
             return;
         }
         self.synthetic_interval(index, seed, permille, out);
+    }
+
+    /// The records of monitoring interval `index`, exactly those
+    /// [`WorkloadSpec::generate_interval`] returns, without copying a
+    /// replay: a replay spec returns a slice of its shared trace and leaves
+    /// `buf` alone, while any other spec generates into `buf` (as
+    /// [`WorkloadSpec::generate_interval_into`] does) and returns it.
+    pub fn interval_records<'a>(
+        &'a self,
+        index: u32,
+        seed: u64,
+        buf: &'a mut Vec<TraceRecord>,
+    ) -> &'a [TraceRecord] {
+        match &self.replay {
+            Some(replay) => replay.interval(index, self.interval_us),
+            None => {
+                self.generate_interval_into(index, seed, buf);
+                buf
+            }
+        }
     }
 
     /// Generates tenant `tenant`'s contribution to monitoring interval
@@ -1300,6 +1328,24 @@ mod tests {
     fn multi_tenant_rejects_replay_templates() {
         let replay = WorkloadSpec::replay("cap", 20_000, Vec::new());
         let _ = WorkloadSpec::multi_tenant("bad", 2, 1_024, vec![replay]);
+    }
+
+    #[test]
+    fn clones_taken_before_the_build_share_the_zipf_table() {
+        let a = WorkloadSpec::zipfian_scaled("zipf", WorkloadScale::tiny(), 900);
+        let b = a.clone();
+        let pattern = &a.phases()[0].pattern;
+        assert!(!a.generate_interval(0, 1).is_empty());
+        let built = a.zipf_tables.get(pattern).unwrap();
+        assert!(Arc::ptr_eq(&built, &b.zipf_tables.get(pattern).unwrap()));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most u32::MAX sectors")]
+    fn requests_longer_than_the_record_length_field_are_rejected() {
+        let pattern = PatternSpec::RandomRead { working_set_blocks: 8 };
+        let _ = BurstPhase::new("huge", 1, 1.0, pattern, PhaseIntensity::Moderate)
+            .with_request_blocks(u64::from(u32::MAX));
     }
 
     #[test]

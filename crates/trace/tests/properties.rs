@@ -124,7 +124,7 @@ proptest! {
         let footprint = pattern.footprint_blocks();
         for _ in 0..200 {
             let (sector, sectors, _kind) = gen.next_access();
-            prop_assert_eq!(sectors, BLOCK_SECTORS);
+            prop_assert_eq!(u64::from(sectors), BLOCK_SECTORS);
             let block = sector / BLOCK_SECTORS;
             prop_assert!(block >= base, "block {} below base {}", block, base);
             prop_assert!(
@@ -210,7 +210,7 @@ proptest! {
     #[test]
     fn analysis_totals_match_the_trace(
         records in proptest::collection::vec(
-            (0u64..1_000_000, 0u64..100_000, 1u64..64, any::<bool>()),
+            (0u64..1_000_000, 0u64..100_000, 1u32..64, any::<bool>()),
             0..200,
         ),
     ) {
@@ -230,7 +230,7 @@ proptest! {
         prop_assert_eq!(analysis.reads + analysis.writes, analysis.requests);
         prop_assert_eq!(
             analysis.total_sectors,
-            trace.iter().map(|r| r.sectors).sum::<u64>()
+            trace.iter().map(|r| u64::from(r.sectors)).sum::<u64>()
         );
         prop_assert!(analysis.read_fraction() >= 0.0 && analysis.read_fraction() <= 1.0);
         prop_assert!(analysis.sequentiality() >= 0.0 && analysis.sequentiality() <= 1.0);
@@ -249,7 +249,7 @@ proptest! {
             (
                 prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>()],
                 prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>()],
-                prop_oneof![Just(1u64), Just(u32::MAX as u64), 1u64..100_000],
+                prop_oneof![Just(1u32), Just(u32::MAX), 1u32..100_000],
                 any::<bool>(),
             ),
             0..64,
@@ -290,7 +290,7 @@ proptest! {
     #[test]
     fn replay_workloads_partition_their_trace_across_intervals(
         records in proptest::collection::vec(
-            (0u64..500_000, 0u64..100_000, 1u64..64, any::<bool>()),
+            (0u64..500_000, 0u64..100_000, 1u32..64, any::<bool>()),
             0..150,
         ),
         interval_us in 1_000u64..100_000,
@@ -321,6 +321,42 @@ proptest! {
         let mut sorted = trace;
         sorted.sort_by_key(|r| r.timestamp_us);
         prop_assert_eq!(replayed, sorted);
+    }
+
+    #[test]
+    fn borrowed_intervals_equal_generated_ones(
+        records in proptest::collection::vec(
+            (0u64..500_000, 0u64..100_000, 1u32..64, any::<bool>()),
+            0..150,
+        ),
+        seed in any::<u64>(),
+    ) {
+        let trace: Vec<TraceRecord> = records
+            .iter()
+            .map(|(ts, sector, len, read)| {
+                TraceRecord::new(
+                    *ts,
+                    *sector,
+                    *len,
+                    if *read { RequestKind::Read } else { RequestKind::Write },
+                )
+            })
+            .collect();
+        let scale = WorkloadScale::tiny();
+        let specs = [
+            WorkloadSpec::replay("prop-replay", scale.interval_us, trace),
+            WorkloadSpec::synthetic_scaled("prop-synthetic", scale, 0.4),
+            WorkloadSpec::paper_mt_scaled(scale, 3),
+        ];
+        // One buffer across every spec and interval, as the runner reuses
+        // its arena's: stale contents must never leak into a result.
+        let mut buf = Vec::new();
+        for spec in &specs {
+            for index in 0..=spec.total_intervals() {
+                let expected = spec.generate_interval(index, seed);
+                prop_assert_eq!(spec.interval_records(index, seed, &mut buf), expected.as_slice());
+            }
+        }
     }
 
     #[test]
@@ -387,7 +423,7 @@ proptest! {
     #[test]
     fn imported_text_round_trips_to_binary_and_replay(
         rows in proptest::collection::vec(
-            (0u64..1_000_000, 0u64..1_000_000, 1u64..100_000, any::<bool>()),
+            (0u64..1_000_000, 0u64..1_000_000, 1u32..100_000, any::<bool>()),
             0..100,
         ),
     ) {

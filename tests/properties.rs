@@ -14,7 +14,7 @@ use lbica::trace::io::{read_text_trace, write_text_trace, BinaryTraceCodec};
 use lbica::trace::record::TraceRecord;
 
 fn arb_record() -> impl Strategy<Value = TraceRecord> {
-    (0u64..10_000_000, 0u64..1_000_000, 1u64..1024, any::<bool>()).prop_map(
+    (0u64..10_000_000, 0u64..1_000_000, 1u32..1024, any::<bool>()).prop_map(
         |(ts, sector, sectors, is_read)| {
             TraceRecord::new(
                 ts,
