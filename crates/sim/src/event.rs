@@ -5,28 +5,33 @@
 //! cheapest to keep:
 //!
 //! * **Arrivals** of application requests wait in the [`EventQueue`]'s one
-//!   lane, sorted by `(time, seq)`. The generators emit arrivals in
+//!   lane, sorted by `(time, seq)`. Each is 40 bytes: its sequence number,
+//!   its request id and the [`TraceRecord`] it came from; the request is
+//!   built only when the arrival fires. The generators emit arrivals in
 //!   nondecreasing time order, so scheduling one is an O(1) append; an
 //!   out-of-order arrival is a sorted insert.
 //! * **Completions** never enter the queue. A request a device starts
 //!   servicing is held in one of its [`DeviceStation`]'s service slots —
 //!   at most `parallelism` of them — together with its completion time and
-//!   sequence number.
+//!   sequence number. Each station caches the smallest `(time, seq)` among
+//!   its slots, updated when a slot fills or frees.
 //!
 //! `EventQueue::next_event` picks the smallest `(time, seq)` over the lane's
-//! front and every held slot — a handful of slots (5 on the paper's flat
-//! configuration, 7 on its two-level twin), however deep the device queues
-//! grow. Both kinds draw their sequence numbers from the
+//! front and one cached key per station — two keys on the paper's flat
+//! configuration, three on its two-level twin — however deep the device
+//! queues grow. Both kinds draw their sequence numbers from the
 //! queue's one counter, so simultaneous events fire in scheduling order and
 //! the global order is exactly that of a single priority queue over all
 //! pending events. Checkpoints store that single queue: the writer merges
-//! the held completions into the lane's `(time, seq)` order.
+//! the held completions into the lane's `(time, seq)` order, and writes
+//! each arrival as the request it will become.
 
 use std::collections::VecDeque;
 
-use lbica_storage::request::IoRequest;
+use lbica_storage::request::{IoRequest, RequestId, RequestOrigin};
 use lbica_storage::snap::{SnapError, SnapReader, SnapWriter};
 use lbica_storage::time::SimTime;
+use lbica_trace::record::TraceRecord;
 
 use crate::system::{DeviceStation, TierId};
 
@@ -101,6 +106,18 @@ impl EventKind {
     }
 }
 
+/// An event's `(time, seq)` packed into one integer that orders the same
+/// way, so that choosing the earliest event compares integers and selects
+/// without branching: which event is earliest changes from event to event
+/// and would mispredict a branch.
+pub(crate) fn event_key((time, seq): (SimTime, u64)) -> u128 {
+    u128::from(time.as_micros()) << 64 | u128::from(seq)
+}
+
+/// The key of no event. Every real key is smaller, because a sequence
+/// number is always below the counter and so below `u64::MAX`.
+pub(crate) const NO_EVENT: u128 = u128::MAX;
+
 /// The event [`EventQueue::next_event`] chose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum NextEvent {
@@ -111,17 +128,42 @@ pub(crate) enum NextEvent {
     Completion { station: usize, slot: usize },
 }
 
-/// A pending arrival. Its firing time is the request's arrival stamp.
+/// A pending arrival: the record it fires as, under request id `id`. Its
+/// firing time is the record's timestamp.
 #[derive(Debug)]
 struct Arrival {
     seq: u64,
-    request: IoRequest,
+    id: RequestId,
+    record: TraceRecord,
 }
+
+const _: () = assert!(std::mem::size_of::<Arrival>() == 40);
 
 impl Arrival {
     fn key(&self) -> (SimTime, u64) {
-        (self.request.arrival(), self.seq)
+        (SimTime::from_micros(self.record.timestamp_us), self.seq)
     }
+}
+
+/// The record a restored pending arrival was scheduled from, or the reason
+/// no record can describe it: an arrival is an application request that
+/// has neither been serviced nor derived from another request.
+fn arrival_record(request: &IoRequest) -> Result<TraceRecord, SnapError> {
+    if request.dispatch().is_some() || request.completion().is_some() {
+        return Err(SnapError::Corrupt("pending arrival carries a service stamp"));
+    }
+    if request.parent().is_some() || request.origin() != RequestOrigin::Application {
+        return Err(SnapError::Corrupt("pending arrival is not an application request"));
+    }
+    let range = request.range();
+    let sectors = u32::try_from(range.sectors())
+        .map_err(|_| SnapError::Corrupt("pending arrival longer than a record"))?;
+    Ok(TraceRecord::new(
+        request.arrival().as_micros(),
+        range.start().sector(),
+        sectors,
+        request.kind(),
+    ))
 }
 
 /// The pending arrivals plus the bookkeeping shared with the stations'
@@ -179,17 +221,18 @@ impl EventQueue {
         self.peak_len = self.peak_len.max(self.len());
     }
 
-    /// Schedules `request` to arrive at its arrival stamp.
-    pub fn schedule_arrival(&mut self, request: IoRequest) {
-        let seq = self.claim_seq();
-        let time = request.arrival();
+    /// Schedules `record` to arrive at its timestamp as application request
+    /// `id`.
+    pub fn schedule_record(&mut self, id: RequestId, record: &TraceRecord) {
+        let arrival = Arrival { seq: self.claim_seq(), id, record: *record };
+        let time = record.timestamp_us;
         // The new seq is the largest, so it goes after every arrival at the
         // same time or earlier.
-        if self.arrivals.back().is_none_or(|tail| tail.request.arrival() <= time) {
-            self.arrivals.push_back(Arrival { seq, request });
+        if self.arrivals.back().is_none_or(|tail| tail.record.timestamp_us <= time) {
+            self.arrivals.push_back(arrival);
         } else {
-            let at = self.arrivals.partition_point(|a| a.request.arrival() <= time);
-            self.arrivals.insert(at, Arrival { seq, request });
+            let at = self.arrivals.partition_point(|a| a.record.timestamp_us <= time);
+            self.arrivals.insert(at, arrival);
         }
         self.note_depth();
     }
@@ -209,31 +252,47 @@ impl EventQueue {
     }
 
     /// The next event at or before `limit`: the smallest `(time, seq)` over
-    /// the arrival lane's front and every service slot of `stations`.
-    pub(crate) fn next_event<'a>(
+    /// the arrival lane's front and the cached next completion of every
+    /// station in `groups`. Stations are numbered in order across the
+    /// groups.
+    pub(crate) fn next_event(
         &self,
-        stations: impl IntoIterator<Item = &'a DeviceStation>,
+        groups: [&[DeviceStation]; 2],
         limit: SimTime,
     ) -> Option<NextEvent> {
-        let mut best = self.arrivals.front().map(|a| (a.key(), NextEvent::Arrival));
-        for (station, held) in stations.into_iter().enumerate() {
-            for (slot, h) in held.slots().iter().enumerate() {
-                let key = (h.time, h.seq);
-                if best.is_none_or(|(b, _)| key < b) {
-                    best = Some((key, NextEvent::Completion { station, slot }));
-                }
+        let mut best = self.arrivals.front().map_or(NO_EVENT, |a| event_key(a.key()));
+        // `usize::MAX` stands for the arrival.
+        let (mut best_station, mut best_slot) = (usize::MAX, 0);
+        let mut station = 0;
+        for group in groups {
+            for held in group {
+                let (key, slot) = held.next_completion();
+                let earlier = key < best;
+                best = if earlier { key } else { best };
+                best_station = if earlier { station } else { best_station };
+                best_slot = if earlier { slot } else { best_slot };
+                station += 1;
             }
         }
-        best.filter(|((time, _), _)| *time <= limit).map(|(_, next)| next)
+        if best == NO_EVENT || (best >> 64) as u64 > limit.as_micros() {
+            return None;
+        }
+        Some(if best_station == usize::MAX {
+            NextEvent::Arrival
+        } else {
+            NextEvent::Completion { station: best_station, slot: best_slot }
+        })
     }
 
-    /// Removes the arrival at the lane's front.
+    /// Removes the arrival at the lane's front and returns it as an
+    /// application request.
     ///
     /// # Panics
     ///
     /// Panics if no arrival is pending.
     pub fn pop_arrival(&mut self) -> IoRequest {
-        self.arrivals.pop_front().expect("a pending arrival").request
+        let arrival = self.arrivals.pop_front().expect("a pending arrival");
+        arrival.record.to_request(arrival.id)
     }
 
     /// Serializes every pending event — the lane's arrivals merged with
@@ -256,7 +315,7 @@ impl EventQueue {
                 kind.snap_to(w);
             }
             put(w, arrival.key());
-            put_arrival(w, &arrival.request);
+            put_arrival(w, &arrival.record.to_request(arrival.id));
         }
         for (time, seq, kind) in held {
             put(w, (time, seq));
@@ -266,8 +325,10 @@ impl EventQueue {
 
     /// Restores the pending events written by [`EventQueue::snap_to`] into
     /// this queue (whose own pending events are discarded). Arrivals land in
-    /// the lane; every completion is handed to `hold`, which returns it to
-    /// its station (or rejects it).
+    /// the lane, and one a trace record cannot describe is rejected; every
+    /// completion is handed to `hold`, which returns it to its station (or
+    /// rejects it). The arrivals' ids are checked once the owner knows its
+    /// id counter, by [`EventQueue::check_arrival_ids`].
     pub fn snap_state_from(
         &mut self,
         r: &mut SnapReader<'_>,
@@ -293,7 +354,8 @@ impl EventQueue {
                     if request.arrival() != time {
                         return Err(SnapError::Corrupt("arrival event off its request's stamp"));
                     }
-                    self.arrivals.push_back(Arrival { seq, request });
+                    let record = arrival_record(&request)?;
+                    self.arrivals.push_back(Arrival { seq, id: request.id(), record });
                 }
                 completion => {
                     hold(time, seq, completion)?;
@@ -305,6 +367,27 @@ impl EventQueue {
         self.peak_len = peak_len.max(self.len());
         Ok(())
     }
+
+    /// Checks the restored arrivals' request ids against the owner's id
+    /// counter: each must lie below `next_id` — the ids handed out next —
+    /// and belong to no other pending arrival and to no request `is_live`
+    /// reports as already in the datapath. A clash would register one id
+    /// twice once the arrival fires.
+    pub fn check_arrival_ids(
+        &self,
+        next_id: RequestId,
+        is_live: impl Fn(RequestId) -> bool,
+    ) -> Result<(), SnapError> {
+        let mut ids: Vec<RequestId> = self.arrivals.iter().map(|a| a.id).collect();
+        if ids.iter().any(|&id| id >= next_id) {
+            return Err(SnapError::Corrupt("pending arrival id at or past the next id"));
+        }
+        ids.sort_unstable();
+        if ids.windows(2).any(|pair| pair[0] == pair[1]) || ids.iter().any(|&id| is_live(id)) {
+            return Err(SnapError::Corrupt("pending arrival id already in use"));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -312,12 +395,11 @@ mod tests {
     use super::*;
     use lbica_storage::request::{RequestKind, RequestOrigin};
 
-    fn arrival(id: u64, t: u64) -> IoRequest {
-        IoRequest::new(id, RequestKind::Read, RequestOrigin::Application, 0, 8)
-            .with_arrival(SimTime::from_micros(t))
+    fn record(t: u64) -> TraceRecord {
+        TraceRecord::new(t, 0, 8, RequestKind::Read)
     }
 
-    const NO_STATIONS: [&DeviceStation; 0] = [];
+    const NO_STATIONS: [&[DeviceStation]; 2] = [&[], &[]];
 
     /// Pops every arrival in firing order, returning the request ids.
     fn drain(q: &mut EventQueue) -> Vec<u64> {
@@ -338,7 +420,7 @@ mod tests {
     fn events_pop_in_time_order() {
         let mut q = EventQueue::new();
         for (id, t) in [(1u64, 300u64), (2, 100), (3, 200)] {
-            q.schedule_arrival(arrival(id, t));
+            q.schedule_record(id, &record(t));
         }
         assert_eq!(drain(&mut q), vec![2, 3, 1]);
     }
@@ -347,7 +429,7 @@ mod tests {
     fn simultaneous_events_fire_in_insertion_order() {
         let mut q = EventQueue::new();
         for id in 0..5u64 {
-            q.schedule_arrival(arrival(id, 50));
+            q.schedule_record(id, &record(50));
         }
         assert_eq!(drain(&mut q), vec![0, 1, 2, 3, 4]);
     }
@@ -355,8 +437,8 @@ mod tests {
     #[test]
     fn next_event_respects_the_limit() {
         let mut q = EventQueue::new();
-        q.schedule_arrival(arrival(1, 100));
-        q.schedule_arrival(arrival(2, 500));
+        q.schedule_record(1, &record(100));
+        q.schedule_record(2, &record(500));
         let limit = SimTime::from_micros(200);
         assert_eq!(q.next_event(NO_STATIONS, limit), Some(NextEvent::Arrival));
         q.pop_arrival();
@@ -373,7 +455,7 @@ mod tests {
         // In order: 100, 200, 300; then arrivals landing between, before,
         // and at an equal time after those.
         for (id, t) in [(0u64, 100u64), (1, 200), (2, 300), (3, 150), (4, 50), (5, 200), (6, 300)] {
-            q.schedule_arrival(arrival(id, t));
+            q.schedule_record(id, &record(t));
         }
         // Time order, seq-stable within equal times: 50, 100, 150,
         // 200(seq1), 200(seq5), 300(seq2), 300(seq6).
@@ -386,26 +468,30 @@ mod tests {
         // Arrivals at 100 (seq 0) and 300 (seq 1); completions held at two
         // stations at 300 (seq 2), 50 (seq 3) and 100 (seq 4).
         let mut q = EventQueue::new();
-        q.schedule_arrival(arrival(0, 100));
-        q.schedule_arrival(arrival(1, 300));
-        let mut ssd = DeviceStation::new("ssd", SsdModel::samsung_863a(), 1);
-        let mut disk = DeviceStation::new("disk", SsdModel::samsung_863a(), 4);
+        q.schedule_record(0, &record(100));
+        q.schedule_record(1, &record(300));
+        let mut stations = [
+            DeviceStation::new("ssd", SsdModel::samsung_863a(), 1),
+            DeviceStation::new("disk", SsdModel::samsung_863a(), 4),
+        ];
         let served = |id, t| {
-            let mut request = arrival(id, 0);
+            let mut request = record(0).to_request(id);
             request.mark_dispatched(SimTime::ZERO);
             request.mark_completed(SimTime::from_micros(t));
             request
         };
+        let [ssd, disk] = &mut stations;
         ssd.hold(SimTime::from_micros(300), q.start_service(), served(10, 300)).unwrap();
         disk.hold(SimTime::from_micros(50), q.start_service(), served(11, 50)).unwrap();
         disk.hold(SimTime::from_micros(100), q.start_service(), served(12, 100)).unwrap();
         let mut fired = Vec::new();
-        while let Some(next) = q.next_event([&ssd, &disk], SimTime::from_secs(1)) {
+        while let Some(next) = q.next_event([&stations[..1], &stations[1..]], SimTime::from_secs(1))
+        {
             let id = match next {
                 NextEvent::Arrival => q.pop_arrival().id(),
                 NextEvent::Completion { station, slot } => {
                     q.finish_service();
-                    [&mut ssd, &mut disk][station].finish(slot).request.id()
+                    stations[station].finish(slot).request.id()
                 }
             };
             fired.push(id);
@@ -426,7 +512,7 @@ mod tests {
         };
         // seq 0..3 arrive at 100, 200, 300; completions take seq 3 and 4.
         for (id, t) in [(0u64, 100u64), (1, 200), (2, 300)] {
-            q.schedule_arrival(arrival(id, t));
+            q.schedule_record(id, &record(t));
         }
         let (s3, s4) = (q.start_service(), q.start_service());
         let held = vec![
@@ -466,13 +552,13 @@ mod tests {
     #[test]
     fn restored_queue_continues_the_seq_counter() {
         let mut q = EventQueue::new();
-        q.schedule_arrival(arrival(1, 100));
+        q.schedule_record(1, &record(100));
         let bytes = round_trip(&q, Vec::new());
         let mut restored = EventQueue::new();
         restored.snap_state_from(&mut SnapReader::new(&bytes), |_, _, _| Ok(())).unwrap();
         // A post-restore arrival at the same time must fire *after* the
         // restored one (larger seq), exactly as in the unsplit run.
-        restored.schedule_arrival(arrival(2, 100));
+        restored.schedule_record(2, &record(100));
         assert_eq!(restored.start_service(), 2, "the next seq continues past the restored ones");
         assert_eq!(drain(&mut restored), vec![1, 2]);
     }
@@ -480,7 +566,7 @@ mod tests {
     #[test]
     fn corrupt_event_kind_tag_is_rejected() {
         let mut q = EventQueue::new();
-        q.schedule_arrival(arrival(1, 100));
+        q.schedule_record(1, &record(100));
         let mut bytes = round_trip(&q, Vec::new());
         // next_seq (8) + peak_len (8) + count (8) + time (8) + seq (8),
         // then the kind tag.
@@ -494,7 +580,7 @@ mod tests {
     #[test]
     fn an_arrival_off_its_request_stamp_is_rejected() {
         let mut q = EventQueue::new();
-        q.schedule_arrival(arrival(1, 100));
+        q.schedule_record(1, &record(100));
         let mut bytes = round_trip(&q, Vec::new());
         // The event time (bytes 24..32) no longer matches the request.
         bytes[24..32].copy_from_slice(&99u64.to_le_bytes());
@@ -504,12 +590,69 @@ mod tests {
         assert_eq!(err, SnapError::Corrupt("arrival event off its request's stamp"));
     }
 
+    /// A checkpoint holding one pending arrival, `request`, at its stamp.
+    fn one_arrival(request: IoRequest) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        // next_seq, peak_len and the event count; then the event's time and
+        // seq.
+        w.put_u64(1);
+        w.put_usize(1);
+        w.put_usize(1);
+        w.put_u64(request.arrival().as_micros());
+        w.put_u64(0);
+        EventKind::Arrival(request).snap_to(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn a_restored_arrival_no_record_describes_is_rejected() {
+        let fresh = || record(100).to_request(1);
+        let mut stamped = fresh();
+        stamped.mark_dispatched(SimTime::from_micros(100));
+        let long = IoRequest::new(1, RequestKind::Read, RequestOrigin::Application, 0, 1 << 32)
+            .with_arrival(SimTime::from_micros(100));
+        let derived = IoRequest::new(1, RequestKind::Write, RequestOrigin::Flush, 0, 8)
+            .with_arrival(SimTime::from_micros(100));
+        for (request, reason) in [
+            (stamped, "pending arrival carries a service stamp"),
+            (fresh().with_parent(7), "pending arrival is not an application request"),
+            (derived, "pending arrival is not an application request"),
+            (long, "pending arrival longer than a record"),
+        ] {
+            let err = EventQueue::new()
+                .snap_state_from(&mut SnapReader::new(&one_arrival(request)), |_, _, _| Ok(()))
+                .unwrap_err();
+            assert_eq!(err, SnapError::Corrupt(reason));
+        }
+        let mut restored = EventQueue::new();
+        let bytes = one_arrival(fresh());
+        restored.snap_state_from(&mut SnapReader::new(&bytes), |_, _, _| Ok(())).unwrap();
+        assert_eq!(restored.pop_arrival(), fresh(), "a record-shaped arrival restores exactly");
+    }
+
+    #[test]
+    fn restored_arrival_ids_must_be_fresh_and_distinct() {
+        let mut q = EventQueue::new();
+        q.schedule_record(3, &record(100));
+        q.schedule_record(5, &record(50));
+        let none_live = |_| false;
+        assert_eq!(q.check_arrival_ids(6, none_live), Ok(()));
+        assert_eq!(
+            q.check_arrival_ids(5, none_live),
+            Err(SnapError::Corrupt("pending arrival id at or past the next id"))
+        );
+        let in_use = Err(SnapError::Corrupt("pending arrival id already in use"));
+        assert_eq!(q.check_arrival_ids(6, |id| id == 3), in_use);
+        q.schedule_record(3, &record(200));
+        assert_eq!(q.check_arrival_ids(6, none_live), in_use);
+    }
+
     #[test]
     fn peak_len_tracks_the_high_watermark() {
         let mut q = EventQueue::new();
         assert_eq!(q.peak_len(), 0);
         for id in 0..7u64 {
-            q.schedule_arrival(arrival(id, 10 + id));
+            q.schedule_record(id, &record(10 + id));
         }
         q.pop_arrival();
         q.start_service();

@@ -11,7 +11,7 @@ use lbica_trace::record::TraceRecord;
 
 use crate::config::{DiskDeviceConfig, SimulationConfig};
 use crate::controller::BypassDirective;
-use crate::event::{EventKind, EventQueue, NextEvent};
+use crate::event::{event_key, EventKind, EventQueue, NextEvent, NO_EVENT};
 use crate::tracker::AppTracker;
 
 /// Identifies one of the two device stations.
@@ -52,6 +52,12 @@ pub struct DeviceStation {
     pub(crate) parallelism: usize,
     /// Busy service slots, in no particular order.
     slots: Vec<InService>,
+    /// The [`event_key`] of the station's next completion event — the
+    /// smallest `(time, seq)` among the busy slots — or [`NO_EVENT`] when
+    /// every slot is free.
+    next_key: u128,
+    /// The slot holding that completion.
+    next_slot: usize,
 }
 
 impl std::fmt::Debug for DeviceStation {
@@ -84,6 +90,8 @@ impl DeviceStation {
             model: model.into(),
             parallelism,
             slots: Vec::with_capacity(parallelism),
+            next_key: NO_EVENT,
+            next_slot: 0,
         }
     }
 
@@ -102,9 +110,35 @@ impl DeviceStation {
         self.queue.depth() + self.slots.len()
     }
 
-    /// The busy service slots.
-    pub(crate) fn slots(&self) -> &[InService] {
-        &self.slots
+    /// The station's next completion event: the [`event_key`] of the
+    /// smallest `(time, seq)` among its busy slots (or [`NO_EVENT`]), and
+    /// that slot's index.
+    pub(crate) const fn next_completion(&self) -> (u128, usize) {
+        (self.next_key, self.next_slot)
+    }
+
+    /// Holds `held` in a new slot, keeping the cached next completion.
+    fn push_slot(&mut self, held: InService) {
+        let key = event_key((held.time, held.seq));
+        if key < self.next_key {
+            self.next_key = key;
+            self.next_slot = self.slots.len();
+        }
+        self.slots.push(held);
+    }
+
+    /// Recomputes the cached next completion from the slots, selecting
+    /// without branches as [`EventQueue::next_event`] does.
+    fn rescan(&mut self) {
+        let (mut best, mut best_slot) = (NO_EVENT, 0);
+        for (slot, h) in self.slots.iter().enumerate() {
+            let key = event_key((h.time, h.seq));
+            let earlier = key < best;
+            best = if earlier { key } else { best };
+            best_slot = if earlier { slot } else { best_slot };
+        }
+        self.next_key = best;
+        self.next_slot = best_slot;
     }
 
     /// Starts servicing queued requests while a slot is free: each one is
@@ -116,13 +150,15 @@ impl DeviceStation {
             let time = now + self.model.service_time(&request);
             request.mark_completed(time);
             let seq = events.start_service();
-            self.slots.push(InService { time, seq, request });
+            self.push_slot(InService { time, seq, request });
         }
     }
 
     /// Frees service slot `slot`, returning the request it held.
     pub(crate) fn finish(&mut self, slot: usize) -> InService {
-        self.slots.swap_remove(slot)
+        let held = self.slots.swap_remove(slot);
+        self.rescan();
+        held
     }
 
     /// Returns a restored completion to a service slot. The request must
@@ -140,7 +176,7 @@ impl DeviceStation {
         if request.completion() != Some(time) {
             return Err(SnapError::Corrupt("held completion stamp differs from its event time"));
         }
-        self.slots.push(InService { time, seq, request });
+        self.push_slot(InService { time, seq, request });
         Ok(())
     }
 
@@ -166,6 +202,7 @@ impl DeviceStation {
         self.queue.reset();
         self.model.reset_history();
         self.slots.clear();
+        self.rescan();
     }
 
     /// Serializes the station for a replay checkpoint: the queue (pending
@@ -188,6 +225,7 @@ impl DeviceStation {
         self.queue = DeviceQueue::snap_from(r)?;
         self.model.snap_state_from(r)?;
         self.slots.clear();
+        self.rescan();
         let in_service = r.get_usize()?;
         if in_service > self.parallelism {
             return Err(SnapError::Corrupt("in-service count exceeds parallelism"));
@@ -231,6 +269,7 @@ impl DeviceStation {
             }
             _ => {
                 slot.time += SimDuration::from_micros(1);
+                self.rescan();
                 SnapError::Corrupt("held completion stamp differs from its event time")
             }
         }
@@ -375,14 +414,16 @@ impl StorageSystem {
     /// record.
     pub fn schedule_record(&mut self, record: &TraceRecord) {
         let id = self.fresh_id();
-        let request = record.to_request(id);
-        self.events.schedule_arrival(request);
+        self.events.schedule_record(id, record);
     }
 
     /// Runs the event loop until every event at or before `limit` has been
     /// processed, then advances the clock to `limit`.
     pub fn run_until(&mut self, limit: SimTime) {
-        while let Some(next) = self.events.next_event([&self.ssd, &self.disk], limit) {
+        use std::slice::from_ref;
+        while let Some(next) =
+            self.events.next_event([from_ref(&self.ssd), from_ref(&self.disk)], limit)
+        {
             self.events_processed += 1;
             match next {
                 NextEvent::Arrival => self.handle_arrival(),
@@ -615,6 +656,7 @@ impl StorageSystem {
         self.disk.check_in_service(disk_in_service)?;
         self.clock = SimTime::from_micros(r.get_u64()?);
         self.next_id = self.app.snap_state_from(r)?;
+        self.events.check_arrival_ids(self.next_id, |id| self.app.is_live(id))?;
         self.events_processed = r.get_u64()?;
         self.iostat.snap_state_from(r)?;
         self.probe.snap_state_from(r)?;
@@ -942,6 +984,84 @@ mod tests {
             .resume_from_checkpoint(&mut StaticPolicyController::write_back(), &cp)
             .unwrap_err();
         assert_eq!(err, SnapError::Corrupt("live request id at or past the next id"));
+    }
+
+    #[test]
+    fn a_restored_arrival_id_at_or_past_the_next_id_is_corrupt() {
+        // Accepted, the arrival would share its id with the next record
+        // scheduled and register that id twice once both fire.
+        let mut sys = tiny_system();
+        sys.schedule_record(&record(0, 0, RequestKind::Read));
+        sys.next_id = 1;
+        let mut restored = tiny_system();
+        let result = restored.snap_state_from(&mut SnapReader::new(&snap_bytes(&sys)));
+        if result.is_ok() {
+            restored.schedule_record(&record(10, 8, RequestKind::Read));
+            restored.run_until(SimTime::from_millis(10));
+        }
+        assert_eq!(result, Err(SnapError::Corrupt("pending arrival id at or past the next id")));
+    }
+
+    #[test]
+    fn the_cached_next_completion_is_the_smallest_held_key() {
+        use lbica_storage::hash::splitmix64;
+        let mut state = 0u64;
+        let mut draw = |bound: u64| {
+            state += 1;
+            splitmix64(state) % bound
+        };
+        for parallelism in 1..=8 {
+            let mut events = EventQueue::new();
+            let mut station = DeviceStation::new("model", SsdModel::samsung_863a(), parallelism);
+            let mut id = 0;
+            for _ in 0..2_000 {
+                match draw(16) {
+                    0..=5 => {
+                        for _ in 0..draw(4) {
+                            id += 1;
+                            let kind =
+                                if draw(2) == 0 { RequestKind::Read } else { RequestKind::Write };
+                            let sectors = 8 * (1 + draw(64));
+                            station.queue.enqueue(IoRequest::new(
+                                id,
+                                kind,
+                                RequestOrigin::Application,
+                                draw(1 << 20) * 8,
+                                sectors,
+                            ));
+                        }
+                        // Dispatch times jump around so that completions
+                        // land out of slot order.
+                        station.dispatch_ready(SimTime::from_micros(draw(10_000)), &mut events);
+                    }
+                    6..=11 if station.in_service() > 0 => {
+                        station.finish(draw(station.in_service() as u64) as usize);
+                        events.finish_service();
+                    }
+                    12..=14 if station.in_service() < parallelism => {
+                        id += 1;
+                        let time = SimTime::from_micros(draw(20_000));
+                        let mut request = record(0, 0, RequestKind::Read).to_request(id);
+                        request.mark_dispatched(SimTime::ZERO);
+                        request.mark_completed(time);
+                        station.hold(time, events.start_service(), request).unwrap();
+                    }
+                    15 if draw(20) == 0 => {
+                        station.reset();
+                        events.reset();
+                    }
+                    _ => {}
+                }
+                let smallest = station
+                    .slots
+                    .iter()
+                    .enumerate()
+                    .map(|(slot, h)| (event_key((h.time, h.seq)), slot))
+                    .min_by_key(|&(key, _)| key)
+                    .unwrap_or((NO_EVENT, 0));
+                assert_eq!(station.next_completion(), smallest);
+            }
+        }
     }
 
     #[test]

@@ -214,15 +214,14 @@ impl TieredStorageSystem {
     /// record.
     pub fn schedule_record(&mut self, record: &TraceRecord) {
         let id = self.fresh_id();
-        let request = record.to_request(id);
-        self.events.schedule_arrival(request);
+        self.events.schedule_record(id, record);
     }
 
     /// Runs the event loop until every event at or before `limit` has been
     /// processed, then advances the clock to `limit`.
     pub fn run_until(&mut self, limit: SimTime) {
         loop {
-            let stations = self.levels.iter().chain(std::iter::once(&self.disk));
+            let stations = [&self.levels[..], std::slice::from_ref(&self.disk)];
             let Some(next) = self.events.next_event(stations, limit) else { break };
             self.events_processed += 1;
             match next {
@@ -580,6 +579,7 @@ impl TieredStorageSystem {
         self.disk.check_in_service(disk_in_service)?;
         self.clock = SimTime::from_micros(r.get_u64()?);
         self.next_id = self.app.snap_state_from(r)?;
+        self.events.check_arrival_ids(self.next_id, |id| self.app.is_live(id))?;
         self.events_processed = r.get_u64()?;
         self.spilled_requests = r.get_u64()?;
         self.spilled_reads = r.get_u64()?;
@@ -942,6 +942,22 @@ mod tests {
             .resume_from_checkpoint(&mut StaticPolicyController::write_back(), &cp)
             .unwrap_err();
         assert_eq!(err, SnapError::Corrupt("live request id at or past the next id"));
+    }
+
+    #[test]
+    fn a_restored_arrival_id_at_or_past_the_next_id_is_corrupt() {
+        // Accepted, the arrival would share its id with the next record
+        // scheduled and register that id twice once both fire.
+        let mut sys = two_tier_system();
+        sys.schedule_record(&record(0, 0, RequestKind::Read));
+        sys.next_id = 1;
+        let mut restored = two_tier_system();
+        let result = restored.snap_state_from(&mut SnapReader::new(&snap_bytes(&sys)));
+        if result.is_ok() {
+            restored.schedule_record(&record(10, 8, RequestKind::Read));
+            restored.run_until(SimTime::from_millis(10));
+        }
+        assert_eq!(result, Err(SnapError::Corrupt("pending arrival id at or past the next id")));
     }
 
     #[test]

@@ -153,12 +153,18 @@ impl AppTracker {
             return Err(SnapError::Corrupt("live request id at or past the next id"));
         }
         for (id, arrival, pending_ops) in staged {
-            if self.index.get(id as usize).is_some_and(|&s| s != NIL) {
+            if self.is_live(id) {
                 return Err(SnapError::Corrupt("duplicate live request id"));
             }
             self.register(id, arrival, pending_ops);
         }
         Ok(next_id)
+    }
+
+    /// Whether application request `id` is registered and still has
+    /// datapath operations pending.
+    pub fn is_live(&self, id: RequestId) -> bool {
+        self.index.get(id as usize).is_some_and(|&slot| slot != NIL)
     }
 
     /// Registers an application request that fans out into `pending_ops`

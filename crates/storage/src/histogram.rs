@@ -18,26 +18,37 @@ const BUCKET_GROWTH: f64 = 1.25;
 /// Number of buckets; covers 1 µs … > 1 hour at ×1.25 growth.
 const BUCKETS: usize = 128;
 
+/// Number of cells in [`BucketTable::first`]: one per value below 16, then
+/// eight per bit length from 5 to 64.
+const CELLS: usize = 8 * 60 + 16;
+
 /// Inclusive upper bounds (µs) of each bucket: `BOUNDS[i] = ceil(1.25^(i+1))`.
 ///
-/// Computed once so the per-sample path is a branch-free integer
-/// `partition_point` instead of a floating-point `ln` — `record` sits on the
-/// completion hot path of the simulator.
+/// Computed once so the per-sample path is integer arithmetic instead of a
+/// floating-point `ln` — `record` sits on the completion hot path of the
+/// simulator.
 fn bucket_bounds() -> &'static [u64; BUCKETS] {
     &bucket_table().bounds
 }
 
-/// The bounds plus a bit-length jump table accelerating bucket lookup.
+/// The bounds plus a cell table that finds a sample's bucket in O(1).
 ///
-/// `start[b]` is the index of the first bucket whose bound can hold the
-/// smallest `b`-bit value, i.e. `partition_point(bounds, bound < 2^(b-1))`.
-/// A sample of bit length `b` therefore lands at or after `start[b]`, and
-/// since ×1.25 buckets cover one octave in at most four steps, the exact
-/// bucket is at most a handful of entries further — a short predictable
-/// scan instead of a full binary search per recorded sample.
+/// A sample's cell is its value if it is below 16, and otherwise its bit
+/// length and the three bits after its leading one: the cell of `us` with
+/// `s = bit_length(us) - 4` holds `[us >> s << s, (us >> s) + 1 << s)`.
+/// `first[cell]` is the bucket of the cell's smallest value. A cell spans at
+/// most ×9/8, narrower than one ×1.25 bucket, so at most one bound falls
+/// inside it (pinned by `every_cell_holds_at_most_one_bound`) and one
+/// comparison against that bucket's bound finishes the lookup.
 struct BucketTable {
     bounds: [u64; BUCKETS],
-    start: [u8; 65],
+    first: [u8; CELLS],
+}
+
+/// The [`BucketTable::first`] index of `us`'s cell.
+fn cell_of(us: u64) -> usize {
+    let shift = (u64::BITS - us.leading_zeros()).saturating_sub(4);
+    8 * shift as usize + (us >> shift) as usize
 }
 
 fn bucket_table() -> &'static BucketTable {
@@ -47,13 +58,15 @@ fn bucket_table() -> &'static BucketTable {
         for (i, slot) in bounds.iter_mut().enumerate() {
             *slot = BUCKET_GROWTH.powi(i as i32 + 1).ceil() as u64;
         }
-        let mut start = [0u8; 65];
-        for (b, slot) in start.iter_mut().enumerate().skip(1) {
-            let smallest = 1u64 << (b - 1);
-            let idx = bounds.partition_point(|&bound| bound < smallest);
-            *slot = idx.min(BUCKETS - 1) as u8;
+        let mut first = [0u8; CELLS];
+        for shift in 0..=60 {
+            for top in if shift == 0 { 0..16 } else { 8..16 } {
+                let smallest = top << shift;
+                let idx = bounds.partition_point(|&bound| bound < smallest);
+                first[cell_of(smallest)] = idx.min(BUCKETS - 1) as u8;
+            }
         }
-        BucketTable { bounds, start }
+        BucketTable { bounds, first }
     })
 }
 
@@ -93,17 +106,13 @@ impl LatencyHistogram {
     }
 
     fn bucket_index(latency_us: u64) -> usize {
-        // Jump to the first candidate bucket for this bit length, then scan
-        // the few ×1.25 buckets inside the octave. Exactly equivalent to
+        // The cell's first bucket, moved past the one bound the cell can
+        // hold if the sample lies above it. Exactly equivalent to
         // `bounds.partition_point(|&bound| bound < latency_us)` clamped to
         // the last bucket (pinned by `bucket_index_matches_partition_point`).
         let table = bucket_table();
-        let bits = (u64::BITS - latency_us.leading_zeros()) as usize;
-        let mut idx = table.start[bits] as usize;
-        while idx < BUCKETS && table.bounds[idx] < latency_us {
-            idx += 1;
-        }
-        idx.min(BUCKETS - 1)
+        let first = table.first[cell_of(latency_us)] as usize;
+        (first + usize::from(table.bounds[first] < latency_us)).min(BUCKETS - 1)
     }
 
     /// Upper bound (µs) of the bucket with the given index.
@@ -251,12 +260,53 @@ impl Default for LatencyHistogram {
 mod tests {
     use super::*;
 
+    use proptest::prelude::*;
+
+    fn reference(us: u64) -> usize {
+        bucket_bounds().partition_point(|&bound| bound < us).min(BUCKETS - 1)
+    }
+
+    #[test]
+    fn every_cell_holds_at_most_one_bound() {
+        // The lookup's one comparison is exact only if no cell's interior
+        // holds two bounds: a cell `[lo, hi)` must contain at most one bound
+        // below `hi - 1`.
+        for shift in 0..=60u32 {
+            for top in if shift == 0 { 0..16u128 } else { 8..16 } {
+                let (lo, hi) = (top << shift, (top + 1) << shift);
+                let inside =
+                    bucket_bounds().iter().filter(|&&b| lo <= b.into() && u128::from(b) < hi - 1);
+                assert!(inside.count() <= 1, "cell {lo}..{hi} holds two bounds");
+            }
+        }
+    }
+
+    #[test]
+    fn bucket_index_matches_partition_point_below_2_pow_22() {
+        for us in 0..1u64 << 22 {
+            assert_eq!(LatencyHistogram::bucket_index(us), reference(us), "divergence at {us}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn bucket_index_matches_partition_point_on_random_samples(
+            us in any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            // Shifting spreads the samples over every bit length.
+            let us = us >> shift;
+            prop_assert_eq!(LatencyHistogram::bucket_index(us), reference(us));
+        }
+    }
+
     #[test]
     fn bucket_index_matches_partition_point() {
-        // The jump-table lookup must agree with the binary search it
+        // The cell-table lookup must agree with the binary search it
         // replaced on every boundary-adjacent value and across all octaves.
         let bounds = bucket_bounds();
-        let reference = |us: u64| bounds.partition_point(|&bound| bound < us).min(BUCKETS - 1);
         let mut probes = vec![0u64, 1, u64::MAX];
         for &bound in bounds.iter() {
             probes.extend([bound.saturating_sub(1), bound, bound + 1]);

@@ -375,9 +375,19 @@ impl ArrivalProcess {
     /// Samples the next inter-arrival gap in microseconds (at least 1).
     pub fn next_gap_us(&mut self) -> u64 {
         let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        let gap = -u.ln() / self.rate_per_us;
-        gap.max(1.0).round() as u64
+        round_gap(-u.ln() / self.rate_per_us)
     }
+}
+
+/// `gap.max(1.0).round() as u64` without a call to `round`, which baseline
+/// x86-64 lacks an instruction for. For `gap >= 1` the fraction
+/// `gap - whole` is exact (Sterbenz), so comparing it with one half rounds
+/// half away from zero exactly as `round` does; at or past 2^64 the cast
+/// and the add both saturate, as `round() as u64` does.
+fn round_gap(gap: f64) -> u64 {
+    let gap = gap.max(1.0);
+    let whole = gap as u64;
+    whole.saturating_add(u64::from(gap - whole as f64 >= 0.5))
 }
 
 /// Generates an open-loop request stream of `pattern` accesses arriving at
@@ -618,5 +628,60 @@ mod tests {
             generate_stream(&mut p, &mut a, 0, 50_000)
         };
         assert_eq!(make(), make());
+    }
+
+    /// What `next_gap_us` computed before it stopped calling `round`.
+    fn rounded_reference(gap: f64) -> u64 {
+        gap.max(1.0).round() as u64
+    }
+
+    #[test]
+    fn round_gap_handles_halves_huge_gaps_and_saturation() {
+        for gap in [
+            0.0,
+            0.5,
+            1.0,
+            1.4999999999999998,
+            1.5,
+            2.5,
+            4_503_599_627_370_495.5,
+            9_007_199_254_740_993.0,
+            // The largest f64 below 2^64, and 2^64 itself.
+            2f64.powi(64) - 2048.0,
+            2f64.powi(64),
+            1e300,
+            f64::INFINITY,
+        ] {
+            assert_eq!(round_gap(gap), rounded_reference(gap), "gap {gap}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn next_gap_us_matches_round(
+            seed in proptest::prelude::any::<u64>(),
+            iops in 1e-3f64..1e7,
+            k in 0u64..1 << 52,
+            big in 53u32..70,
+            tiny in 1e-300f64..1e-280,
+        ) {
+            let mut arrivals = ArrivalProcess::new(iops, seed);
+            let mut draws = arrivals.clone();
+            for _ in 0..8 {
+                let u: f64 = draws.rng.gen_range(f64::EPSILON..1.0);
+                let gap = -u.ln() / draws.rate_per_us;
+                proptest::prop_assert_eq!(arrivals.next_gap_us(), rounded_reference(gap));
+            }
+            // Exact halves, gaps past 2^53 where every f64 is an integer,
+            // and rates so low that the gap saturates the cast.
+            let half = k as f64 + 0.5;
+            let past = (k as f64 + 1.0) * 2f64.powi(big as i32);
+            let saturating = -(0.5f64.ln()) / (tiny / 1e6);
+            for gap in [half, past, saturating] {
+                proptest::prop_assert_eq!(round_gap(gap), rounded_reference(gap));
+            }
+        }
     }
 }
