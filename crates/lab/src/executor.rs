@@ -10,7 +10,7 @@ use crate::aggregate::{Aggregator, SweepSummary};
 use crate::matrix::{CellRange, ScenarioMatrix};
 use crate::scenario::Scenario;
 use crate::telemetry::{
-    events_rate, utilization, CellTelemetry, ProgressHook, SweepTelemetry, TelemetryEvent,
+    events_rate, utilization, CellTelemetry, NullTelemetry, SweepTelemetry, TelemetryEvent,
     TelemetryHook,
 };
 
@@ -49,38 +49,19 @@ impl SweepExecutor {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     }
 
-    /// Runs every cell, invoking `handle(index, scenario, report)` from
-    /// worker threads as each cell completes (in nondeterministic order —
-    /// the handler must be order-insensitive or index the results).
-    pub fn for_each<F>(&self, matrix: &ScenarioMatrix, handle: F)
-    where
-        F: Fn(usize, &Scenario, SimulationReport) + Sync,
-    {
-        self.for_each_in(matrix, matrix.full_range(), handle);
-    }
-
-    /// Runs the cells of one contiguous [`CellRange`] — the shard-local
-    /// slice of a distributed sweep. `handle` receives the cell's *global*
-    /// matrix index, so a shard's results carry the same coordinates they
-    /// would in a single-process run.
+    /// The scheduling primitive behind every execution entry point: runs
+    /// the cells of one contiguous [`CellRange`] (the whole matrix, or the
+    /// shard-local slice of a distributed sweep), invoking
+    /// `handle(worker, index, scenario, report, wall_us)` from worker
+    /// threads as each cell completes, in nondeterministic order. `index`
+    /// is the cell's *global* matrix index, so a shard's results carry the
+    /// same coordinates they would in a single-process run. The worker
+    /// index and wall-clock time exist only for telemetry — nothing
+    /// derived from them may flow into reports.
     ///
     /// # Panics
     ///
     /// Panics if the range reaches past the end of the matrix.
-    pub fn for_each_in<F>(&self, matrix: &ScenarioMatrix, range: CellRange, handle: F)
-    where
-        F: Fn(usize, &Scenario, SimulationReport) + Sync,
-    {
-        self.run_cells(matrix, range, |_, index, scenario, report, _| {
-            handle(index, scenario, report);
-        });
-    }
-
-    /// The scheduling primitive behind every execution entry point: runs
-    /// `range`, invoking `handle(worker, index, scenario, report,
-    /// wall_us)` as each cell completes. The worker index and wall-clock
-    /// time exist only for telemetry — nothing derived from them may flow
-    /// into reports.
     pub(crate) fn run_cells<F>(&self, matrix: &ScenarioMatrix, range: CellRange, handle: F)
     where
         F: Fn(usize, usize, &Scenario, SimulationReport, u64) + Sync,
@@ -124,8 +105,7 @@ impl SweepExecutor {
     /// [`TelemetryEvent::SweepStart`], one [`TelemetryEvent::Cell`] per
     /// completed cell (in completion order) and a
     /// [`TelemetryEvent::SweepEnd`] carrying the [`SweepTelemetry`].
-    /// `on_cell` receives each cell's deterministic results exactly as
-    /// [`SweepExecutor::for_each_in`] would deliver them.
+    /// `on_cell` receives each cell's global index, scenario and report.
     pub(crate) fn run_with_telemetry(
         &self,
         matrix: &ScenarioMatrix,
@@ -181,7 +161,7 @@ impl SweepExecutor {
     /// Runs every cell and returns the reports in cell-enumeration order.
     pub fn run(&self, matrix: &ScenarioMatrix) -> Vec<SimulationReport> {
         let slots: Mutex<Vec<Option<SimulationReport>>> = Mutex::new(vec![None; matrix.len()]);
-        self.for_each(matrix, |index, _, report| {
+        self.run_cells(matrix, matrix.full_range(), |_, index, _, report, _| {
             slots.lock().expect("slot lock")[index] = Some(report);
         });
         slots
@@ -211,20 +191,9 @@ impl SweepExecutor {
         aggregator.into_inner().expect("aggregator lock").summary()
     }
 
-    /// [`SweepExecutor::aggregate_with_telemetry`] with a plain
-    /// `(completed, total)` progress closure instead of a hook.
-    pub fn aggregate_with_progress(
-        &self,
-        matrix: &ScenarioMatrix,
-        progress: impl Fn(usize, usize) + Sync,
-    ) -> SweepSummary {
-        self.aggregate_with_telemetry(matrix, "", &ProgressHook(progress))
-    }
-
-    /// [`SweepExecutor::aggregate_with_progress`] without a progress
-    /// callback.
+    /// [`SweepExecutor::aggregate_with_telemetry`] without telemetry.
     pub fn aggregate(&self, matrix: &ScenarioMatrix) -> SweepSummary {
-        self.aggregate_with_progress(matrix, |_, _| {})
+        self.aggregate_with_telemetry(matrix, "", &NullTelemetry)
     }
 }
 
@@ -262,14 +231,26 @@ mod tests {
 
     #[test]
     fn progress_reaches_the_total_exactly_once_per_cell() {
+        /// Counts cell events and the highest `completed` they carry.
+        struct Counting<'a> {
+            total: usize,
+            calls: &'a AtomicUsize,
+            max_seen: &'a AtomicUsize,
+        }
+        impl TelemetryHook for Counting<'_> {
+            fn record(&self, event: TelemetryEvent<'_>) {
+                if let TelemetryEvent::Cell { cell, .. } = event {
+                    self.calls.fetch_add(1, Ordering::Relaxed);
+                    self.max_seen.fetch_max(cell.completed, Ordering::Relaxed);
+                    assert_eq!(cell.total, self.total);
+                }
+            }
+        }
         let matrix = ScenarioMatrix::smoke();
         let calls = AtomicUsize::new(0);
         let max_seen = AtomicUsize::new(0);
-        SweepExecutor::new(2).aggregate_with_progress(&matrix, |done, total| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            max_seen.fetch_max(done, Ordering::Relaxed);
-            assert_eq!(total, matrix.len());
-        });
+        let hook = Counting { total: matrix.len(), calls: &calls, max_seen: &max_seen };
+        SweepExecutor::new(2).aggregate_with_telemetry(&matrix, "smoke", &hook);
         assert_eq!(calls.into_inner(), matrix.len());
         assert_eq!(max_seen.into_inner(), matrix.len());
     }
@@ -293,7 +274,7 @@ mod tests {
         let matrix = ScenarioMatrix::smoke();
         let range = matrix.shard(1, 2);
         let seen = Mutex::new(Vec::new());
-        SweepExecutor::new(2).for_each_in(&matrix, range, |index, scenario, _| {
+        SweepExecutor::new(2).run_cells(&matrix, range, |_, index, scenario, _, _| {
             seen.lock().expect("seen lock").push((index, scenario.id()));
         });
         let mut seen = seen.into_inner().expect("seen lock");
@@ -309,7 +290,7 @@ mod tests {
         let matrix = ScenarioMatrix::smoke();
         let range = matrix.shard(9, 10);
         assert!(range.is_empty());
-        SweepExecutor::new(2).for_each_in(&matrix, range, |_, _, _| {
+        SweepExecutor::new(2).run_cells(&matrix, range, |_, _, _, _, _| {
             panic!("no cells should run");
         });
     }
@@ -319,6 +300,6 @@ mod tests {
     fn out_of_bounds_ranges_are_rejected() {
         let matrix = ScenarioMatrix::smoke();
         let range = CellRange { start: 0, end: matrix.len() + 1 };
-        SweepExecutor::serial().for_each_in(&matrix, range, |_, _, _| {});
+        SweepExecutor::serial().run_cells(&matrix, range, |_, _, _, _, _| {});
     }
 }

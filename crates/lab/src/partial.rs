@@ -29,7 +29,7 @@ use crate::aggregate::{Aggregator, CellSummary, SweepSummary};
 use crate::executor::SweepExecutor;
 use crate::matrix::{CellRange, ScenarioMatrix};
 use crate::sink::json_string;
-use crate::telemetry::{NullTelemetry, ProgressHook, TelemetryHook};
+use crate::telemetry::{NullTelemetry, TelemetryHook};
 
 /// Schema identifier stamped into (and required of) every partial-sweep
 /// document. Bump the `/v2` suffix on any incompatible layout change;
@@ -79,26 +79,6 @@ impl PartialSweep {
             shard_index,
             shard_count,
             &NullTelemetry,
-        )
-    }
-
-    /// [`PartialSweep::collect`] with a `(completed, shard_total)`
-    /// progress callback invoked after every cell.
-    pub fn collect_with_progress(
-        executor: &SweepExecutor,
-        matrix: &ScenarioMatrix,
-        matrix_name: &str,
-        shard_index: usize,
-        shard_count: usize,
-        progress: impl Fn(usize, usize) + Sync,
-    ) -> Self {
-        Self::collect_with_telemetry(
-            executor,
-            matrix,
-            matrix_name,
-            shard_index,
-            shard_count,
-            &ProgressHook(progress),
         )
     }
 

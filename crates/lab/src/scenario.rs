@@ -105,9 +105,7 @@ impl Scenario {
 
     /// Runs the cell to completion and returns its report.
     pub fn run(&self) -> SimulationReport {
-        let mut controller = self.controller.build();
-        Simulation::new(self.config, self.workload.clone(), self.stream_seed)
-            .run(controller.as_mut())
+        self.run_in(&mut lbica_sim::SimArena::new())
     }
 
     /// Like [`Scenario::run`], but drawing the simulated system from
@@ -147,12 +145,7 @@ impl Scenario {
         &self,
         observer: lbica_obs::SimObserver,
     ) -> (SimulationReport, lbica_obs::SimObserver) {
-        let mut controller = self.controller.build();
-        let mut sim = Simulation::new(self.config, self.workload.clone(), self.stream_seed)
-            .with_observer(observer);
-        let report = sim.run(controller.as_mut());
-        let observer = sim.take_observer().expect("observer survives the run");
-        (report, observer)
+        self.run_observed_in(observer, &mut lbica_sim::SimArena::new())
     }
 
     /// The arena-backed twin of [`Scenario::run_observed`]: identical

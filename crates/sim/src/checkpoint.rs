@@ -118,13 +118,7 @@ impl ReplayCheckpoint {
         }
         let state = r.get_bytes()?;
         r.finish()?;
-        if next_interval > total_intervals {
-            return Err(SnapError::Corrupt("checkpoint interval beyond workload end"));
-        }
-        if intervals.len() != next_interval as usize {
-            return Err(SnapError::Corrupt("checkpoint interval row count"));
-        }
-        Ok(ReplayCheckpoint {
+        let cp = ReplayCheckpoint {
             workload,
             controller,
             seed,
@@ -135,7 +129,30 @@ impl ReplayCheckpoint {
             intervals,
             policy_changes,
             state,
-        })
+        };
+        cp.check()?;
+        Ok(cp)
+    }
+
+    /// Checks the structure every resumable checkpoint has, whether decoded
+    /// or built in memory (the fields are public): `next_interval` within
+    /// the workload, one interval row per completed interval, and a policy
+    /// timeline that starts at interval 0, strictly increases and has no
+    /// entry past `next_interval`.
+    pub(crate) fn check(&self) -> Result<(), SnapError> {
+        if self.next_interval > self.total_intervals {
+            return Err(SnapError::Corrupt("checkpoint interval beyond workload end"));
+        }
+        if self.intervals.len() != self.next_interval as usize {
+            return Err(SnapError::Corrupt("checkpoint interval row count"));
+        }
+        let starts = self.policy_changes.first().is_some_and(|c| c.interval == 0);
+        let increases = self.policy_changes.windows(2).all(|w| w[0].interval < w[1].interval);
+        let bounded = self.policy_changes.last().is_some_and(|c| c.interval <= self.next_interval);
+        if !(starts && increases && bounded) {
+            return Err(SnapError::Corrupt("checkpoint policy timeline"));
+        }
+        Ok(())
     }
 }
 
@@ -215,5 +232,21 @@ mod tests {
             ReplayCheckpoint::from_bytes(&cp.to_bytes()),
             Err(SnapError::Corrupt("checkpoint interval row count"))
         );
+    }
+
+    #[test]
+    fn policy_timelines_must_start_at_zero_increase_and_stop_at_next_interval() {
+        let corrupt = Err(SnapError::Corrupt("checkpoint policy timeline"));
+        let change = |interval| PolicyChange { interval, policy: "WB".into() };
+        for changes in [
+            vec![],
+            vec![change(1)],
+            vec![change(0), change(2), change(2)],
+            vec![change(0), change(2), change(1)],
+            vec![change(0), change(3)],
+        ] {
+            let cp = ReplayCheckpoint { policy_changes: changes.clone(), ..sample() };
+            assert_eq!(ReplayCheckpoint::from_bytes(&cp.to_bytes()), corrupt, "{changes:?}");
+        }
     }
 }

@@ -1,15 +1,28 @@
 //! The per-workload simulation driver.
+//!
+//! One interval loop drives both datapaths: the paper's flat
+//! [`StorageSystem`] and the N-level [`TieredStorageSystem`]. A private
+//! `Datapath` trait, implemented by both systems, holds only what differs
+//! between them, and the loop is generic over it. A run executes the
+//! loop over `0..N`; a checkpoint runs `0..k` and its resume `k..N`.
 
+use std::ops::Range;
+
+use lbica_cache::{CacheStats, WritePolicy};
 use lbica_obs::{QueueTier, SimObserver};
+use lbica_trace::record::TraceRecord;
 use lbica_trace::workload::WorkloadSpec;
 
 use crate::arena::SimArena;
 use crate::checkpoint::ReplayCheckpoint;
 use crate::config::SimulationConfig;
-use crate::controller::{CacheController, ControllerContext, TierLoad};
-use crate::report::{PolicyChange, SimulationReport};
+use crate::controller::{
+    BypassDirective, CacheController, ControllerContext, ControllerDecision, TierLoad,
+};
+use crate::report::{PolicyChange, SimPerf, SimulationReport, TierLevelStats};
 use crate::system::StorageSystem;
 use crate::tiered::TieredStorageSystem;
+use crate::tracker::AppTracker;
 
 use lbica_storage::snap::{SnapError, SnapReader, SnapWriter};
 use lbica_storage::time::SimTime;
@@ -21,14 +34,16 @@ use lbica_trace::monitor::IntervalReport;
 /// [`SimulationReport::unfinished_requests`]) rather than chased forever.
 const DRAIN_STEPS: u32 = 600;
 
-/// Drives one [`WorkloadSpec`] through a [`StorageSystem`] under a
-/// [`CacheController`], interval by interval, producing a
+/// Drives one [`WorkloadSpec`] through a [`StorageSystem`] (or, for a
+/// configuration with two or more cache levels, a [`TieredStorageSystem`])
+/// under a [`CacheController`], interval by interval, producing a
 /// [`SimulationReport`].
 ///
 /// The loop mirrors the paper's deployment: the workload runs continuously;
 /// once per monitoring interval the `iostat`/`blktrace` measurements are
 /// gathered, handed to the controller, and the controller's policy /
-/// bypass decision is applied before the next interval starts.
+/// bypass decision is applied before the next interval starts. Full runs,
+/// checkpoints and resumes all execute that one loop, over either system.
 #[derive(Debug)]
 pub struct Simulation {
     config: SimulationConfig,
@@ -37,6 +52,14 @@ pub struct Simulation {
     /// Cap of the end-of-run drain in 100 ms steps (0: no drain).
     drain_steps: u32,
     observer: Option<SimObserver>,
+}
+
+/// The report rows a run has accumulated so far: what a checkpoint carries
+/// across the split besides the system and controller state.
+struct Progress {
+    intervals: Vec<IntervalReport>,
+    policy_changes: Vec<PolicyChange>,
+    bypassed_total: u64,
 }
 
 impl Simulation {
@@ -83,10 +106,8 @@ impl Simulation {
     /// Runs the full workload under `controller` and returns the report.
     ///
     /// Configurations describing two or more cache levels run on the
-    /// tiered datapath ([`TieredStorageSystem`]);
-    /// everything else takes
-    /// the paper's flat single-SSD path, which is untouched by the tier
-    /// subsystem (single-tier results are bit-identical to the seed).
+    /// tiered datapath ([`TieredStorageSystem`]); everything else takes the
+    /// paper's flat single-SSD path ([`StorageSystem`]).
     pub fn run(&mut self, controller: &mut dyn CacheController) -> SimulationReport {
         let mut arena = SimArena::new();
         self.run_in(controller, &mut arena)
@@ -104,326 +125,22 @@ impl Simulation {
         arena: &mut SimArena,
     ) -> SimulationReport {
         if self.config.is_tiered() {
-            self.run_tiered(controller, arena)
+            self.run_on::<TieredStorageSystem>(controller, arena)
         } else {
-            self.run_flat(controller, arena)
+            self.run_on::<StorageSystem>(controller, arena)
         }
     }
 
-    /// The flat-datapath interval loop (see [`Simulation::run_in`]).
-    fn run_flat(
+    fn run_on<D: Datapath>(
         &mut self,
         controller: &mut dyn CacheController,
         arena: &mut SimArena,
     ) -> SimulationReport {
-        let mut system = arena.take_flat(&self.config);
-        system.set_policy(controller.initial_policy());
-
-        let total_intervals = self.spec.total_intervals();
-        let interval_us = self.spec.interval_us();
-        let mut intervals = Vec::with_capacity(total_intervals as usize);
-        let mut policy_changes = vec![PolicyChange {
-            interval: 0,
-            policy: controller.initial_policy().label().to_string(),
-        }];
-        let mut bypassed_total = 0u64;
-        let mut records = arena.take_records();
-
-        for index in 0..total_intervals {
-            // 1. Feed the interval's arrivals and run the event loop to the
-            //    interval boundary.
-            for record in self.spec.interval_records(index, self.seed, &mut records) {
-                system.schedule_record(record);
-            }
-            let boundary = SimTime::from_micros((index as u64 + 1) * interval_us);
-            system.run_until(boundary);
-
-            // 2. Gather the iostat/blktrace measurements for the interval.
-            let mut report = system.end_interval(index);
-
-            // 3. Consult the controller and apply its decision.
-            let decision = {
-                let ctx = ControllerContext {
-                    interval_index: index,
-                    now: system.now(),
-                    cache_queue_depth: report.cache.queue_depth,
-                    disk_queue_depth: report.disk.queue_depth,
-                    cache_avg_latency: system.cache_avg_latency(),
-                    disk_avg_latency: system.disk_avg_latency(),
-                    cache_queue_mix: report.cache_queue_mix,
-                    current_policy: system.policy(),
-                    cache_queue: system.cache_queue(),
-                    tier_loads: &[],
-                    tier_policies: &[],
-                };
-                controller.on_interval(&ctx)
-            };
-
-            report.burst_detected = decision.burst_detected;
-            let policy_switched = decision.policy != system.policy();
-            if policy_switched {
-                system.set_policy(decision.policy);
-                policy_changes.push(PolicyChange {
-                    interval: index + 1,
-                    policy: decision.policy.label().to_string(),
-                });
-            }
-            let moved = system.apply_bypass(&decision.bypass) as u64;
-            bypassed_total += moved;
-
-            // Out-of-band observability: reads interval measurements, never
-            // feeds anything back into the system or the report.
-            if let Some(obs) = self.observer.as_mut() {
-                let start_us = index as u64 * interval_us;
-                let end_us = start_us + interval_us;
-                obs.interval_rollover(
-                    index,
-                    start_us,
-                    interval_us,
-                    report.cache.completed,
-                    report.disk.completed,
-                );
-                obs.queue_high_water(
-                    end_us,
-                    index,
-                    QueueTier::Cache,
-                    report.cache.peak_queue_depth as u64,
-                );
-                obs.queue_high_water(
-                    end_us,
-                    index,
-                    QueueTier::Disk,
-                    report.disk.peak_queue_depth as u64,
-                );
-                if decision.burst_detected {
-                    obs.burst(end_us, index);
-                }
-                if policy_switched {
-                    obs.policy_change(end_us, index + 1, decision.policy.label());
-                }
-                obs.bypass(end_us, index, moved);
-            }
-
-            intervals.push(report);
-        }
-
-        // Let in-flight and queued requests finish so aggregate latencies
-        // cover the whole workload (up to the drain cap).
-        system.drain(self.drain_steps);
-
-        if let Some(obs) = self.observer.as_mut() {
-            controller.export_obs(obs, interval_us);
-            obs.run_totals(
-                system.events_processed(),
-                system.app_completed(),
-                system.peak_event_queue_depth() as u64,
-            );
-            obs.observe_app_latency(system.app_latency_histogram());
-        }
-
-        let report = SimulationReport {
-            workload: self.spec.name().to_string(),
-            controller: controller.name().to_string(),
-            total_intervals,
-            intervals,
-            policy_changes,
-            app_completed: system.app_completed(),
-            unfinished_requests: system.app_outstanding(),
-            app_avg_latency_us: system.app_avg_latency_us(),
-            app_max_latency_us: system.app_max_latency_us(),
-            app_p50_latency_us: system.app_percentile_us(50.0),
-            app_p95_latency_us: system.app_percentile_us(95.0),
-            app_p99_latency_us: system.app_percentile_us(99.0),
-            bypassed_requests: bypassed_total,
-            cache_stats: *system.cache().stats(),
-            perf: crate::report::SimPerf {
-                events_processed: system.events_processed(),
-                peak_event_queue_depth: system.peak_event_queue_depth(),
-            },
-            tier_stats: Vec::new(),
-        };
-        arena.store_flat(self.config, system);
-        arena.store_records(records);
-        report
-    }
-
-    /// The tiered-datapath twin of [`Simulation::run`]: same interval loop,
-    /// same controller protocol, but the system is an N-level hierarchy and
-    /// the controller additionally sees the per-level tier-load vector (so
-    /// tier-aware balancers can answer with spill directives).
-    ///
-    /// The loop is deliberately duplicated rather than abstracted over the
-    /// two system types: the flat path is pinned bit-identical to the seed
-    /// by the figure characterization tests, and keeping it monomorphic and
-    /// untouched is the cheapest way to guarantee that. Changes to the
-    /// interval protocol must be applied to both loops.
-    fn run_tiered(
-        &mut self,
-        controller: &mut dyn CacheController,
-        arena: &mut SimArena,
-    ) -> SimulationReport {
-        let mut system = arena.take_tiered(&self.config);
-        // On an explicitly per-tier topology `set_policy` drives the hot
-        // tier only (lower levels are config-pinned; see
-        // `TieredCacheModule::set_policy`), so a configured warm-tier
-        // policy survives run start, every burst switch and every revert.
-        system.set_policy(controller.initial_policy());
-
-        let total_intervals = self.spec.total_intervals();
-        let interval_us = self.spec.interval_us();
-        let mut intervals = Vec::with_capacity(total_intervals as usize);
-        let mut policy_changes =
-            vec![PolicyChange { interval: 0, policy: tier_policy_label(system.level_policies()) }];
-        let mut bypassed_total = 0u64;
-        let mut tier_loads: Vec<TierLoad> = Vec::with_capacity(system.tier_count());
-        // Cumulative (promotions, demotions) at the last observed interval,
-        // so the observer can trace per-interval movement deltas.
-        let mut observed_moves = (0u64, 0u64);
-        let mut records = arena.take_records();
-
-        for index in 0..total_intervals {
-            for record in self.spec.interval_records(index, self.seed, &mut records) {
-                system.schedule_record(record);
-            }
-            let boundary = SimTime::from_micros((index as u64 + 1) * interval_us);
-            system.run_until(boundary);
-
-            let mut report = system.end_interval(index);
-            system.tier_loads_into(&mut tier_loads);
-
-            let decision = {
-                let ctx = ControllerContext {
-                    interval_index: index,
-                    now: system.now(),
-                    cache_queue_depth: report.cache.queue_depth,
-                    disk_queue_depth: report.disk.queue_depth,
-                    cache_avg_latency: system.cache_avg_latency(),
-                    disk_avg_latency: system.disk_avg_latency(),
-                    cache_queue_mix: report.cache_queue_mix,
-                    current_policy: system.policy(),
-                    cache_queue: system.cache_queue(),
-                    tier_loads: &tier_loads,
-                    tier_policies: system.level_policies(),
-                };
-                controller.on_interval(&ctx)
-            };
-
-            report.burst_detected = decision.burst_detected;
-            let mut policy_switched = false;
-            if decision.tier_policies.is_empty() {
-                // The paper's single policy knob (which drives the hot tier
-                // only on an explicitly per-tier stack); the recorded label
-                // is the resulting hot-to-cold assignment.
-                if decision.policy != system.policy() {
-                    system.set_policy(decision.policy);
-                    policy_changes.push(PolicyChange {
-                        interval: index + 1,
-                        policy: tier_policy_label(system.level_policies()),
-                    });
-                    policy_switched = true;
-                }
-            } else if system.level_policies() != decision.tier_policies.as_slice() {
-                // Tier-aware assignment: one policy per level, recorded as
-                // a composite hot-to-cold label (e.g. "WO/WB").
-                system.set_level_policies(&decision.tier_policies);
-                policy_changes.push(PolicyChange {
-                    interval: index + 1,
-                    policy: tier_policy_label(&decision.tier_policies),
-                });
-                policy_switched = true;
-            }
-            // `bypassed_requests` keeps its flat-path meaning — requests
-            // reclassified *to the disk*. Spills (write and read alike)
-            // stay in the hierarchy and are accounted separately
-            // (tier_stats / spilled_requests() / spilled_reads()).
-            let spilled_writes_before = system.spilled_requests();
-            let spilled_reads_before = system.spilled_reads();
-            let moved = system.apply_bypass(&decision.bypass) as u64;
-            let spill_writes = system.spilled_requests() - spilled_writes_before;
-            let spill_reads = system.spilled_reads() - spilled_reads_before;
-            bypassed_total += moved - (spill_writes + spill_reads);
-
-            // Out-of-band observability, mirroring the flat loop plus the
-            // tier-movement events only this datapath can produce.
-            if let Some(obs) = self.observer.as_mut() {
-                let start_us = index as u64 * interval_us;
-                let end_us = start_us + interval_us;
-                obs.interval_rollover(
-                    index,
-                    start_us,
-                    interval_us,
-                    report.cache.completed,
-                    report.disk.completed,
-                );
-                obs.queue_high_water(
-                    end_us,
-                    index,
-                    QueueTier::Cache,
-                    report.cache.peak_queue_depth as u64,
-                );
-                obs.queue_high_water(
-                    end_us,
-                    index,
-                    QueueTier::Disk,
-                    report.disk.peak_queue_depth as u64,
-                );
-                if decision.burst_detected {
-                    obs.burst(end_us, index);
-                }
-                if policy_switched {
-                    let label = &policy_changes.last().expect("just pushed").policy;
-                    obs.policy_change(end_us, index + 1, label);
-                }
-                obs.bypass(end_us, index, moved - (spill_writes + spill_reads));
-                obs.spill_writes(end_us, index, spill_writes);
-                obs.spill_reads(end_us, index, spill_reads);
-                let (promotions, demotions) = system.movement_totals();
-                obs.promotions(end_us, index, promotions - observed_moves.0);
-                obs.demotions(end_us, index, demotions - observed_moves.1);
-                observed_moves = (promotions, demotions);
-            }
-
-            intervals.push(report);
-        }
-
-        system.drain(self.drain_steps);
-
-        if let Some(obs) = self.observer.as_mut() {
-            controller.export_obs(obs, interval_us);
-            obs.run_totals(
-                system.events_processed(),
-                system.app_completed(),
-                system.peak_event_queue_depth() as u64,
-            );
-            obs.observe_app_latency(system.app_latency_histogram());
-        }
-
-        // The headline cache stats stay hot-tier shaped (hit/miss/bypass of
-        // the level every application request is judged against); the full
-        // per-level breakdown rides in `tier_stats`.
-        let report = SimulationReport {
-            workload: self.spec.name().to_string(),
-            controller: controller.name().to_string(),
-            total_intervals,
-            intervals,
-            policy_changes,
-            app_completed: system.app_completed(),
-            unfinished_requests: system.app_outstanding(),
-            app_avg_latency_us: system.app_avg_latency_us(),
-            app_max_latency_us: system.app_max_latency_us(),
-            app_p50_latency_us: system.app_percentile_us(50.0),
-            app_p95_latency_us: system.app_percentile_us(95.0),
-            app_p99_latency_us: system.app_percentile_us(99.0),
-            bypassed_requests: bypassed_total,
-            cache_stats: *system.cache().stats(0),
-            perf: crate::report::SimPerf {
-                events_processed: system.events_processed(),
-                peak_event_queue_depth: system.peak_event_queue_depth(),
-            },
-            tier_stats: system.tier_level_stats(),
-        };
-        arena.store_tiered(self.config, system);
-        arena.store_records(records);
+        let mut system = D::take(arena, &self.config);
+        let mut progress = self.start(&mut system, controller);
+        self.span(&mut system, controller, arena, 0..self.spec.total_intervals(), &mut progress);
+        let report = self.finish(&mut system, controller, progress);
+        system.store(arena, self.config);
         report
     }
 
@@ -450,49 +167,11 @@ impl Simulation {
             return Err(SnapError::Mismatch("checkpoint split beyond workload end"));
         }
         let tiered = self.config.is_tiered();
-        let mut arena = SimArena::new();
-        let mut intervals = Vec::with_capacity(split_at as usize);
-        let mut bypassed_total = 0u64;
-        let mut w = SnapWriter::new();
-        let policy_changes;
-        if tiered {
-            let mut system = arena.take_tiered(&self.config);
-            system.set_policy(controller.initial_policy());
-            let mut changes = vec![PolicyChange {
-                interval: 0,
-                policy: tier_policy_label(system.level_policies()),
-            }];
-            self.tiered_span(
-                &mut system,
-                controller,
-                0,
-                split_at,
-                &mut intervals,
-                &mut changes,
-                &mut bypassed_total,
-            );
-            policy_changes = changes;
-            system.snap_to(&mut w);
+        let (progress, state) = if tiered {
+            self.checkpoint_on::<TieredStorageSystem>(controller, split_at)
         } else {
-            let mut system = arena.take_flat(&self.config);
-            system.set_policy(controller.initial_policy());
-            let mut changes = vec![PolicyChange {
-                interval: 0,
-                policy: controller.initial_policy().label().to_string(),
-            }];
-            self.flat_span(
-                &mut system,
-                controller,
-                0,
-                split_at,
-                &mut intervals,
-                &mut changes,
-                &mut bypassed_total,
-            );
-            policy_changes = changes;
-            system.snap_to(&mut w);
-        }
-        controller.save_state(&mut w);
+            self.checkpoint_on::<StorageSystem>(controller, split_at)
+        };
         Ok(ReplayCheckpoint {
             workload: self.spec.name().to_string(),
             controller: controller.name().to_string(),
@@ -500,11 +179,28 @@ impl Simulation {
             tiered,
             next_interval: split_at,
             total_intervals,
-            bypassed_total,
-            intervals,
-            policy_changes,
-            state: w.into_bytes(),
+            bypassed_total: progress.bypassed_total,
+            intervals: progress.intervals,
+            policy_changes: progress.policy_changes,
+            state,
         })
+    }
+
+    /// Runs `[0, split_at)` on datapath `D`; returns the accumulated rows
+    /// and the system-then-controller state bytes.
+    fn checkpoint_on<D: Datapath>(
+        &mut self,
+        controller: &mut dyn CacheController,
+        split_at: u32,
+    ) -> (Progress, Vec<u8>) {
+        let mut arena = SimArena::new();
+        let mut system = D::take(&mut arena, &self.config);
+        let mut progress = self.start(&mut system, controller);
+        self.span(&mut system, controller, &mut arena, 0..split_at, &mut progress);
+        let mut w = SnapWriter::new();
+        system.snap_to(&mut w);
+        controller.save_state(&mut w);
+        (progress, w.into_bytes())
     }
 
     /// Continues a run paused by [`Simulation::run_to_checkpoint`], restoring
@@ -515,7 +211,8 @@ impl Simulation {
     /// The checkpoint's identity fields are validated against this
     /// simulation and `controller`; any mismatch (different workload, seed,
     /// controller, datapath, or interval count) is a typed error, never a
-    /// silently wrong replay.
+    /// silently wrong replay. So is a checkpoint whose accumulated rows
+    /// disagree with its `next_interval`.
     pub fn resume_from_checkpoint(
         &mut self,
         controller: &mut dyn CacheController,
@@ -539,221 +236,404 @@ impl Simulation {
         if cp.total_intervals != self.spec.total_intervals() {
             return Err(SnapError::Mismatch("checkpoint interval count mismatch"));
         }
-        if cp.next_interval > cp.total_intervals {
-            return Err(SnapError::Corrupt("checkpoint interval beyond workload end"));
-        }
-        let mut arena = SimArena::new();
-        let mut intervals = cp.intervals.clone();
-        let mut policy_changes = cp.policy_changes.clone();
-        let mut bypassed_total = cp.bypassed_total;
-        let mut r = SnapReader::new(&cp.state);
+        cp.check()?;
         if cp.tiered {
-            let mut system = arena.take_tiered(&self.config);
-            // The restored cache carries the checkpointed write policy;
-            // `set_policy(initial)` is deliberately *not* replayed.
-            system.snap_state_from(&mut r)?;
-            controller.restore_state(&mut r)?;
-            r.finish()?;
-            self.tiered_span(
-                &mut system,
-                controller,
-                cp.next_interval,
-                cp.total_intervals,
-                &mut intervals,
-                &mut policy_changes,
-                &mut bypassed_total,
-            );
-            system.drain(self.drain_steps);
-            Ok(SimulationReport {
-                workload: self.spec.name().to_string(),
-                controller: controller.name().to_string(),
-                total_intervals: cp.total_intervals,
-                intervals,
-                policy_changes,
-                app_completed: system.app_completed(),
-                unfinished_requests: system.app_outstanding(),
-                app_avg_latency_us: system.app_avg_latency_us(),
-                app_max_latency_us: system.app_max_latency_us(),
-                app_p50_latency_us: system.app_percentile_us(50.0),
-                app_p95_latency_us: system.app_percentile_us(95.0),
-                app_p99_latency_us: system.app_percentile_us(99.0),
-                bypassed_requests: bypassed_total,
-                cache_stats: *system.cache().stats(0),
-                perf: crate::report::SimPerf {
-                    events_processed: system.events_processed(),
-                    peak_event_queue_depth: system.peak_event_queue_depth(),
-                },
-                tier_stats: system.tier_level_stats(),
-            })
+            self.resume_on::<TieredStorageSystem>(controller, cp)
         } else {
-            let mut system = arena.take_flat(&self.config);
-            system.snap_state_from(&mut r)?;
-            controller.restore_state(&mut r)?;
-            r.finish()?;
-            self.flat_span(
-                &mut system,
-                controller,
-                cp.next_interval,
-                cp.total_intervals,
-                &mut intervals,
-                &mut policy_changes,
-                &mut bypassed_total,
-            );
-            system.drain(self.drain_steps);
-            Ok(SimulationReport {
-                workload: self.spec.name().to_string(),
-                controller: controller.name().to_string(),
-                total_intervals: cp.total_intervals,
-                intervals,
-                policy_changes,
-                app_completed: system.app_completed(),
-                unfinished_requests: system.app_outstanding(),
-                app_avg_latency_us: system.app_avg_latency_us(),
-                app_max_latency_us: system.app_max_latency_us(),
-                app_p50_latency_us: system.app_percentile_us(50.0),
-                app_p95_latency_us: system.app_percentile_us(95.0),
-                app_p99_latency_us: system.app_percentile_us(99.0),
-                bypassed_requests: bypassed_total,
-                cache_stats: *system.cache().stats(),
-                perf: crate::report::SimPerf {
-                    events_processed: system.events_processed(),
-                    peak_event_queue_depth: system.peak_event_queue_depth(),
-                },
-                tier_stats: Vec::new(),
-            })
+            self.resume_on::<StorageSystem>(controller, cp)
         }
     }
 
-    /// Intervals `[start, end)` of the flat loop, shared by the two
-    /// checkpoint paths. The body mirrors [`Simulation::run_flat`] step for
-    /// step (minus observability, which checkpointed runs do not
-    /// support) — the pinned `run_flat` datapath itself stays untouched.
-    #[allow(clippy::too_many_arguments)]
-    fn flat_span(
+    fn resume_on<D: Datapath>(
         &mut self,
-        system: &mut StorageSystem,
         controller: &mut dyn CacheController,
-        start: u32,
-        end: u32,
-        intervals: &mut Vec<IntervalReport>,
-        policy_changes: &mut Vec<PolicyChange>,
-        bypassed_total: &mut u64,
+        cp: &ReplayCheckpoint,
+    ) -> Result<SimulationReport, SnapError> {
+        let mut arena = SimArena::new();
+        let mut system = D::take(&mut arena, &self.config);
+        // The restored cache carries the checkpointed write policy; the
+        // run-start `set_policy(initial)` is deliberately *not* replayed.
+        let mut r = SnapReader::new(&cp.state);
+        system.snap_state_from(&mut r)?;
+        controller.restore_state(&mut r)?;
+        r.finish()?;
+        let mut progress = Progress {
+            intervals: cp.intervals.clone(),
+            policy_changes: cp.policy_changes.clone(),
+            bypassed_total: cp.bypassed_total,
+        };
+        let range = cp.next_interval..cp.total_intervals;
+        self.span(&mut system, controller, &mut arena, range, &mut progress);
+        Ok(self.finish(&mut system, controller, progress))
+    }
+
+    /// Applies the controller's initial policy and opens the report rows
+    /// with the run-start policy label.
+    fn start<D: Datapath>(&self, system: &mut D, controller: &dyn CacheController) -> Progress {
+        let label = system.start(controller.initial_policy());
+        Progress {
+            intervals: Vec::with_capacity(self.spec.total_intervals() as usize),
+            policy_changes: vec![PolicyChange { interval: 0, policy: label }],
+            bypassed_total: 0,
+        }
+    }
+
+    /// The interval loop: runs the intervals in `range`, appending their
+    /// rows to `progress`.
+    fn span<D: Datapath>(
+        &mut self,
+        system: &mut D,
+        controller: &mut dyn CacheController,
+        arena: &mut SimArena,
+        range: Range<u32>,
+        progress: &mut Progress,
     ) {
         let interval_us = self.spec.interval_us();
-        let mut records = Vec::new();
-        for index in start..end {
+        let mut records = arena.take_records();
+        let mut tier_loads = Vec::new();
+        // Cumulative (promotions, demotions) at the last observed interval,
+        // so the observer can trace per-interval movement deltas.
+        let mut observed_moves = (0u64, 0u64);
+
+        for index in range {
+            // 1. Feed the interval's arrivals and run the event loop to the
+            //    interval boundary.
             for record in self.spec.interval_records(index, self.seed, &mut records) {
                 system.schedule_record(record);
             }
             let boundary = SimTime::from_micros((index as u64 + 1) * interval_us);
             system.run_until(boundary);
 
-            let mut report = system.end_interval(index);
-            let decision = {
-                let ctx = ControllerContext {
-                    interval_index: index,
-                    now: system.now(),
-                    cache_queue_depth: report.cache.queue_depth,
-                    disk_queue_depth: report.disk.queue_depth,
-                    cache_avg_latency: system.cache_avg_latency(),
-                    disk_avg_latency: system.disk_avg_latency(),
-                    cache_queue_mix: report.cache_queue_mix,
-                    current_policy: system.policy(),
-                    cache_queue: system.cache_queue(),
-                    tier_loads: &[],
-                    tier_policies: &[],
-                };
-                controller.on_interval(&ctx)
-            };
+            // 2. Gather the iostat/blktrace measurements for the interval.
+            let mut report = system.end_interval(index, &mut tier_loads);
 
+            // 3. Consult the controller and apply its decision.
+            let decision = controller.on_interval(&system.context(index, &report, &tier_loads));
             report.burst_detected = decision.burst_detected;
-            if decision.policy != system.policy() {
-                system.set_policy(decision.policy);
-                policy_changes.push(PolicyChange {
-                    interval: index + 1,
-                    policy: decision.policy.label().to_string(),
-                });
-            }
-            *bypassed_total += system.apply_bypass(&decision.bypass) as u64;
-            intervals.push(report);
-        }
-    }
+            let switched_to = system.apply_policy(&decision);
+            // `bypassed_requests` counts requests reclassified *to the
+            // disk*. Spills (write and read alike) stay in the hierarchy and
+            // are accounted separately (tier_stats / spilled_requests()).
+            let [to_disk, spill_writes, spill_reads] = system.apply_bypass(&decision.bypass);
+            progress.bypassed_total += to_disk;
 
-    /// Intervals `[start, end)` of the tiered loop, shared by the two
-    /// checkpoint paths (the twin of [`Simulation::flat_span`]; mirrors
-    /// [`Simulation::run_tiered`]).
-    #[allow(clippy::too_many_arguments)]
-    fn tiered_span(
-        &mut self,
-        system: &mut TieredStorageSystem,
-        controller: &mut dyn CacheController,
-        start: u32,
-        end: u32,
-        intervals: &mut Vec<IntervalReport>,
-        policy_changes: &mut Vec<PolicyChange>,
-        bypassed_total: &mut u64,
-    ) {
-        let interval_us = self.spec.interval_us();
-        let mut tier_loads: Vec<TierLoad> = Vec::with_capacity(system.tier_count());
-        let mut records = Vec::new();
-        for index in start..end {
-            for record in self.spec.interval_records(index, self.seed, &mut records) {
-                system.schedule_record(record);
-            }
-            let boundary = SimTime::from_micros((index as u64 + 1) * interval_us);
-            system.run_until(boundary);
-
-            let mut report = system.end_interval(index);
-            system.tier_loads_into(&mut tier_loads);
-
-            let decision = {
-                let ctx = ControllerContext {
-                    interval_index: index,
-                    now: system.now(),
-                    cache_queue_depth: report.cache.queue_depth,
-                    disk_queue_depth: report.disk.queue_depth,
-                    cache_avg_latency: system.cache_avg_latency(),
-                    disk_avg_latency: system.disk_avg_latency(),
-                    cache_queue_mix: report.cache_queue_mix,
-                    current_policy: system.policy(),
-                    cache_queue: system.cache_queue(),
-                    tier_loads: &tier_loads,
-                    tier_policies: system.level_policies(),
-                };
-                controller.on_interval(&ctx)
-            };
-
-            report.burst_detected = decision.burst_detected;
-            if decision.tier_policies.is_empty() {
-                if decision.policy != system.policy() {
-                    system.set_policy(decision.policy);
-                    policy_changes.push(PolicyChange {
-                        interval: index + 1,
-                        policy: tier_policy_label(system.level_policies()),
-                    });
+            // Out-of-band observability: reads interval measurements, never
+            // feeds anything back into the system or the report. The tier
+            // events are no-ops at zero, so a flat run emits none.
+            if let Some(obs) = self.observer.as_mut() {
+                let start_us = index as u64 * interval_us;
+                let end_us = start_us + interval_us;
+                obs.interval_rollover(
+                    index,
+                    start_us,
+                    interval_us,
+                    report.cache.completed,
+                    report.disk.completed,
+                );
+                obs.queue_high_water(
+                    end_us,
+                    index,
+                    QueueTier::Cache,
+                    report.cache.peak_queue_depth as u64,
+                );
+                obs.queue_high_water(
+                    end_us,
+                    index,
+                    QueueTier::Disk,
+                    report.disk.peak_queue_depth as u64,
+                );
+                if decision.burst_detected {
+                    obs.burst(end_us, index);
                 }
-            } else if system.level_policies() != decision.tier_policies.as_slice() {
-                system.set_level_policies(&decision.tier_policies);
-                policy_changes.push(PolicyChange {
-                    interval: index + 1,
-                    policy: tier_policy_label(&decision.tier_policies),
-                });
+                if let Some(label) = &switched_to {
+                    obs.policy_change(end_us, index + 1, label);
+                }
+                obs.bypass(end_us, index, to_disk);
+                obs.spill_writes(end_us, index, spill_writes);
+                obs.spill_reads(end_us, index, spill_reads);
+                let (promotions, demotions) = system.movement_totals();
+                obs.promotions(end_us, index, promotions - observed_moves.0);
+                obs.demotions(end_us, index, demotions - observed_moves.1);
+                observed_moves = (promotions, demotions);
             }
-            let spilled_writes_before = system.spilled_requests();
-            let spilled_reads_before = system.spilled_reads();
-            let moved = system.apply_bypass(&decision.bypass) as u64;
-            let spill_writes = system.spilled_requests() - spilled_writes_before;
-            let spill_reads = system.spilled_reads() - spilled_reads_before;
-            *bypassed_total += moved - (spill_writes + spill_reads);
-            intervals.push(report);
+
+            if let Some(policy) = switched_to {
+                progress.policy_changes.push(PolicyChange { interval: index + 1, policy });
+            }
+            progress.intervals.push(report);
         }
+        arena.store_records(records);
+    }
+
+    /// Drains the tail and builds the report.
+    fn finish<D: Datapath>(
+        &mut self,
+        system: &mut D,
+        controller: &mut dyn CacheController,
+        progress: Progress,
+    ) -> SimulationReport {
+        // Let in-flight and queued requests finish so aggregate latencies
+        // cover the whole workload (up to the drain cap).
+        system.drain(self.drain_steps);
+
+        let app = system.app();
+        let perf = system.perf();
+        if let Some(obs) = self.observer.as_mut() {
+            controller.export_obs(obs, self.spec.interval_us());
+            obs.run_totals(
+                perf.events_processed,
+                app.completed(),
+                perf.peak_event_queue_depth as u64,
+            );
+            obs.observe_app_latency(app.latency_histogram());
+        }
+
+        SimulationReport {
+            workload: self.spec.name().to_string(),
+            controller: controller.name().to_string(),
+            total_intervals: self.spec.total_intervals(),
+            intervals: progress.intervals,
+            policy_changes: progress.policy_changes,
+            app_completed: app.completed(),
+            unfinished_requests: app.outstanding() as u64,
+            app_avg_latency_us: app.avg_latency_us(),
+            app_max_latency_us: app.max_latency_us(),
+            app_p50_latency_us: app.percentile_us(50.0),
+            app_p95_latency_us: app.percentile_us(95.0),
+            app_p99_latency_us: app.percentile_us(99.0),
+            bypassed_requests: progress.bypassed_total,
+            cache_stats: system.hot_stats(),
+            perf,
+            tier_stats: system.tier_stats(),
+        }
+    }
+}
+
+/// What the interval loop needs from a storage system, implemented by the
+/// flat [`StorageSystem`] and the [`TieredStorageSystem`]: only what differs
+/// between them. `schedule_record` and `run_until` forward to the inherent
+/// methods, so monomorphisation leaves each event loop as it is.
+trait Datapath: Sized {
+    fn take(arena: &mut SimArena, config: &SimulationConfig) -> Self;
+    fn store(self, arena: &mut SimArena, config: SimulationConfig);
+    /// Applies the controller's initial policy; returns the run-start label.
+    fn start(&mut self, policy: WritePolicy) -> String;
+    fn schedule_record(&mut self, record: &TraceRecord);
+    fn run_until(&mut self, limit: SimTime);
+    /// Closes interval `index`, refreshing `tier_loads` (left empty when
+    /// flat).
+    fn end_interval(&mut self, index: u32, tier_loads: &mut Vec<TierLoad>) -> IntervalReport;
+    /// What the controller sees at the end of interval `index`.
+    fn context<'a>(
+        &'a self,
+        index: u32,
+        report: &IntervalReport,
+        tier_loads: &'a [TierLoad],
+    ) -> ControllerContext<'a>;
+    /// Applies the decision's policy; returns the recorded label when the
+    /// policy switches.
+    fn apply_policy(&mut self, decision: &ControllerDecision) -> Option<String>;
+    /// Applies the bypass; returns `[to_disk, spilled_writes, spilled_reads]`.
+    fn apply_bypass(&mut self, directive: &BypassDirective) -> [u64; 3];
+    /// Cumulative (promotions, demotions) over all cache levels.
+    fn movement_totals(&self) -> (u64, u64);
+    fn drain(&mut self, max_steps: u32);
+    fn snap_to(&self, w: &mut SnapWriter);
+    fn snap_state_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+    fn app(&self) -> &AppTracker;
+    fn perf(&self) -> SimPerf;
+    /// The headline cache stats: the whole cache, or the hot tier (the
+    /// level every application request is judged against).
+    fn hot_stats(&self) -> CacheStats;
+    /// The per-level breakdown (empty when flat).
+    fn tier_stats(&self) -> Vec<TierLevelStats>;
+}
+
+impl Datapath for StorageSystem {
+    fn take(arena: &mut SimArena, config: &SimulationConfig) -> Self {
+        arena.take_flat(config)
+    }
+    fn store(self, arena: &mut SimArena, config: SimulationConfig) {
+        arena.store_flat(config, self);
+    }
+    fn start(&mut self, policy: WritePolicy) -> String {
+        self.set_policy(policy);
+        policy.label().to_string()
+    }
+    fn schedule_record(&mut self, record: &TraceRecord) {
+        StorageSystem::schedule_record(self, record);
+    }
+    fn run_until(&mut self, limit: SimTime) {
+        StorageSystem::run_until(self, limit);
+    }
+    fn end_interval(&mut self, index: u32, _tier_loads: &mut Vec<TierLoad>) -> IntervalReport {
+        StorageSystem::end_interval(self, index)
+    }
+    fn context<'a>(
+        &'a self,
+        index: u32,
+        report: &IntervalReport,
+        tier_loads: &'a [TierLoad],
+    ) -> ControllerContext<'a> {
+        ControllerContext {
+            interval_index: index,
+            now: self.now(),
+            cache_queue_depth: report.cache.queue_depth,
+            disk_queue_depth: report.disk.queue_depth,
+            cache_avg_latency: self.cache_avg_latency(),
+            disk_avg_latency: self.disk_avg_latency(),
+            cache_queue_mix: report.cache_queue_mix,
+            current_policy: self.policy(),
+            cache_queue: self.cache_queue(),
+            tier_loads,
+            tier_policies: &[],
+        }
+    }
+    fn apply_policy(&mut self, decision: &ControllerDecision) -> Option<String> {
+        if decision.policy == self.policy() {
+            return None;
+        }
+        self.set_policy(decision.policy);
+        Some(decision.policy.label().to_string())
+    }
+    fn apply_bypass(&mut self, directive: &BypassDirective) -> [u64; 3] {
+        [StorageSystem::apply_bypass(self, directive) as u64, 0, 0]
+    }
+    fn movement_totals(&self) -> (u64, u64) {
+        (0, 0)
+    }
+    fn drain(&mut self, max_steps: u32) {
+        StorageSystem::drain(self, max_steps);
+    }
+    fn snap_to(&self, w: &mut SnapWriter) {
+        StorageSystem::snap_to(self, w);
+    }
+    fn snap_state_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        StorageSystem::snap_state_from(self, r)
+    }
+    fn app(&self) -> &AppTracker {
+        self.app_tracker()
+    }
+    fn perf(&self) -> SimPerf {
+        SimPerf {
+            events_processed: self.events_processed(),
+            peak_event_queue_depth: self.peak_event_queue_depth(),
+        }
+    }
+    fn hot_stats(&self) -> CacheStats {
+        *self.cache().stats()
+    }
+    fn tier_stats(&self) -> Vec<TierLevelStats> {
+        Vec::new()
+    }
+}
+
+impl Datapath for TieredStorageSystem {
+    fn take(arena: &mut SimArena, config: &SimulationConfig) -> Self {
+        arena.take_tiered(config)
+    }
+    fn store(self, arena: &mut SimArena, config: SimulationConfig) {
+        arena.store_tiered(config, self);
+    }
+    /// On an explicitly per-tier topology `set_policy` drives the hot tier
+    /// only (lower levels are config-pinned; see
+    /// `TieredCacheModule::set_policy`), so a configured warm-tier policy
+    /// survives run start, every burst switch and every revert.
+    fn start(&mut self, policy: WritePolicy) -> String {
+        self.set_policy(policy);
+        tier_policy_label(self.level_policies())
+    }
+    fn schedule_record(&mut self, record: &TraceRecord) {
+        TieredStorageSystem::schedule_record(self, record);
+    }
+    fn run_until(&mut self, limit: SimTime) {
+        TieredStorageSystem::run_until(self, limit);
+    }
+    fn end_interval(&mut self, index: u32, tier_loads: &mut Vec<TierLoad>) -> IntervalReport {
+        let report = TieredStorageSystem::end_interval(self, index);
+        self.tier_loads_into(tier_loads);
+        report
+    }
+    fn context<'a>(
+        &'a self,
+        index: u32,
+        report: &IntervalReport,
+        tier_loads: &'a [TierLoad],
+    ) -> ControllerContext<'a> {
+        ControllerContext {
+            interval_index: index,
+            now: self.now(),
+            cache_queue_depth: report.cache.queue_depth,
+            disk_queue_depth: report.disk.queue_depth,
+            cache_avg_latency: self.cache_avg_latency(),
+            disk_avg_latency: self.disk_avg_latency(),
+            cache_queue_mix: report.cache_queue_mix,
+            current_policy: self.policy(),
+            cache_queue: self.cache_queue(),
+            tier_loads,
+            tier_policies: self.level_policies(),
+        }
+    }
+    fn apply_policy(&mut self, decision: &ControllerDecision) -> Option<String> {
+        if decision.tier_policies.is_empty() {
+            // The paper's single policy knob (which drives the hot tier only
+            // on an explicitly per-tier stack); the recorded label is the
+            // resulting hot-to-cold assignment.
+            if decision.policy == self.policy() {
+                return None;
+            }
+            self.set_policy(decision.policy);
+            Some(tier_policy_label(self.level_policies()))
+        } else if self.level_policies() != decision.tier_policies.as_slice() {
+            // Tier-aware assignment: one policy per level, recorded as a
+            // composite hot-to-cold label (e.g. "WO/WB").
+            self.set_level_policies(&decision.tier_policies);
+            Some(tier_policy_label(&decision.tier_policies))
+        } else {
+            None
+        }
+    }
+    fn apply_bypass(&mut self, directive: &BypassDirective) -> [u64; 3] {
+        let writes_before = self.spilled_requests();
+        let reads_before = self.spilled_reads();
+        let moved = TieredStorageSystem::apply_bypass(self, directive) as u64;
+        let spill_writes = self.spilled_requests() - writes_before;
+        let spill_reads = self.spilled_reads() - reads_before;
+        [moved - (spill_writes + spill_reads), spill_writes, spill_reads]
+    }
+    fn movement_totals(&self) -> (u64, u64) {
+        TieredStorageSystem::movement_totals(self)
+    }
+    fn drain(&mut self, max_steps: u32) {
+        TieredStorageSystem::drain(self, max_steps);
+    }
+    fn snap_to(&self, w: &mut SnapWriter) {
+        TieredStorageSystem::snap_to(self, w);
+    }
+    fn snap_state_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        TieredStorageSystem::snap_state_from(self, r)
+    }
+    fn app(&self) -> &AppTracker {
+        self.app_tracker()
+    }
+    fn perf(&self) -> SimPerf {
+        SimPerf {
+            events_processed: self.events_processed(),
+            peak_event_queue_depth: self.peak_event_queue_depth(),
+        }
+    }
+    fn hot_stats(&self) -> CacheStats {
+        *self.cache().stats(0)
+    }
+    fn tier_stats(&self) -> Vec<TierLevelStats> {
+        self.tier_level_stats()
     }
 }
 
 /// The Fig. 6-style label of a per-tier policy assignment: the plain policy
 /// label when every level agrees, a hot-to-cold `"WO/WB"` composite when
 /// they differ.
-fn tier_policy_label(policies: &[lbica_cache::WritePolicy]) -> String {
+fn tier_policy_label(policies: &[WritePolicy]) -> String {
     if policies.windows(2).all(|w| w[0] == w[1]) {
         policies[0].label().to_string()
     } else {
@@ -1065,6 +945,40 @@ mod tests {
             err,
             lbica_storage::snap::SnapError::Mismatch("checkpoint runs execute unobserved")
         );
+    }
+
+    /// Resumes tiny `tpcc`'s in-memory checkpoint at interval 4 on
+    /// `config` after `damage` has been applied to it.
+    fn resume_damaged(
+        config: SimulationConfig,
+        damage: impl Fn(&mut ReplayCheckpoint),
+    ) -> Result<SimulationReport, SnapError> {
+        let spec = WorkloadSpec::tpcc_scaled(WorkloadScale::tiny());
+        let mut cp = Simulation::new(config, spec.clone(), 7)
+            .run_to_checkpoint(&mut StaticPolicyController::write_back(), 4)
+            .unwrap();
+        damage(&mut cp);
+        Simulation::new(config, spec, 7)
+            .resume_from_checkpoint(&mut StaticPolicyController::write_back(), &cp)
+    }
+
+    fn resume_rejects_rows_that_disagree_with_next_interval(config: SimulationConfig) {
+        let popped = resume_damaged(config, |cp| {
+            cp.intervals.pop();
+        });
+        assert_eq!(popped, Err(SnapError::Corrupt("checkpoint interval row count")));
+        let no_timeline = resume_damaged(config, |cp| cp.policy_changes.clear());
+        assert_eq!(no_timeline, Err(SnapError::Corrupt("checkpoint policy timeline")));
+    }
+
+    #[test]
+    fn flat_resume_rejects_rows_that_disagree_with_next_interval() {
+        resume_rejects_rows_that_disagree_with_next_interval(SimulationConfig::tiny());
+    }
+
+    #[test]
+    fn tiered_resume_rejects_rows_that_disagree_with_next_interval() {
+        resume_rejects_rows_that_disagree_with_next_interval(SimulationConfig::tiny_two_tier());
     }
 
     /// Requests `spec` generates over its whole run.

@@ -376,7 +376,7 @@ impl StorageSystem {
 
     /// Mean end-to-end latency of completed application requests, µs.
     pub fn app_avg_latency_us(&self) -> u64 {
-        self.app.total_latency_us().checked_div(self.app.completed()).unwrap_or(0)
+        self.app.avg_latency_us()
     }
 
     /// Maximum end-to-end latency of completed application requests, µs.
@@ -392,6 +392,11 @@ impl StorageSystem {
     /// The end-to-end application latency distribution.
     pub fn app_latency_histogram(&self) -> &lbica_storage::histogram::LatencyHistogram {
         self.app.latency_histogram()
+    }
+
+    /// The application-request tracker behind the `app_*` accessors.
+    pub(crate) fn app_tracker(&self) -> &AppTracker {
+        &self.app
     }
 
     /// Total number of discrete events processed by the event loop.

@@ -67,6 +67,12 @@ impl AppTracker {
         self.total_latency_us
     }
 
+    /// Mean end-to-end latency of completed requests, µs (0 before the
+    /// first completion).
+    pub(crate) fn avg_latency_us(&self) -> u64 {
+        self.total_latency_us.checked_div(self.completed).unwrap_or(0)
+    }
+
     /// Largest end-to-end latency of a completed request, µs.
     pub const fn max_latency_us(&self) -> u64 {
         self.max_latency_us
