@@ -1,5 +1,5 @@
-//! Structural validation of observability artifacts — the CI gate for
-//! telemetry streams, metrics snapshots and Chrome traces.
+//! Validation of observability artifacts — the CI gate for telemetry
+//! streams, metrics snapshots and Chrome traces.
 //!
 //! ```text
 //! obs_validate telemetry  FILE.jsonl   # sweep --telemetry stream
@@ -9,9 +9,9 @@
 //!
 //! Exits 0 and prints a one-line summary when the artifact is
 //! well-formed; exits 1 with the reason otherwise. The checks are the
-//! `lbica_obs::validate` structural validators (balanced brackets outside
-//! strings, required schema markers and keys) — the workspace carries no
-//! JSON parser by design.
+//! `lbica_obs::validate` validators: each document is read by the strict
+//! `lbica_obs::json` reader, then checked for its schema marker and
+//! required keys.
 
 use std::env;
 use std::fs;

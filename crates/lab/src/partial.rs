@@ -15,8 +15,9 @@
 //!
 //! The JSON document is hand-rolled in the same style as
 //! [`JsonSink`](crate::JsonSink) (the build environment has no
-//! `serde_json`); its schema is versioned by [`PARTIAL_SCHEMA`] and
-//! documented in `docs/ARCHITECTURE.md`.
+//! `serde_json`) and read back with [`lbica_obs::json`], the workspace's
+//! one strict JSON reader; its schema is versioned by [`PARTIAL_SCHEMA`]
+//! and documented in `docs/ARCHITECTURE.md`.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -25,10 +26,11 @@ use std::io;
 use std::path::Path;
 use std::sync::Mutex;
 
+use lbica_obs::{escape, json};
+
 use crate::aggregate::{Aggregator, CellSummary, SweepSummary};
 use crate::executor::SweepExecutor;
 use crate::matrix::{CellRange, ScenarioMatrix};
-use crate::sink::json_string;
 use crate::telemetry::{NullTelemetry, TelemetryHook};
 
 /// Schema identifier stamped into (and required of) every partial-sweep
@@ -121,8 +123,8 @@ impl PartialSweep {
     /// Renders the partial as a JSON document (one cell per line).
     pub fn render(&self) -> String {
         let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": {},", json_string(PARTIAL_SCHEMA));
-        let _ = writeln!(out, "  \"matrix\": {},", json_string(&self.matrix));
+        let _ = writeln!(out, "  \"schema\": \"{}\",", escape::json(PARTIAL_SCHEMA));
+        let _ = writeln!(out, "  \"matrix\": \"{}\",", escape::json(&self.matrix));
         let _ = writeln!(out, "  \"fingerprint\": \"{:016x}\",", self.fingerprint);
         let _ = writeln!(out, "  \"shard_index\": {},", self.shard_index);
         let _ = writeln!(out, "  \"shard_count\": {},", self.shard_count);
@@ -134,17 +136,17 @@ impl PartialSweep {
             out.push_str(if i > 0 { ",\n    " } else { "\n    " });
             let _ = write!(
                 out,
-                "{{\"index\": {}, \"id\": {}, \"workload\": {}, \"config\": {}, \
-                 \"controller\": {}, \"seed\": {}, \"app_completed\": {}, \
+                "{{\"index\": {}, \"id\": \"{}\", \"workload\": \"{}\", \"config\": \"{}\", \
+                 \"controller\": \"{}\", \"seed\": {}, \"app_completed\": {}, \
                  \"avg_latency_us\": {}, \"p50_latency_us\": {}, \"p95_latency_us\": {}, \
                  \"p99_latency_us\": {}, \"max_latency_us\": {}, \"intervals\": {}, \
                  \"cache_load_sum_us\": {}, \"disk_load_sum_us\": {}, \
                  \"policy_changes\": {}, \"bypassed_requests\": {}, \"burst_intervals\": {}}}",
                 cell.index,
-                json_string(&cell.id),
-                json_string(&cell.workload),
-                json_string(&cell.config),
-                json_string(&cell.controller),
+                escape::json(&cell.id),
+                escape::json(&cell.workload),
+                escape::json(&cell.config),
+                escape::json(&cell.controller),
                 cell.seed,
                 cell.app_completed,
                 cell.avg_latency_us,
@@ -174,15 +176,16 @@ impl PartialSweep {
     }
 
     /// Parses a partial-sweep JSON document, validating the schema
-    /// version and the document's internal consistency (shard arithmetic,
-    /// cell count, cell indices).
+    /// version and the document's internal consistency (matrix name, shard
+    /// arithmetic, cell count, cell indices).
     ///
     /// # Errors
     ///
     /// [`PartialError::Parse`] for malformed JSON or missing/mistyped
     /// fields, [`PartialError::Schema`] for an unknown schema version and
-    /// [`PartialError::Invalid`] for a well-formed document whose header
-    /// and cells disagree.
+    /// [`PartialError::Invalid`] for a well-formed document whose matrix
+    /// name is not a plain file-name stem (ASCII letters, digits, `-`,
+    /// `_`) or whose header and cells disagree.
     pub fn parse(text: &str) -> Result<Self, PartialError> {
         let doc = json::parse(text)?;
         let schema = doc.str_field("schema")?;
@@ -249,6 +252,15 @@ impl PartialSweep {
     }
 
     fn validate(&self) -> Result<(), PartialError> {
+        // The name keys the merged output files (`sweep_<matrix>.csv`), so
+        // it must not carry a path.
+        let is_name_char = |c: char| c.is_ascii_alphanumeric() || c == '-' || c == '_';
+        if self.matrix.is_empty() || !self.matrix.chars().all(is_name_char) {
+            return Err(PartialError::Invalid(format!(
+                "matrix name `{}` is not a non-empty run of ASCII letters, digits, `-` and `_`",
+                self.matrix
+            )));
+        }
         if self.shard_count == 0 {
             return Err(PartialError::Invalid("shard_count is zero".to_string()));
         }
@@ -306,7 +318,6 @@ impl PartialSweep {
     /// A [`MergeError`] naming the first incompatibility found.
     pub fn merge(partials: &[PartialSweep]) -> Result<MergedSweep, MergeError> {
         let first = partials.first().ok_or(MergeError::Empty)?;
-        let mut seen = vec![false; first.shard_count];
         for p in partials {
             if p.matrix != first.matrix {
                 return Err(MergeError::MatrixMismatch {
@@ -332,12 +343,22 @@ impl PartialSweep {
                     found: p.cells_total,
                 });
             }
-            if std::mem::replace(&mut seen[p.shard_index], true) {
-                return Err(MergeError::DuplicateShard(p.shard_index));
+        }
+        // Sorted, a complete set of shard indices is exactly
+        // `0..shard_count`. The walk is bounded by the partials given, never
+        // by the header's shard count, which a hostile file may inflate.
+        let mut indices: Vec<usize> = partials.iter().map(|p| p.shard_index).collect();
+        indices.sort_unstable();
+        for (expected, &index) in indices.iter().enumerate() {
+            if index < expected || expected == first.shard_count {
+                return Err(MergeError::DuplicateShard(index));
+            }
+            if index > expected {
+                return Err(MergeError::MissingShard(expected));
             }
         }
-        if let Some(missing) = seen.iter().position(|s| !s) {
-            return Err(MergeError::MissingShard(missing));
+        if indices.len() < first.shard_count {
+            return Err(MergeError::MissingShard(indices.len()));
         }
         let mut aggregator = Aggregator::new();
         for p in partials {
@@ -390,6 +411,12 @@ impl fmt::Display for PartialError {
 }
 
 impl std::error::Error for PartialError {}
+
+impl From<json::Error> for PartialError {
+    fn from(e: json::Error) -> Self {
+        PartialError::Parse(e.to_string())
+    }
+}
 
 /// Why a set of [`PartialSweep`]s could not be merged.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -458,226 +485,6 @@ impl fmt::Display for MergeError {
 }
 
 impl std::error::Error for MergeError {}
-
-/// A minimal strict JSON reader for the partial-sweep document: objects,
-/// arrays, strings and non-negative integers (the only shapes the schema
-/// uses). Anything else — floats, negatives, booleans, `null`, trailing
-/// garbage — is a parse error, which doubles as validation.
-mod json {
-    use super::PartialError;
-
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub enum Value {
-        Object(Vec<(String, Value)>),
-        Array(Vec<Value>),
-        Str(String),
-        Num(u128),
-    }
-
-    impl Value {
-        fn field(&self, name: &str) -> Result<&Value, PartialError> {
-            match self {
-                Value::Object(fields) => fields
-                    .iter()
-                    .find(|(k, _)| k == name)
-                    .map(|(_, v)| v)
-                    .ok_or_else(|| PartialError::Parse(format!("missing field `{name}`"))),
-                _ => Err(PartialError::Parse(format!(
-                    "expected an object while looking for `{name}`"
-                ))),
-            }
-        }
-
-        pub fn str_field(&self, name: &str) -> Result<&str, PartialError> {
-            match self.field(name)? {
-                Value::Str(s) => Ok(s),
-                _ => Err(PartialError::Parse(format!("field `{name}` is not a string"))),
-            }
-        }
-
-        pub fn u128_field(&self, name: &str) -> Result<u128, PartialError> {
-            match self.field(name)? {
-                Value::Num(n) => Ok(*n),
-                _ => Err(PartialError::Parse(format!("field `{name}` is not an integer"))),
-            }
-        }
-
-        pub fn u64_field(&self, name: &str) -> Result<u64, PartialError> {
-            u64::try_from(self.u128_field(name)?)
-                .map_err(|_| PartialError::Parse(format!("field `{name}` overflows u64")))
-        }
-
-        pub fn usize_field(&self, name: &str) -> Result<usize, PartialError> {
-            usize::try_from(self.u128_field(name)?)
-                .map_err(|_| PartialError::Parse(format!("field `{name}` overflows usize")))
-        }
-
-        pub fn array_field(&self, name: &str) -> Result<&[Value], PartialError> {
-            match self.field(name)? {
-                Value::Array(items) => Ok(items),
-                _ => Err(PartialError::Parse(format!("field `{name}` is not an array"))),
-            }
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, PartialError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.error("trailing data after the document"));
-        }
-        Ok(value)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn error(&self, msg: &str) -> PartialError {
-            PartialError::Parse(format!("{msg} at byte {}", self.pos))
-        }
-
-        fn skip_ws(&mut self) {
-            while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn expect(&mut self, byte: u8) -> Result<(), PartialError> {
-            self.skip_ws();
-            if self.bytes.get(self.pos) == Some(&byte) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(self.error(&format!("expected `{}`", byte as char)))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, PartialError> {
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b'0'..=b'9') => self.number(),
-                _ => Err(self.error("expected an object, array, string or integer")),
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, PartialError> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.bytes.get(self.pos) == Some(&b'}') {
-                self.pos += 1;
-                return Ok(Value::Object(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.expect(b':')?;
-                let value = self.value()?;
-                fields.push((key, value));
-                self.skip_ws();
-                match self.bytes.get(self.pos) {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Value::Object(fields));
-                    }
-                    _ => return Err(self.error("expected `,` or `}`")),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, PartialError> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.bytes.get(self.pos) == Some(&b']') {
-                self.pos += 1;
-                return Ok(Value::Array(items));
-            }
-            loop {
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.bytes.get(self.pos) {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Value::Array(items));
-                    }
-                    _ => return Err(self.error("expected `,` or `]`")),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, PartialError> {
-            if self.bytes.get(self.pos) != Some(&b'"') {
-                return Err(self.error("expected `\"`"));
-            }
-            self.pos += 1;
-            let mut out = String::new();
-            loop {
-                match self.bytes.get(self.pos) {
-                    None => return Err(self.error("unterminated string")),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.bytes.get(self.pos) {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b'u') => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos + 1..self.pos + 5)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                    .ok_or_else(|| self.error("bad \\u escape"))?;
-                                out.push(
-                                    char::from_u32(hex)
-                                        .ok_or_else(|| self.error("bad \\u escape"))?,
-                                );
-                                self.pos += 4;
-                            }
-                            _ => return Err(self.error("bad escape")),
-                        }
-                        self.pos += 1;
-                    }
-                    Some(_) => {
-                        // Consume one UTF-8 scalar (the input is a &str,
-                        // so boundaries are valid by construction).
-                        let rest = &self.bytes[self.pos..];
-                        let s =
-                            std::str::from_utf8(rest).map_err(|_| self.error("invalid UTF-8"))?;
-                        let c = s.chars().next().expect("non-empty");
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, PartialError> {
-            let start = self.pos;
-            while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-            let digits = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-            digits.parse::<u128>().map(Value::Num).map_err(|_| self.error("integer overflows u128"))
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -768,6 +575,55 @@ mod tests {
         // A shard index outside the shard count.
         let out_of_range = partial.render().replacen("\"shard_index\": 0", "\"shard_index\": 7", 1);
         assert!(matches!(PartialSweep::parse(&out_of_range), Err(PartialError::Invalid(_))));
+    }
+
+    #[test]
+    fn parse_rejects_matrix_names_that_are_not_file_stems() {
+        let good = smoke_partials(1).remove(0).render();
+        for name in ["", "x/../../escaped", "a.b", "a b", "caf\u{e9}", "..", "C:\\x"] {
+            let renamed = good.replacen(
+                "\"matrix\": \"smoke\"",
+                &format!("\"matrix\": \"{}\"", lbica_obs::escape::json(name)),
+                1,
+            );
+            assert!(
+                matches!(PartialSweep::parse(&renamed), Err(PartialError::Invalid(_))),
+                "accepted matrix name {name:?}"
+            );
+        }
+        let renamed = good.replacen("\"matrix\": \"smoke\"", "\"matrix\": \"Paper-mt_2\"", 1);
+        assert_eq!(PartialSweep::parse(&renamed).expect("plain name").matrix, "Paper-mt_2");
+    }
+
+    #[test]
+    fn parse_rejects_deep_nesting_and_reads_megabyte_strings() {
+        let deep = "[".repeat(100_000);
+        assert!(matches!(PartialSweep::parse(&deep), Err(PartialError::Parse(_))));
+        let mut partial = smoke_partials(1).remove(0);
+        partial.matrix = "m".repeat(1 << 20);
+        assert_eq!(PartialSweep::parse(&partial.render()).expect("long name"), partial);
+    }
+
+    #[test]
+    fn merge_bounds_its_work_by_the_partials_not_the_shard_count() {
+        // A self-consistent partial claiming 10^18 shards: its cell range
+        // is empty, so it validates, and merging it must not size anything
+        // by the shard count.
+        let huge = 1_000_000_000_000_000_000usize;
+        let mut partial = smoke_partials(1).remove(0);
+        partial.shard_count = huge;
+        partial.shard_index = huge - 1;
+        partial.range = CellRange::shard_of(partial.cells_total, huge - 1, huge);
+        partial.cells.clear();
+        let parsed = PartialSweep::parse(&partial.render()).expect("consistent header");
+        assert_eq!(PartialSweep::merge(&[parsed]), Err(MergeError::MissingShard(0)));
+        // More partials than shards name the repeated shard.
+        let partials = smoke_partials(2);
+        let extra = vec![partials[1].clone(), partials[0].clone(), partials[1].clone()];
+        assert_eq!(PartialSweep::merge(&extra), Err(MergeError::DuplicateShard(1)));
+        // The lowest absent shard wins over a repeat above it.
+        let gap = vec![partials[1].clone(), partials[1].clone()];
+        assert_eq!(PartialSweep::merge(&gap), Err(MergeError::MissingShard(0)));
     }
 
     #[test]

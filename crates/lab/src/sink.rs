@@ -3,12 +3,16 @@
 //! Both sinks render from the deterministic [`SweepSummary`], so a sweep
 //! produces byte-identical files regardless of `--jobs`. The JSON emitter
 //! is hand-rolled: the build environment has no `serde_json`, and the
-//! summary's shape is small and fixed.
+//! summary's shape is small and fixed. Strings are quoted with
+//! [`lbica_obs::escape::json`], and the output reads back with
+//! [`lbica_obs::json::parse`].
 
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
+
+use lbica_obs::escape;
 
 use crate::aggregate::{GroupStats, SweepSummary, TenantRow};
 
@@ -134,12 +138,12 @@ impl JsonSink {
             }
             let _ = write!(
                 out,
-                "{{\"workload\": {}, \"tenant\": {}, \"template\": {}, \
+                "{{\"workload\": \"{}\", \"tenant\": {}, \"template\": \"{}\", \
                  \"streams\": {}, \"records\": {}, \"read_records\": {}, \
                  \"write_records\": {}, \"sectors\": {}}}",
-                json_string(&t.workload),
+                escape::json(&t.workload),
                 t.tenant,
-                json_string(&t.template),
+                escape::json(&t.template),
                 t.streams,
                 t.records,
                 t.read_records,
@@ -155,9 +159,9 @@ impl JsonSink {
             }
             let _ = write!(
                 out,
-                "{{\"workload\": {}, \"cache_load_reduction_vs_wb_pct\": {:.3}, \
+                "{{\"workload\": \"{}\", \"cache_load_reduction_vs_wb_pct\": {:.3}, \
                  \"latency_improvement_vs_wb_pct\": {:.3}}}",
-                json_string(&d.workload),
+                escape::json(&d.workload),
                 d.cache_load_reduction_vs_wb_pct,
                 d.latency_improvement_vs_wb_pct,
             );
@@ -184,13 +188,13 @@ impl JsonSink {
 
     fn group(g: &GroupStats) -> String {
         format!(
-            "{{\"key\": {}, \"cells\": {}, \"app_completed\": {}, \
+            "{{\"key\": \"{}\", \"cells\": {}, \"app_completed\": {}, \
              \"avg_latency_us\": {:.3}, \"avg_p50_latency_us\": {:.3}, \
              \"avg_p95_latency_us\": {:.3}, \"avg_p99_latency_us\": {:.3}, \
              \"max_latency_us\": {}, \
              \"avg_cache_load_us\": {:.3}, \"avg_disk_load_us\": {:.3}, \
              \"policy_changes\": {}, \"bypassed_requests\": {}, \"burst_intervals\": {}}}",
-            json_string(&g.key),
+            escape::json(&g.key),
             g.cells,
             g.app_completed,
             g.avg_latency_us,
@@ -205,24 +209,6 @@ impl JsonSink {
             g.burst_intervals,
         )
     }
-}
-
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -275,8 +261,7 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key}");
         }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        lbica_obs::json::parse(&json).expect("summary parses");
     }
 
     #[test]
@@ -291,7 +276,9 @@ mod tests {
     fn empty_summary_renders_without_panicking() {
         let summary = Aggregator::new().summary();
         assert!(CsvSink::render(&summary).contains("total"));
-        assert!(JsonSink::render(&summary).contains("\"cells\": 0"));
+        let json = JsonSink::render(&summary);
+        assert!(json.contains("\"cells\": 0"));
+        lbica_obs::json::parse(&json).expect("empty summary parses");
     }
 
     #[test]
@@ -315,8 +302,8 @@ mod tests {
         assert!(json.contains("\"read_records\""));
         // `lbica_vs_wb` must stay the final key (no trailing comma after it).
         assert!(json.rfind("\"by_tenant\"").unwrap() < json.rfind("\"lbica_vs_wb\"").unwrap());
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let doc = lbica_obs::json::parse(&json).expect("summary parses");
+        assert_eq!(doc.array_field("by_tenant").unwrap().len(), 7);
     }
 
     #[test]
@@ -324,11 +311,5 @@ mod tests {
         let summary = smoke_summary();
         assert!(!CsvSink::render(&summary).contains("\ntenant,"));
         assert!(JsonSink::render(&summary).contains("\"by_tenant\": []"));
-    }
-
-    #[test]
-    fn json_strings_escape_specials() {
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("x\ny"), "\"x\\ny\"");
     }
 }

@@ -24,11 +24,10 @@ use std::fmt::Write as _;
 use std::io;
 use std::sync::Mutex;
 
+use lbica_obs::escape;
 use lbica_obs::validate::TELEMETRY_SCHEMA;
 use lbica_obs::{CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot};
 use lbica_sim::SimulationReport;
-
-use crate::sink::json_string;
 
 /// Wall-clock measurements of one completed cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -225,20 +224,20 @@ impl<W: io::Write + Send> TelemetryHook for JsonlTelemetry<W> {
             TelemetryEvent::SweepStart { matrix, cells, jobs } => {
                 let _ = write!(
                     line,
-                    "{{\"type\": \"start\", \"schema\": {}, \"matrix\": {}, \
+                    "{{\"type\": \"start\", \"schema\": \"{}\", \"matrix\": \"{}\", \
                      \"cells\": {cells}, \"jobs\": {jobs}}}",
-                    json_string(TELEMETRY_SCHEMA),
-                    json_string(matrix),
+                    escape::json(TELEMETRY_SCHEMA),
+                    escape::json(matrix),
                 );
             }
             TelemetryEvent::Cell { cell, report } => {
                 let _ = write!(
                     line,
-                    "{{\"type\": \"cell\", \"index\": {}, \"id\": {}, \"worker\": {}, \
+                    "{{\"type\": \"cell\", \"index\": {}, \"id\": \"{}\", \"worker\": {}, \
                      \"wall_us\": {}, \"events\": {}, \"events_per_sec\": {:.3}, \
                      \"app_completed\": {}, \"completed\": {}, \"total\": {}}}",
                     cell.index,
-                    json_string(&cell.id),
+                    escape::json(&cell.id),
                     cell.worker,
                     cell.wall_us,
                     cell.events,
@@ -266,10 +265,10 @@ impl<W: io::Write + Send> TelemetryHook for JsonlTelemetry<W> {
                 busy.push(']');
                 let _ = write!(
                     line,
-                    "{{\"type\": \"end\", \"matrix\": {}, \"jobs\": {}, \"cells\": {}, \
+                    "{{\"type\": \"end\", \"matrix\": \"{}\", \"jobs\": {}, \"cells\": {}, \
                      \"wall_us\": {}, \"events\": {}, \"events_per_sec\": {:.3}, \
                      \"worker_busy_us\": {busy}, \"worker_utilization\": {:.4}}}",
-                    json_string(&telemetry.matrix),
+                    escape::json(&telemetry.matrix),
                     telemetry.jobs,
                     telemetry.cells,
                     telemetry.wall_us,

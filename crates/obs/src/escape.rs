@@ -1,8 +1,9 @@
 //! Escaping helpers shared by the JSON and Prometheus renderers.
 //!
 //! The workspace vendors a no-op `serde` stub, so every serializer in the
-//! repo is hand-rolled; these helpers keep the quoting rules in one place
-//! and under test.
+//! repo is hand-rolled; [`json`] is the one JSON string escaper, used by
+//! this crate's renderers and by the sweep lab's partial, summary and
+//! telemetry writers, and [`crate::json::parse`] reads its output back.
 
 /// Escapes a string for embedding inside a JSON string literal.
 ///

@@ -23,12 +23,16 @@
 //!   registry plus one ring with pre-registered instruments for the event
 //!   vocabulary of the sim (interval rollover, burst, policy change,
 //!   bypass/spill/promotion/demotion, queue high-water marks).
+//!
+//! Every JSON artifact reads back through [`json::parse`], which the CI
+//! checks in [`validate`] build on.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod chrome;
 pub mod escape;
+pub mod json;
 pub mod metrics;
 pub mod observer;
 pub mod ring;

@@ -1,54 +1,19 @@
-//! Structural validators for observability artifacts.
+//! Validators for observability artifacts — the CI gate for telemetry
+//! streams, metrics snapshots and Chrome traces.
 //!
-//! The vendored `serde` stub means the workspace has no general JSON
-//! parser, so CI validates telemetry artifacts structurally: a
-//! string-aware balance check plus required schema markers and keys. The
-//! checks are deliberately structural — enough to catch truncated files,
-//! broken escaping and schema drift without a full parser.
+//! Each document is read with the strict [`json::parse`], then checked for
+//! its schema marker and required keys; the summaries count parsed array
+//! entries. A truncated file, broken escaping or schema drift is an error.
 
+use crate::json::{self, Value};
 use crate::metrics::METRICS_SCHEMA;
 
 /// Schema identifier stamped on the first record of a telemetry JSONL
 /// stream.
 pub const TELEMETRY_SCHEMA: &str = "lbica-telemetry/v1";
 
-/// Checks that `s` is non-empty, has balanced `{}`/`[]` outside string
-/// literals, and terminates outside a string.
-fn check_balanced(s: &str) -> Result<(), String> {
-    if s.trim().is_empty() {
-        return Err("document is empty".into());
-    }
-    let mut stack: Vec<char> = Vec::new();
-    let mut in_string = false;
-    let mut escaped = false;
-    for ch in s.chars() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if ch == '\\' {
-                escaped = true;
-            } else if ch == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match ch {
-            '"' => in_string = true,
-            '{' => stack.push('}'),
-            '[' => stack.push(']'),
-            '}' | ']' if stack.pop() != Some(ch) => {
-                return Err(format!("mismatched closing bracket {ch:?}"));
-            }
-            _ => {}
-        }
-    }
-    if in_string {
-        return Err("unterminated string literal".into());
-    }
-    if !stack.is_empty() {
-        return Err(format!("unbalanced brackets ({} unclosed at end)", stack.len()));
-    }
-    Ok(())
+fn has_schema(doc: &Value, schema: &str) -> bool {
+    doc.str_field("schema").ok() == Some(schema)
 }
 
 /// Summary of a validated metrics snapshot document.
@@ -63,19 +28,12 @@ pub struct MetricsStats {
 /// Validates a JSON metrics snapshot rendered by
 /// [`MetricsSnapshot::render_json`](crate::MetricsSnapshot::render_json).
 pub fn metrics_json(s: &str) -> Result<MetricsStats, String> {
-    check_balanced(s)?;
-    if !s.contains(&format!("\"schema\": \"{METRICS_SCHEMA}\"")) {
+    let doc = json::parse(s)?;
+    if !has_schema(&doc, METRICS_SCHEMA) {
         return Err(format!("missing schema marker {METRICS_SCHEMA:?}"));
     }
-    for key in ["\"counters\":", "\"gauges\":", "\"histograms\":"] {
-        if !s.contains(key) {
-            return Err(format!("missing required key {key}"));
-        }
-    }
-    Ok(MetricsStats {
-        scalars: s.matches("\"value\":").count(),
-        histograms: s.matches("\"count\":").count(),
-    })
+    let len = |key| doc.array_field(key).map(<[Value]>::len);
+    Ok(MetricsStats { scalars: len("counters")? + len("gauges")?, histograms: len("histograms")? })
 }
 
 /// Summary of a validated Chrome trace document.
@@ -92,22 +50,20 @@ pub struct TraceStats {
 /// Validates a Chrome trace-event JSON document rendered by
 /// [`chrome::render`](crate::chrome::render).
 pub fn chrome_trace(s: &str) -> Result<TraceStats, String> {
-    check_balanced(s)?;
-    if !s.contains("\"traceEvents\":") {
-        return Err("missing \"traceEvents\" key".into());
-    }
-    let events = s.matches("\"ph\":").count();
-    if events == 0 {
+    let doc = json::parse(s)?;
+    let phases = doc
+        .array_field("traceEvents")?
+        .iter()
+        .map(|event| event.str_field("ph"))
+        .collect::<Result<Vec<_>, _>>()?;
+    if phases.is_empty() {
         return Err("trace contains no events".into());
     }
-    if !s.contains("\"ph\": \"M\"") {
+    if !phases.contains(&"M") {
         return Err("trace is missing metadata (process/thread name) events".into());
     }
-    Ok(TraceStats {
-        events,
-        spans: s.matches("\"ph\": \"X\"").count(),
-        counters: s.matches("\"ph\": \"C\"").count(),
-    })
+    let count = |ph| phases.iter().filter(|&&p| p == ph).count();
+    Ok(TraceStats { events: phases.len(), spans: count("X"), counters: count("C") })
 }
 
 /// Summary of a validated telemetry JSONL stream.
@@ -121,9 +77,9 @@ pub struct TelemetryStats {
     pub shards: usize,
 }
 
-/// Validates a telemetry JSONL stream: every line is a balanced object
-/// with a `type` tag, the stream opens with a schema-tagged `start` record
-/// and closes with an `end` record.
+/// Validates a telemetry JSONL stream: every line is an object whose
+/// first field is its `type` tag, the stream opens with a schema-tagged
+/// `start` record and closes with an `end` record.
 pub fn telemetry_jsonl(s: &str) -> Result<TelemetryStats, String> {
     let lines: Vec<&str> = s.lines().filter(|l| !l.trim().is_empty()).collect();
     if lines.is_empty() {
@@ -131,26 +87,29 @@ pub fn telemetry_jsonl(s: &str) -> Result<TelemetryStats, String> {
     }
     let mut stats = TelemetryStats { records: 0, cells: 0, shards: 0 };
     for (i, line) in lines.iter().enumerate() {
-        check_balanced(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        if !line.starts_with("{\"type\": \"") {
-            return Err(format!("line {}: record has no leading type tag", i + 1));
+        let record = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        let kind = match &record {
+            Value::Object(fields) => match fields.first() {
+                Some((key, Value::Str(kind))) if key == "type" => kind.as_str(),
+                _ => return Err(format!("line {}: record has no leading type tag", i + 1)),
+            },
+            _ => return Err(format!("line {}: record is not an object", i + 1)),
+        };
+        if i == 0 && kind != "start" {
+            return Err("first record must have type \"start\"".into());
+        }
+        if i == 0 && !has_schema(&record, TELEMETRY_SCHEMA) {
+            return Err(format!("start record is missing schema marker {TELEMETRY_SCHEMA:?}"));
+        }
+        if i + 1 == lines.len() && kind != "end" {
+            return Err("last record must have type \"end\"".into());
         }
         stats.records += 1;
-        if line.starts_with("{\"type\": \"cell\"") {
-            stats.cells += 1;
-        } else if line.starts_with("{\"type\": \"shard_merged\"") {
-            stats.shards += 1;
+        match kind {
+            "cell" => stats.cells += 1,
+            "shard_merged" => stats.shards += 1,
+            _ => {}
         }
-    }
-    let first = lines[0];
-    if !first.starts_with("{\"type\": \"start\"") {
-        return Err("first record must have type \"start\"".into());
-    }
-    if !first.contains(&format!("\"schema\": \"{TELEMETRY_SCHEMA}\"")) {
-        return Err(format!("start record is missing schema marker {TELEMETRY_SCHEMA:?}"));
-    }
-    if !lines[lines.len() - 1].starts_with("{\"type\": \"end\"") {
-        return Err("last record must have type \"end\"".into());
     }
     Ok(stats)
 }
@@ -203,8 +162,10 @@ mod tests {
     fn rejects_broken_chrome_trace() {
         assert!(chrome_trace("{\"traceEvents\": [").is_err());
         assert!(chrome_trace("{\"notTraceEvents\": []}").is_err());
-        // Balanced but event-free.
+        // Well-formed but event-free, phase-free or metadata-free.
         assert!(chrome_trace("{\"traceEvents\": []}").is_err());
+        assert!(chrome_trace("{\"traceEvents\": [{\"name\": \"x\"}]}").is_err());
+        assert!(chrome_trace("{\"traceEvents\": [{\"ph\": \"X\"}]}").is_err());
     }
 
     #[test]
@@ -226,14 +187,10 @@ mod tests {
         assert!(telemetry_jsonl(&stream.replace("/v1", "/v0")).is_err());
         // Unbalanced line.
         assert!(telemetry_jsonl(&stream.replace("\"index\": 0}", "\"index\": 0")).is_err());
+        // The type tag must be the first field.
+        let late_tag =
+            stream.replace("\"type\": \"cell\", \"index\": 0", "\"index\": 0, \"type\": \"cell\"");
+        assert!(telemetry_jsonl(&late_tag).is_err());
         assert!(telemetry_jsonl("").is_err());
-    }
-
-    #[test]
-    fn balance_checker_is_string_aware() {
-        assert!(check_balanced("{\"a\": \"}{][\"}").is_ok());
-        assert!(check_balanced("{\"a\": \"\\\"}\"}").is_ok());
-        assert!(check_balanced("{]").is_err());
-        assert!(check_balanced("{\"a").is_err());
     }
 }

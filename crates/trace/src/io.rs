@@ -2,7 +2,10 @@
 //!
 //! Two encodings are provided:
 //!
-//! * a human-readable text format (one [`TraceRecord`] per line), and
+//! * a human-readable text format (one [`TraceRecord`] per line), written
+//!   by [`write_text_trace`] and read by [`import_text_trace`], the one
+//!   text-trace reader, which also takes external CSV and blktrace-style
+//!   captures, and
 //! * a compact binary format ([`BinaryTraceCodec`]) using fixed-width
 //!   little-endian fields, convenient for large synthetic traces.
 
@@ -14,7 +17,8 @@ use lbica_storage::request::RequestKind;
 
 use crate::record::TraceRecord;
 
-/// Writes records to `writer`, one text line per record.
+/// Writes records to `writer`, one text line per record; read them back
+/// with [`import_text_trace`].
 ///
 /// # Errors
 ///
@@ -24,29 +28,6 @@ pub fn write_text_trace<W: Write>(mut writer: W, records: &[TraceRecord]) -> io:
         writeln!(writer, "{}", rec.to_line())?;
     }
     Ok(())
-}
-
-/// Reads a text trace produced by [`write_text_trace`]. Blank lines and
-/// lines starting with `#` are ignored.
-///
-/// # Errors
-///
-/// Returns an [`io::Error`] with kind `InvalidData` on malformed lines, or
-/// any underlying I/O error.
-pub fn read_text_trace<R: BufRead>(reader: R) -> io::Result<Vec<TraceRecord>> {
-    let mut out = Vec::new();
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let rec = TraceRecord::parse_line(trimmed).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("line {}: {e}", idx + 1))
-        })?;
-        out.push(rec);
-    }
-    Ok(out)
 }
 
 /// Why one line of an imported text trace was rejected.
@@ -136,6 +117,17 @@ impl From<ImportError> for io::Error {
     }
 }
 
+/// Rejects a record whose `sector + sectors` overflows the 64-bit address
+/// space: replaying it would overflow the block arithmetic. The importer
+/// and [`WorkloadSpec::replay_from_binary`](crate::WorkloadSpec::replay_from_binary)
+/// both check through here.
+pub(crate) fn check_range(record: &TraceRecord) -> Result<(), ImportLineError> {
+    match record.sector.checked_add(u64::from(record.sectors)) {
+        Some(_) => Ok(()),
+        None => Err(ImportLineError::RangeOverflow),
+    }
+}
+
 fn parse_import_field(
     fields: &[&str],
     index: usize,
@@ -157,19 +149,18 @@ fn parse_import_line(fields: &[&str]) -> Result<TraceRecord, ImportLineError> {
         return Err(ImportLineError::ZeroLength);
     }
     let sectors = u32::try_from(sectors).map_err(|_| ImportLineError::LengthTooLarge)?;
-    if sector.checked_add(u64::from(sectors)).is_none() {
-        return Err(ImportLineError::RangeOverflow);
-    }
     let kind = match direction.to_ascii_lowercase().as_str() {
         "r" | "read" | "0" => RequestKind::Read,
         "w" | "write" | "1" => RequestKind::Write,
         _ => return Err(ImportLineError::UnknownDirection),
     };
-    Ok(TraceRecord::new(timestamp_us, sector, sectors, kind))
+    let record = TraceRecord::new(timestamp_us, sector, sectors, kind);
+    check_range(&record)?;
+    Ok(record)
 }
 
-/// Imports an external text trace — the bridge from real-world captures into
-/// the scenario matrix.
+/// Reads a text trace — one written by [`write_text_trace`] or an external
+/// capture; the bridge from real-world captures into the scenario matrix.
 ///
 /// Two line formats are accepted, with the same four columns
 /// `timestamp_us  sector  sectors  direction`:
@@ -322,23 +313,23 @@ mod tests {
     fn text_round_trip() {
         let mut buf = Vec::new();
         write_text_trace(&mut buf, &sample()).unwrap();
-        let parsed = read_text_trace(buf.as_slice()).unwrap();
+        let parsed = import_text_trace(buf.as_slice()).unwrap();
         assert_eq!(parsed, sample());
     }
 
     #[test]
     fn text_reader_skips_comments_and_blanks() {
         let text = "# header\n\n0 0 8 R\n  \n100 4096 16 W\n";
-        let parsed = read_text_trace(text.as_bytes()).unwrap();
+        let parsed = import_text_trace(text.as_bytes()).unwrap();
         assert_eq!(parsed.len(), 2);
     }
 
     #[test]
     fn text_reader_reports_line_numbers() {
-        let text = "0 0 8 R\nbogus line\n";
-        let err = read_text_trace(text.as_bytes()).unwrap_err();
+        let text = "0 0 8 R\n\n# comment\nbogus line\n";
+        let err: io::Error = import_text_trace(text.as_bytes()).unwrap_err().into();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("line 2"));
+        assert!(err.to_string().contains("line 4"));
     }
 
     #[test]
@@ -389,11 +380,13 @@ mod tests {
         // Both codecs carry the length in 32 bits, so a longer one is a
         // parse error rather than a record the binary encoder cannot store.
         let line = format!("0 0 {} R", u64::from(u32::MAX) + 1);
-        let err = TraceRecord::parse_line(&line).unwrap_err();
-        assert!(err.to_string().contains("length"));
-        let err = read_text_trace(line.as_bytes()).unwrap_err();
+        let err: io::Error = import_text_trace(line.as_bytes()).unwrap_err().into();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("line 1"));
+        assert!(err.to_string().contains("length"));
+        // The largest length the field holds imports intact.
+        let max = import_text_trace(format!("1 2 {} r", u32::MAX).as_bytes()).unwrap();
+        assert_eq!(max, vec![TraceRecord::new(1, 2, u32::MAX, RequestKind::Read)]);
     }
 
     #[test]
@@ -414,11 +407,14 @@ mod tests {
         let cases: &[(&str, ImportLineError)] = &[
             ("0 0 8", ImportLineError::MissingField("direction")),
             ("0 0", ImportLineError::MissingField("sectors")),
+            ("0", ImportLineError::MissingField("sector")),
+            ("0,0,8", ImportLineError::MissingField("direction")),
             ("zero 0 8 R", ImportLineError::InvalidNumber("timestamp_us")),
             ("0 -4 8 R", ImportLineError::InvalidNumber("sector")),
             ("0 0 0 R", ImportLineError::ZeroLength),
             ("0 0 4294967296 R", ImportLineError::LengthTooLarge),
             ("0 18446744073709551615 8 R", ImportLineError::RangeOverflow),
+            ("0 18446744073709551608 8 W", ImportLineError::RangeOverflow),
             ("0 0 8 X", ImportLineError::UnknownDirection),
             ("0 0 8 R extra", ImportLineError::TrailingFields),
         ];

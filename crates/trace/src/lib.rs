@@ -46,8 +46,8 @@ pub use lbica_storage::hash;
 pub use analyze::{analyze_intervals, TraceAnalysis};
 pub use gen::{AccessPattern, ArrivalProcess, PatternSpec};
 pub use io::{
-    import_text_to_binary, import_text_trace, read_text_trace, write_text_trace, BinaryTraceCodec,
-    ImportError, ImportLineError,
+    import_text_to_binary, import_text_trace, write_text_trace, BinaryTraceCodec, ImportError,
+    ImportLineError,
 };
 pub use monitor::{BlktraceProbe, IntervalReport, IostatCollector, TierReport};
 pub use record::TraceRecord;

@@ -16,12 +16,13 @@ use lbica_storage::time::SimTime;
 /// request, so this size is what a trace costs in memory.
 ///
 /// ```
+/// use lbica_trace::io::import_text_trace;
 /// use lbica_trace::record::TraceRecord;
 /// use lbica_storage::request::RequestKind;
 ///
 /// let rec = TraceRecord::new(1_000, 2048, 8, RequestKind::Read);
 /// assert_eq!(rec.to_line(), "1000 2048 8 R");
-/// assert_eq!(TraceRecord::parse_line(&rec.to_line()).unwrap(), rec);
+/// assert_eq!(import_text_trace(rec.to_line().as_bytes()).unwrap(), vec![rec]);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceRecord {
@@ -52,7 +53,8 @@ impl TraceRecord {
     }
 
     /// Serialises the record to the single-line text format
-    /// `"<ts_us> <sector> <sectors> <R|W>"`.
+    /// `"<ts_us> <sector> <sectors> <R|W>"`, which
+    /// [`import_text_trace`](crate::io::import_text_trace) reads back.
     pub fn to_line(&self) -> String {
         format!(
             "{} {} {} {}",
@@ -62,44 +64,6 @@ impl TraceRecord {
             if self.kind.is_read() { 'R' } else { 'W' }
         )
     }
-
-    /// Parses a record from the text format produced by [`Self::to_line`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseRecordError`] describing the offending field when
-    /// the line is malformed.
-    pub fn parse_line(line: &str) -> Result<Self, ParseRecordError> {
-        let mut parts = line.split_whitespace();
-        let ts = parts
-            .next()
-            .ok_or_else(|| ParseRecordError::missing("timestamp"))?
-            .parse::<u64>()
-            .map_err(|_| ParseRecordError::invalid("timestamp"))?;
-        let sector = parts
-            .next()
-            .ok_or_else(|| ParseRecordError::missing("sector"))?
-            .parse::<u64>()
-            .map_err(|_| ParseRecordError::invalid("sector"))?;
-        let sectors = parts
-            .next()
-            .ok_or_else(|| ParseRecordError::missing("length"))?
-            .parse::<u32>()
-            .map_err(|_| ParseRecordError::invalid("length"))?;
-        if sectors == 0 {
-            return Err(ParseRecordError::invalid("length"));
-        }
-        let kind = match parts.next() {
-            Some("R") | Some("r") => RequestKind::Read,
-            Some("W") | Some("w") => RequestKind::Write,
-            Some(_) => return Err(ParseRecordError::invalid("direction")),
-            None => return Err(ParseRecordError::missing("direction")),
-        };
-        if parts.next().is_some() {
-            return Err(ParseRecordError::invalid("trailing fields"));
-        }
-        Ok(TraceRecord::new(ts, sector, sectors, kind))
-    }
 }
 
 impl fmt::Display for TraceRecord {
@@ -108,58 +72,17 @@ impl fmt::Display for TraceRecord {
     }
 }
 
-/// Error returned when a trace line cannot be parsed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseRecordError {
-    field: &'static str,
-    missing: bool,
-}
-
-impl ParseRecordError {
-    fn missing(field: &'static str) -> Self {
-        ParseRecordError { field, missing: true }
-    }
-
-    fn invalid(field: &'static str) -> Self {
-        ParseRecordError { field, missing: false }
-    }
-}
-
-impl fmt::Display for ParseRecordError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.missing {
-            write!(f, "missing {} field in trace line", self.field)
-        } else {
-            write!(f, "invalid {} field in trace line", self.field)
-        }
-    }
-}
-
-impl std::error::Error for ParseRecordError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn line_round_trip() {
+        use crate::io::import_text_trace;
         let rec = TraceRecord::new(123, 4096, 16, RequestKind::Write);
         assert_eq!(rec.to_line(), "123 4096 16 W");
-        assert_eq!(TraceRecord::parse_line("123 4096 16 W").unwrap(), rec);
-        assert_eq!(TraceRecord::parse_line("123 4096 16 w").unwrap(), rec);
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        assert!(TraceRecord::parse_line("").is_err());
-        assert!(TraceRecord::parse_line("1 2 3").is_err());
-        assert!(TraceRecord::parse_line("1 2 3 X").is_err());
-        assert!(TraceRecord::parse_line("a 2 3 R").is_err());
-        assert!(TraceRecord::parse_line("1 2 0 R").is_err());
-        assert!(TraceRecord::parse_line("1 2 3 R extra").is_err());
-        assert!(TraceRecord::parse_line("1 2 4294967295 R").is_ok());
-        let err = TraceRecord::parse_line("1 2 3").unwrap_err();
-        assert!(err.to_string().contains("direction"));
+        assert_eq!(import_text_trace("123 4096 16 W".as_bytes()).unwrap(), vec![rec]);
+        assert_eq!(import_text_trace("123 4096 16 w".as_bytes()).unwrap(), vec![rec]);
     }
 
     #[test]

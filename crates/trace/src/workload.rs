@@ -24,7 +24,7 @@ use crate::gen::{
     build_zipf_cdf, generate_stream_into, request_sectors, AccessPattern, ArrivalProcess,
     PatternSpec, ZipfCdf,
 };
-use crate::io::BinaryTraceCodec;
+use crate::io::{check_range, BinaryTraceCodec};
 use crate::record::TraceRecord;
 
 /// Derives a tenant's private stream seed from the cell seed and the tenant
@@ -453,20 +453,29 @@ impl WorkloadSpec {
         }
     }
 
-    /// [`WorkloadSpec::replay`] from a [`BinaryTraceCodec`]-encoded buffer —
-    /// the bridge from captured trace files to scenario-matrix cells.
+    /// [`WorkloadSpec::try_replay`] from a [`BinaryTraceCodec`]-encoded
+    /// buffer — the bridge from captured trace files to scenario-matrix
+    /// cells.
     ///
     /// # Errors
     ///
-    /// Propagates the codec's decoding errors (truncated or malformed
-    /// buffers).
+    /// The codec's decoding errors, or `InvalidData` for a record whose
+    /// sector range overflows `u64` or a span past the interval counter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `interval_us` is zero.
     pub fn replay_from_binary(
         name: impl Into<String>,
         interval_us: u64,
         data: bytes::Bytes,
     ) -> std::io::Result<Self> {
+        let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
         let records = BinaryTraceCodec.decode(data)?;
-        Ok(WorkloadSpec::replay(name, interval_us, records))
+        for (index, record) in records.iter().enumerate() {
+            check_range(record).map_err(|e| invalid(format!("record {index}: {e}")))?;
+        }
+        WorkloadSpec::try_replay(name, interval_us, records).map_err(|e| invalid(e.to_string()))
     }
 
     /// Whether this workload replays a captured trace.
@@ -1202,6 +1211,38 @@ mod tests {
         // Malformed buffers propagate the codec error.
         let bad = bytes::Bytes::from(vec![1u8, 2, 3]);
         assert!(WorkloadSpec::replay_from_binary("bad", 1_000, bad).is_err());
+    }
+
+    #[test]
+    fn replay_from_binary_rejects_a_span_past_the_interval_counter() {
+        use crate::io::BinaryTraceCodec;
+        use lbica_storage::request::RequestKind;
+        let records = vec![TraceRecord::new(u64::MAX, 0, 8, RequestKind::Read)];
+        let err =
+            WorkloadSpec::replay_from_binary("huge", 1_000, BinaryTraceCodec.encode(&records))
+                .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("interval counter"));
+    }
+
+    #[test]
+    fn replay_from_binary_rejects_sector_ranges_past_u64() {
+        use crate::io::BinaryTraceCodec;
+        use lbica_storage::request::RequestKind;
+        let records = vec![
+            TraceRecord::new(0, 0, 8, RequestKind::Read),
+            TraceRecord::new(10, u64::MAX - 7, 8, RequestKind::Write),
+        ];
+        let err =
+            WorkloadSpec::replay_from_binary("wrap", 1_000, BinaryTraceCodec.encode(&records))
+                .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("record 1"), "{err}");
+        // The last sector of the address space is still replayable.
+        let edge = vec![TraceRecord::new(0, u64::MAX - 8, 8, RequestKind::Write)];
+        assert!(
+            WorkloadSpec::replay_from_binary("edge", 1_000, BinaryTraceCodec.encode(&edge)).is_ok()
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use lbica::cache::WritePolicy;
 use lbica::sim::StorageSystem;
 use lbica::sim::{Simulation, SimulationConfig, StaticPolicyController};
 use lbica::storage::time::SimTime;
-use lbica::trace::io::{read_text_trace, write_text_trace};
+use lbica::trace::io::{import_text_trace, write_text_trace};
 use lbica::trace::workload::{WorkloadScale, WorkloadSpec};
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -27,8 +27,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     write_text_trace(File::create(&path)?, &records)?;
     println!("captured {} requests to {}", records.len(), path.display());
 
-    // 2. Read the trace back (as one would with a converted blktrace capture).
-    let replayed = read_text_trace(BufReader::new(File::open(&path)?))?;
+    // 2. Read the trace back with the importer, the same reader that takes
+    //    external blktrace-style and CSV captures.
+    let replayed = import_text_trace(BufReader::new(File::open(&path)?))?;
     assert_eq!(replayed.len(), records.len());
 
     // 3. Replay it directly through a StorageSystem under two policies.

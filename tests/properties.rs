@@ -10,7 +10,7 @@ use lbica::sim::{SimulationConfig, StorageSystem};
 use lbica::storage::queue::QueueSnapshot;
 use lbica::storage::request::{IoRequest, RequestKind, RequestOrigin};
 use lbica::storage::time::{SimDuration, SimTime};
-use lbica::trace::io::{read_text_trace, write_text_trace, BinaryTraceCodec};
+use lbica::trace::io::{import_text_trace, write_text_trace, BinaryTraceCodec};
 use lbica::trace::record::TraceRecord;
 
 fn arb_record() -> impl Strategy<Value = TraceRecord> {
@@ -33,7 +33,7 @@ proptest! {
     fn text_trace_round_trips(records in proptest::collection::vec(arb_record(), 0..200)) {
         let mut buf = Vec::new();
         write_text_trace(&mut buf, &records).expect("write to memory");
-        let parsed = read_text_trace(buf.as_slice()).expect("parse what we wrote");
+        let parsed = import_text_trace(buf.as_slice()).expect("parse what we wrote");
         prop_assert_eq!(parsed, records);
     }
 
