@@ -361,61 +361,6 @@ fn bench_zipf_interval(c: &mut Criterion) {
     });
 }
 
-/// Batched (deferred, committed once per interval) vs eager per-move
-/// movement accounting over the identical promotion-heavy access
-/// sequence — the overhead the deferred-move buffer removes from the
-/// tiered hot path. Both variants produce bit-identical outcomes and
-/// movement totals; only the bookkeeping cost differs.
-fn bench_tier_batched_movement(c: &mut Criterion) {
-    use lbica_cache::WritePolicy;
-    use lbica_tier::{TierLevelSpec, TierTopology, TieredCacheModule, TieredOutcome};
-
-    fn level(num_sets: usize) -> TierLevelSpec {
-        TierLevelSpec::new(
-            CacheConfig {
-                num_sets,
-                associativity: 4,
-                replacement: ReplacementKind::Lru,
-                initial_policy: WritePolicy::WriteBack,
-            },
-            lbica_storage::device::SsdConfig::samsung_863a(),
-            1,
-        )
-    }
-
-    fn prewarmed() -> TieredCacheModule {
-        let mut cache = TieredCacheModule::new(TierTopology::two_level(level(64), level(256)));
-        cache.prewarm_to_capacity();
-        cache
-    }
-
-    // Alternating hot/warm reads: every warm hit promotes and demotes,
-    // so each access generates movement records on both levels.
-    fn interval(cache: &mut TieredCacheModule, eager: bool) -> usize {
-        let mut outcome = TieredOutcome::new();
-        let mut block = 0u64;
-        for i in 0..256u64 {
-            block = (block + 257) % 1280;
-            let req =
-                IoRequest::new(i, RequestKind::Read, RequestOrigin::Application, block * 8, 8);
-            if eager {
-                cache.access_into_eager(&req, &mut outcome);
-            } else {
-                cache.access_into(&req, &mut outcome);
-            }
-        }
-        cache.commit_moves();
-        (0..cache.levels()).map(|l| cache.movement(l).promotions_in as usize).sum()
-    }
-
-    c.bench_function("tier/batched_vs_eager_movement", |b| {
-        b.iter_batched(prewarmed, |mut cache| interval(&mut cache, false), BatchSize::SmallInput)
-    });
-    c.bench_function("tier/eager_movement_reference", |b| {
-        b.iter_batched(prewarmed, |mut cache| interval(&mut cache, true), BatchSize::SmallInput)
-    });
-}
-
 trait BenchQueueExt {
     fn default_for_bench() -> DeviceQueue;
 }
@@ -440,7 +385,6 @@ criterion_group!(
     bench_remove_by_ids,
     bench_tier_movement,
     bench_arena,
-    bench_tier_batched_movement,
     bench_zipf_interval
 );
 criterion_main!(benches);

@@ -10,6 +10,7 @@
 
 use std::collections::BTreeMap;
 
+use lbica_core::percent_reduction;
 use lbica_sim::SimulationReport;
 
 use crate::controller::ControllerKind;
@@ -411,14 +412,6 @@ impl Aggregator {
             lbica_vs_wb: deltas,
             by_tenant: Vec::new(),
         }
-    }
-}
-
-fn percent_reduction(before: f64, after: f64) -> f64 {
-    if before <= 0.0 {
-        0.0
-    } else {
-        (before - after) / before * 100.0
     }
 }
 

@@ -39,6 +39,9 @@ use crate::telemetry::{NullTelemetry, TelemetryHook};
 /// (`/v2` added the per-cell latency percentile fields.)
 pub const PARTIAL_SCHEMA: &str = "lbica-partial-sweep/v2";
 
+/// The longest matrix name, in bytes, a partial may carry.
+const MAX_MATRIX_NAME: usize = 64;
+
 /// The output of one shard of a distributed sweep: a compatibility header
 /// plus the per-cell summaries of the shard's cell range.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -253,7 +256,14 @@ impl PartialSweep {
 
     fn validate(&self) -> Result<(), PartialError> {
         // The name keys the merged output files (`sweep_<matrix>.csv`), so
-        // it must not carry a path.
+        // it must not carry a path, nor outgrow a file name: registered
+        // names are at most 12 characters.
+        if self.matrix.len() > MAX_MATRIX_NAME {
+            return Err(PartialError::Invalid(format!(
+                "matrix name is {} bytes long; the limit is {MAX_MATRIX_NAME}",
+                self.matrix.len()
+            )));
+        }
         let is_name_char = |c: char| c.is_ascii_alphanumeric() || c == '-' || c == '_';
         if self.matrix.is_empty() || !self.matrix.chars().all(is_name_char) {
             return Err(PartialError::Invalid(format!(
@@ -599,9 +609,23 @@ mod tests {
     fn parse_rejects_deep_nesting_and_reads_megabyte_strings() {
         let deep = "[".repeat(100_000);
         assert!(matches!(PartialSweep::parse(&deep), Err(PartialError::Parse(_))));
+        // The megabyte name is read in full and then fails validation.
         let mut partial = smoke_partials(1).remove(0);
         partial.matrix = "m".repeat(1 << 20);
-        assert_eq!(PartialSweep::parse(&partial.render()).expect("long name"), partial);
+        assert!(matches!(PartialSweep::parse(&partial.render()), Err(PartialError::Invalid(_))));
+    }
+
+    #[test]
+    fn parse_bounds_the_matrix_name_length() {
+        let mut partial = smoke_partials(1).remove(0);
+        partial.matrix = "m".repeat(MAX_MATRIX_NAME);
+        assert_eq!(PartialSweep::parse(&partial.render()).expect("64-byte name"), partial);
+        partial.matrix = "tiny".repeat(100_000);
+        let err = PartialSweep::parse(&partial.render()).unwrap_err();
+        assert_eq!(
+            err,
+            PartialError::Invalid("matrix name is 400000 bytes long; the limit is 64".to_string())
+        );
     }
 
     #[test]

@@ -166,6 +166,70 @@ fn arrival_record(request: &IoRequest) -> Result<TraceRecord, SnapError> {
     ))
 }
 
+/// The cache module's operations for the arrivals one `run_until` call
+/// fires, resolved in lane order before its event loop starts.
+///
+/// LBICA changes the write policy and bypasses queued requests only at
+/// monitoring-interval boundaries, so inside one `run_until` only arrivals
+/// touch the cache module: completions, dispatch and the monitors never do,
+/// and policy switches, bypasses, spills and restores all run between
+/// calls. The module's answer to an arrival therefore depends only on the
+/// order of arrivals, and resolving them ahead of the queue work yields the
+/// same operations. The buffer is empty between calls.
+#[derive(Debug)]
+pub(crate) struct StagedOps<Op> {
+    ops: Vec<Op>,
+    /// One end offset into `ops` per staged arrival, in firing order.
+    ends: Vec<usize>,
+    /// Staged arrivals already handed out, and where the next one's
+    /// operations start.
+    fired: usize,
+    start: usize,
+}
+
+impl<Op> Default for StagedOps<Op> {
+    fn default() -> Self {
+        StagedOps { ops: Vec::new(), ends: Vec::new(), fired: 0, start: 0 }
+    }
+}
+
+impl<Op: Copy> StagedOps<Op> {
+    /// Appends the next arrival's operations.
+    pub(crate) fn push(&mut self, ops: &[Op]) {
+        self.ops.extend_from_slice(ops);
+        self.ends.push(self.ops.len());
+    }
+
+    /// The operations of the next arrival to fire.
+    ///
+    /// # Panics
+    ///
+    /// Panics if every staged arrival has fired.
+    pub(crate) fn next_ops(&mut self) -> &[Op] {
+        let end = self.ends[self.fired];
+        let ops = &self.ops[self.start..end];
+        self.fired += 1;
+        self.start = end;
+        ops
+    }
+
+    /// Empties the buffer, keeping its allocation. Every staged arrival
+    /// must have fired.
+    pub(crate) fn clear(&mut self) {
+        debug_assert_eq!(self.fired, self.ends.len(), "a staged arrival did not fire");
+        self.ops.clear();
+        self.ends.clear();
+        self.fired = 0;
+        self.start = 0;
+    }
+
+    /// Whether no arrival is staged.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+}
+
 /// The pending arrivals plus the bookkeeping shared with the stations'
 /// held completions: the sequence counter, the number of completions in
 /// service and the depth watermark.
@@ -282,6 +346,16 @@ impl EventQueue {
         } else {
             NextEvent::Completion { station: best_station, slot: best_slot }
         })
+    }
+
+    /// The requests the arrivals that fire by `limit` become, in firing
+    /// order: the lane's prefix up to `limit`.
+    pub(crate) fn arrivals_until(&self, limit: SimTime) -> impl Iterator<Item = IoRequest> + '_ {
+        let limit = limit.as_micros();
+        self.arrivals
+            .iter()
+            .take_while(move |a| a.record.timestamp_us <= limit)
+            .map(|a| a.record.to_request(a.id))
     }
 
     /// Removes the arrival at the lane's front and returns it as an

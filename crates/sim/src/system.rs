@@ -1,6 +1,6 @@
 //! The simulated storage system: cache module + two device stations.
 
-use lbica_cache::{CacheModule, CacheOutcome, TargetDevice, WritePolicy};
+use lbica_cache::{CacheModule, CacheOutcome, DerivedOp, TargetDevice, WritePolicy};
 use lbica_storage::device::{AnyDeviceModel, DeviceModel, HddModel, SsdModel};
 use lbica_storage::queue::DeviceQueue;
 use lbica_storage::request::{IoRequest, RequestClass, RequestId, RequestOrigin};
@@ -11,7 +11,7 @@ use lbica_trace::record::TraceRecord;
 
 use crate::config::{DiskDeviceConfig, SimulationConfig};
 use crate::controller::BypassDirective;
-use crate::event::{event_key, EventKind, EventQueue, NextEvent, NO_EVENT};
+use crate::event::{event_key, EventKind, EventQueue, NextEvent, StagedOps, NO_EVENT};
 use crate::tracker::AppTracker;
 
 /// Identifies one of the two device stations.
@@ -292,6 +292,8 @@ pub struct StorageSystem {
     events_processed: u64,
     /// Reused per-arrival outcome buffer (no allocation in the hot loop).
     outcome_scratch: CacheOutcome,
+    /// The current `run_until` call's cache lookups.
+    staged: StagedOps<DerivedOp>,
 }
 
 impl StorageSystem {
@@ -318,6 +320,7 @@ impl StorageSystem {
             next_id: 1,
             events_processed: 0,
             outcome_scratch: CacheOutcome::new(),
+            staged: StagedOps::default(),
         }
     }
 
@@ -423,43 +426,49 @@ impl StorageSystem {
     }
 
     /// Runs the event loop until every event at or before `limit` has been
-    /// processed, then advances the clock to `limit`.
+    /// processed, then advances the clock to `limit`. The cache lookups of
+    /// the arrivals due by `limit` run first, in firing order, before any
+    /// queue or device work: policy switches and bypasses happen only
+    /// between calls, so each lookup's answer depends only on the order of
+    /// arrivals.
     pub fn run_until(&mut self, limit: SimTime) {
         use std::slice::from_ref;
+        let mut staged = std::mem::take(&mut self.staged);
+        for request in self.events.arrivals_until(limit) {
+            self.cache.access_into(&request, &mut self.outcome_scratch);
+            staged.push(self.outcome_scratch.ops());
+        }
         while let Some(next) =
             self.events.next_event([from_ref(&self.ssd), from_ref(&self.disk)], limit)
         {
             self.events_processed += 1;
             match next {
-                NextEvent::Arrival => self.handle_arrival(),
+                NextEvent::Arrival => self.handle_arrival(staged.next_ops()),
                 NextEvent::Completion { station: 0, slot } => {
                     self.handle_completion(TierId::Ssd, slot)
                 }
                 NextEvent::Completion { slot, .. } => self.handle_completion(TierId::Disk, slot),
             }
         }
+        staged.clear();
+        self.staged = staged;
         self.clock = limit;
     }
 
-    fn handle_arrival(&mut self) {
+    /// Fires the arrival at the lane's front, whose staged lookup gave `ops`.
+    fn handle_arrival(&mut self, ops: &[DerivedOp]) {
         let request = self.events.pop_arrival();
         let now = request.arrival();
         self.clock = now;
-        // Temporarily take the scratch buffer so the cache can fill it
-        // while `self` stays borrowable for the enqueue fan-out.
-        let mut outcome = std::mem::take(&mut self.outcome_scratch);
-        self.cache.access_into(&request, &mut outcome);
         let datapath_ops =
-            outcome.ops().iter().filter(|op| op.origin == RequestOrigin::Application).count()
-                as u32;
+            ops.iter().filter(|op| op.origin == RequestOrigin::Application).count() as u32;
         self.app.register(request.id(), now, datapath_ops);
-        self.enqueue_outcome(request.id(), &outcome, now);
-        self.outcome_scratch = outcome;
+        self.enqueue_outcome(request.id(), ops, now);
     }
 
-    fn enqueue_outcome(&mut self, parent: RequestId, outcome: &CacheOutcome, now: SimTime) {
+    fn enqueue_outcome(&mut self, parent: RequestId, ops: &[DerivedOp], now: SimTime) {
         let mut touched = [false; 2];
-        for op in outcome.ops() {
+        for op in ops {
             let id = self.fresh_id();
             let derived = IoRequest::from_range(id, op.kind, op.origin, op.range)
                 .with_arrival(now)
@@ -792,6 +801,54 @@ mod tests {
         // The write bypassed the cache entirely.
         assert_eq!(report.disk.completed, 1);
         assert_eq!(report.cache.completed, 0);
+    }
+
+    #[test]
+    fn run_until_resolves_only_the_arrivals_due_by_its_limit() {
+        let mut sys = tiny_system();
+        sys.schedule_record(&record(10, 0, RequestKind::Write));
+        sys.schedule_record(&record(60, 8, RequestKind::Write));
+        sys.run_until(SimTime::from_micros(50));
+        sys.set_policy(WritePolicy::ReadOnly);
+        sys.run_until(SimTime::from_millis(1));
+        // Looked up before the switch, the second write would have hit the
+        // write-back cache.
+        assert_eq!(sys.cache().stats().write_hits, 1);
+        assert_eq!(sys.cache().stats().write_bypasses, 1);
+        let report = sys.end_interval(0);
+        assert_eq!((report.cache.completed, report.disk.completed), (1, 1));
+    }
+
+    #[test]
+    fn a_bypass_between_two_calls_is_seen_by_the_next_calls_lookups() {
+        let mut sys = tiny_system();
+        for i in 0..100u64 {
+            sys.schedule_record(&record(1, i * 8, RequestKind::Write));
+        }
+        sys.run_until(SimTime::from_micros(1_000));
+        let moved = sys.apply_bypass(&BypassDirective::TailWrites { max_requests: 40 });
+        assert!(moved > 0);
+        // Every redirected write invalidated its block, so reading the 100
+        // blocks back misses exactly on those.
+        for i in 0..100u64 {
+            sys.schedule_record(&record(1_001, i * 8, RequestKind::Read));
+        }
+        sys.run_until(SimTime::from_micros(1_002));
+        assert_eq!(sys.cache().stats().read_misses, moved as u64);
+    }
+
+    #[test]
+    fn the_staging_buffer_is_empty_between_calls_and_after_reset() {
+        let config = SimulationConfig::tiny();
+        let mut sys = StorageSystem::new(&config);
+        for i in 0..20u64 {
+            sys.schedule_record(&record(i * 10, i * 8, RequestKind::Read));
+        }
+        sys.run_until(SimTime::from_micros(95));
+        assert!(sys.staged.is_empty());
+        sys.reset(&config);
+        assert!(sys.staged.is_empty());
+        assert_eq!(sys.pending_events(), 0);
     }
 
     #[test]

@@ -14,13 +14,13 @@ use lbica_storage::queue::DeviceQueue;
 use lbica_storage::request::{IoRequest, RequestClass, RequestId, RequestOrigin};
 use lbica_storage::snap::{SnapError, SnapReader, SnapWriter};
 use lbica_storage::time::{SimDuration, SimTime};
-use lbica_tier::{TierTarget, TieredCacheModule, TieredOutcome, MAX_TIERS};
+use lbica_tier::{TierTarget, TieredCacheModule, TieredOp, TieredOutcome, MAX_TIERS};
 use lbica_trace::monitor::{BlktraceProbe, IostatCollector, Tier};
 use lbica_trace::record::TraceRecord;
 
 use crate::config::{DiskDeviceConfig, SimulationConfig};
 use crate::controller::{BypassDirective, TierLoad};
-use crate::event::{EventKind, EventQueue, NextEvent};
+use crate::event::{EventKind, EventQueue, NextEvent, StagedOps};
 use crate::report::TierLevelStats;
 use crate::system::{DeviceStation, InService, TierId};
 use crate::tracker::AppTracker;
@@ -53,6 +53,8 @@ pub struct TieredStorageSystem {
     spilled_reads: u64,
     /// Reused per-arrival outcome buffer (no allocation in the hot loop).
     outcome_scratch: TieredOutcome,
+    /// The current `run_until` call's cache lookups.
+    staged: StagedOps<TieredOp>,
 }
 
 impl TieredStorageSystem {
@@ -96,6 +98,7 @@ impl TieredStorageSystem {
             spilled_requests: 0,
             spilled_reads: 0,
             outcome_scratch: TieredOutcome::new(),
+            staged: StagedOps::default(),
         }
     }
 
@@ -223,41 +226,49 @@ impl TieredStorageSystem {
     }
 
     /// Runs the event loop until every event at or before `limit` has been
-    /// processed, then advances the clock to `limit`.
+    /// processed, then advances the clock to `limit`. The cache lookups of
+    /// the arrivals due by `limit` run first, in firing order, before any
+    /// queue or device work: policy switches and bypasses happen only
+    /// between calls, so each lookup's answer depends only on the order of
+    /// arrivals.
     pub fn run_until(&mut self, limit: SimTime) {
+        let mut staged = std::mem::take(&mut self.staged);
+        for request in self.events.arrivals_until(limit) {
+            self.cache.access_into(&request, &mut self.outcome_scratch);
+            staged.push(self.outcome_scratch.ops());
+        }
         loop {
             let stations = [&self.levels[..], std::slice::from_ref(&self.disk)];
             let Some(next) = self.events.next_event(stations, limit) else { break };
             self.events_processed += 1;
             match next {
-                NextEvent::Arrival => self.handle_arrival(),
+                NextEvent::Arrival => self.handle_arrival(staged.next_ops()),
                 NextEvent::Completion { station, slot } if station < self.levels.len() => {
                     self.handle_level_completion(station, slot)
                 }
                 NextEvent::Completion { slot, .. } => self.handle_disk_completion(slot),
             }
         }
+        staged.clear();
+        self.staged = staged;
         self.clock = limit;
     }
 
-    fn handle_arrival(&mut self) {
+    /// Fires the arrival at the lane's front, whose staged lookup gave `ops`.
+    fn handle_arrival(&mut self, ops: &[TieredOp]) {
         let request = self.events.pop_arrival();
         let now = request.arrival();
         self.clock = now;
-        let mut outcome = std::mem::take(&mut self.outcome_scratch);
-        self.cache.access_into(&request, &mut outcome);
         let datapath_ops =
-            outcome.ops().iter().filter(|op| op.origin == RequestOrigin::Application).count()
-                as u32;
+            ops.iter().filter(|op| op.origin == RequestOrigin::Application).count() as u32;
         self.app.register(request.id(), now, datapath_ops);
-        self.enqueue_outcome(request.id(), &outcome, now);
-        self.outcome_scratch = outcome;
+        self.enqueue_outcome(request.id(), ops, now);
     }
 
-    fn enqueue_outcome(&mut self, parent: RequestId, outcome: &TieredOutcome, now: SimTime) {
+    fn enqueue_outcome(&mut self, parent: RequestId, ops: &[TieredOp], now: SimTime) {
         // One slot per possible cache level plus the disk at the end.
         let mut touched = [false; MAX_TIERS + 1];
-        for op in outcome.ops() {
+        for op in ops {
             let id = self.fresh_id();
             let derived = IoRequest::from_range(id, op.kind, op.origin, op.range)
                 .with_arrival(now)
@@ -470,7 +481,7 @@ impl TieredStorageSystem {
             // Demotions caused by re-homing the block fan out first, then
             // the spilled request itself joins the target level's queue.
             let parent = request.parent().unwrap_or(request.id());
-            self.enqueue_outcome(parent, &outcome, now);
+            self.enqueue_outcome(parent, outcome.ops(), now);
             self.enqueue_at_level(target, request);
         }
         self.outcome_scratch = outcome;
@@ -780,6 +791,54 @@ mod tests {
         let moved = sys.apply_bypass(&BypassDirective::TailWrites { max_requests: 40 });
         assert!(moved > 0);
         assert!(sys.disk().outstanding() > 0);
+    }
+
+    #[test]
+    fn run_until_resolves_only_the_arrivals_due_by_its_limit() {
+        let mut sys = two_tier_system();
+        sys.schedule_record(&record(10, 0, RequestKind::Write));
+        sys.schedule_record(&record(60, 8, RequestKind::Write));
+        sys.run_until(SimTime::from_micros(50));
+        sys.set_policy(WritePolicy::ReadOnly);
+        sys.run_until(SimTime::from_millis(1));
+        // Looked up before the switch, the second write would have hit the
+        // write-back hot tier.
+        assert_eq!(sys.cache().stats(0).write_hits, 1);
+        assert_eq!(sys.cache().stats(0).write_bypasses, 1);
+        let report = sys.end_interval(0);
+        assert_eq!((report.cache.completed, report.disk.completed), (1, 1));
+    }
+
+    #[test]
+    fn a_bypass_between_two_calls_is_seen_by_the_next_calls_lookups() {
+        let mut sys = two_tier_system();
+        for i in 0..100u64 {
+            sys.schedule_record(&record(1, i * 8, RequestKind::Write));
+        }
+        sys.run_until(SimTime::from_micros(1_000));
+        let moved = sys.apply_bypass(&BypassDirective::TailWrites { max_requests: 40 });
+        assert!(moved > 0);
+        // Every redirected write invalidated its block at every level, so
+        // reading the 100 blocks back misses exactly on those.
+        for i in 0..100u64 {
+            sys.schedule_record(&record(1_001, i * 8, RequestKind::Read));
+        }
+        sys.run_until(SimTime::from_micros(1_002));
+        assert_eq!(sys.cache().stats(0).read_misses, moved as u64);
+    }
+
+    #[test]
+    fn the_staging_buffer_is_empty_between_calls_and_after_reset() {
+        let config = SimulationConfig::tiny_two_tier();
+        let mut sys = TieredStorageSystem::new(&config);
+        for i in 0..20u64 {
+            sys.schedule_record(&record(i * 10, i * 8, RequestKind::Read));
+        }
+        sys.run_until(SimTime::from_micros(95));
+        assert!(sys.staged.is_empty());
+        sys.reset(&config);
+        assert!(sys.staged.is_empty());
+        assert_eq!(sys.pending_events(), 0);
     }
 
     #[test]

@@ -6,68 +6,73 @@
 //! microsecond latencies: constant memory, O(1) insertion, and percentile
 //! queries with bounded relative error (one bucket ≈ ×1.25).
 
-use std::sync::OnceLock;
-
 use serde::{Deserialize, Serialize};
 
 use crate::snap::{SnapError, SnapReader, SnapWriter};
 use crate::time::SimDuration;
 
-/// Growth factor between consecutive bucket boundaries.
-const BUCKET_GROWTH: f64 = 1.25;
 /// Number of buckets; covers 1 µs … > 1 hour at ×1.25 growth.
 const BUCKETS: usize = 128;
 
-/// Number of cells in [`BucketTable::first`]: one per value below 16, then
-/// eight per bit length from 5 to 64.
+/// Inclusive upper bounds (µs) of each bucket: `BOUNDS[i] = ceil(1.25^(i+1))`
+/// (pinned by `bounds_are_the_ceilings_of_the_powers_of_1_25`).
+#[rustfmt::skip]
+static BOUNDS: [u64; BUCKETS] = [
+    2, 2, 2, 3, 4, 4, 5, 6, 8, 10, 12, 15, 19, 23, 29, 36, 45, 56, 70, 87, 109, 136, 170, 212, 265,
+    331, 414, 517, 647, 808, 1010, 1263, 1578, 1973, 2466, 3082, 3852, 4815, 6019, 7524, 9404,
+    11755, 14694, 18368, 22959, 28699, 35874, 44842, 56052, 70065, 87582, 109477, 136846, 171057,
+    213822, 267277, 334096, 417620, 522025, 652531, 815664, 1019579, 1274474, 1593092, 1991365,
+    2489207, 3111508, 3889385, 4861731, 6077164, 7596455, 9495568, 11869460, 14836825, 18546031,
+    23182539, 28978174, 36222717, 45278396, 56597995, 70747493, 88434367, 110542958, 138178697,
+    172723372, 215904214, 269880268, 337350335, 421687918, 527109898, 658887372, 823609215,
+    1029511518, 1286889398, 1608611747, 2010764684, 2513455855, 3141819818, 3927274773, 4909093466,
+    6136366832, 7670458540, 9588073175, 11985091469, 14981364336, 18726705419, 23408381774,
+    29260477217, 36575596522, 45719495652, 57149369565, 71436711956, 89295889944, 111619862430,
+    139524828038, 174406035047, 218007543809, 272509429761, 340636787201, 425795984001,
+    532244980002, 665306225002, 831632781252, 1039540976565, 1299426220706, 1624282775883,
+    2030353469853, 2537941837316,
+];
+
+/// Number of cells in [`FIRST`]: one per value below 16, then eight per bit
+/// length from 5 to 64.
 const CELLS: usize = 8 * 60 + 16;
 
-/// Inclusive upper bounds (µs) of each bucket: `BOUNDS[i] = ceil(1.25^(i+1))`.
-///
-/// Computed once so the per-sample path is integer arithmetic instead of a
-/// floating-point `ln` — `record` sits on the completion hot path of the
-/// simulator.
-fn bucket_bounds() -> &'static [u64; BUCKETS] {
-    &bucket_table().bounds
-}
-
-/// The bounds plus a cell table that finds a sample's bucket in O(1).
+/// A cell table that finds a sample's bucket in O(1).
 ///
 /// A sample's cell is its value if it is below 16, and otherwise its bit
 /// length and the three bits after its leading one: the cell of `us` with
 /// `s = bit_length(us) - 4` holds `[us >> s << s, (us >> s) + 1 << s)`.
-/// `first[cell]` is the bucket of the cell's smallest value. A cell spans at
+/// `FIRST[cell]` is the bucket of the cell's smallest value. A cell spans at
 /// most ×9/8, narrower than one ×1.25 bucket, so at most one bound falls
 /// inside it (pinned by `every_cell_holds_at_most_one_bound`) and one
 /// comparison against that bucket's bound finishes the lookup.
-struct BucketTable {
-    bounds: [u64; BUCKETS],
-    first: [u8; CELLS],
-}
+static FIRST: [u8; CELLS] = first_buckets();
 
-/// The [`BucketTable::first`] index of `us`'s cell.
-fn cell_of(us: u64) -> usize {
+/// The [`FIRST`] index of `us`'s cell.
+const fn cell_of(us: u64) -> usize {
     let shift = (u64::BITS - us.leading_zeros()).saturating_sub(4);
     8 * shift as usize + (us >> shift) as usize
 }
 
-fn bucket_table() -> &'static BucketTable {
-    static TABLE: OnceLock<BucketTable> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut bounds = [0u64; BUCKETS];
-        for (i, slot) in bounds.iter_mut().enumerate() {
-            *slot = BUCKET_GROWTH.powi(i as i32 + 1).ceil() as u64;
-        }
-        let mut first = [0u8; CELLS];
-        for shift in 0..=60 {
-            for top in if shift == 0 { 0..16 } else { 8..16 } {
-                let smallest = top << shift;
-                let idx = bounds.partition_point(|&bound| bound < smallest);
-                first[cell_of(smallest)] = idx.min(BUCKETS - 1) as u8;
+/// Builds [`FIRST`] at compile time: each cell's smallest value, placed by
+/// a linear scan over [`BOUNDS`] and clamped to the last bucket.
+const fn first_buckets() -> [u8; CELLS] {
+    let mut first = [0u8; CELLS];
+    let mut shift = 0;
+    while shift <= 60 {
+        let mut top = if shift == 0 { 0 } else { 8 };
+        while top < 16 {
+            let smallest = top << shift;
+            let mut idx = 0;
+            while idx < BUCKETS - 1 && BOUNDS[idx] < smallest {
+                idx += 1;
             }
+            first[cell_of(smallest)] = idx as u8;
+            top += 1;
         }
-        BucketTable { bounds, first }
-    })
+        shift += 1;
+    }
+    first
 }
 
 /// A log-bucketed latency histogram.
@@ -86,7 +91,7 @@ fn bucket_table() -> &'static BucketTable {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatencyHistogram {
-    buckets: Vec<u64>,
+    buckets: [u64; BUCKETS],
     count: u64,
     total_us: u64,
     max_us: u64,
@@ -97,7 +102,7 @@ impl LatencyHistogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         LatencyHistogram {
-            buckets: vec![0; BUCKETS],
+            buckets: [0; BUCKETS],
             count: 0,
             total_us: 0,
             max_us: 0,
@@ -110,14 +115,8 @@ impl LatencyHistogram {
         // hold if the sample lies above it. Exactly equivalent to
         // `bounds.partition_point(|&bound| bound < latency_us)` clamped to
         // the last bucket (pinned by `bucket_index_matches_partition_point`).
-        let table = bucket_table();
-        let first = table.first[cell_of(latency_us)] as usize;
-        (first + usize::from(table.bounds[first] < latency_us)).min(BUCKETS - 1)
-    }
-
-    /// Upper bound (µs) of the bucket with the given index.
-    fn bucket_upper_bound(index: usize) -> u64 {
-        bucket_bounds()[index]
+        let first = FIRST[cell_of(latency_us)] as usize;
+        (first + usize::from(BOUNDS[first] < latency_us)).min(BUCKETS - 1)
     }
 
     /// Records one latency sample.
@@ -191,7 +190,7 @@ impl LatencyHistogram {
                 if idx == Self::bucket_index(self.max_us) {
                     return self.max();
                 }
-                return SimDuration::from_micros(Self::bucket_upper_bound(idx).min(self.max_us));
+                return SimDuration::from_micros(BOUNDS[idx].min(self.max_us));
             }
         }
         self.max()
@@ -208,8 +207,8 @@ impl LatencyHistogram {
         self.min_us = self.min_us.min(other.min_us);
     }
 
-    /// Clears all samples without releasing the bucket allocation, so a
-    /// per-interval accumulator can reset in place.
+    /// Clears all samples in place, so a per-interval accumulator can
+    /// reset without rebuilding.
     pub fn reset(&mut self) {
         self.buckets.fill(0);
         self.count = 0;
@@ -236,7 +235,7 @@ impl LatencyHistogram {
         if len != BUCKETS {
             return Err(SnapError::Corrupt("histogram bucket count"));
         }
-        let mut buckets = vec![0u64; BUCKETS];
+        let mut buckets = [0u64; BUCKETS];
         for slot in &mut buckets {
             *slot = r.get_u64()?;
         }
@@ -263,7 +262,14 @@ mod tests {
     use proptest::prelude::*;
 
     fn reference(us: u64) -> usize {
-        bucket_bounds().partition_point(|&bound| bound < us).min(BUCKETS - 1)
+        BOUNDS.partition_point(|&bound| bound < us).min(BUCKETS - 1)
+    }
+
+    #[test]
+    fn bounds_are_the_ceilings_of_the_powers_of_1_25() {
+        for (i, &bound) in BOUNDS.iter().enumerate() {
+            assert_eq!(bound, 1.25f64.powi(i as i32 + 1).ceil() as u64, "bound {i}");
+        }
     }
 
     #[test]
@@ -274,8 +280,7 @@ mod tests {
         for shift in 0..=60u32 {
             for top in if shift == 0 { 0..16u128 } else { 8..16 } {
                 let (lo, hi) = (top << shift, (top + 1) << shift);
-                let inside =
-                    bucket_bounds().iter().filter(|&&b| lo <= b.into() && u128::from(b) < hi - 1);
+                let inside = BOUNDS.iter().filter(|&&b| lo <= b.into() && u128::from(b) < hi - 1);
                 assert!(inside.count() <= 1, "cell {lo}..{hi} holds two bounds");
             }
         }
@@ -306,7 +311,7 @@ mod tests {
     fn bucket_index_matches_partition_point() {
         // The cell-table lookup must agree with the binary search it
         // replaced on every boundary-adjacent value and across all octaves.
-        let bounds = bucket_bounds();
+        let bounds = &BOUNDS;
         let mut probes = vec![0u64, 1, u64::MAX];
         for &bound in bounds.iter() {
             probes.extend([bound.saturating_sub(1), bound, bound + 1]);
@@ -386,7 +391,7 @@ mod tests {
 
     #[test]
     fn bucket_bounds_are_monotonic_and_cover_every_sample() {
-        let bounds = bucket_bounds();
+        let bounds = &BOUNDS;
         for pair in bounds.windows(2) {
             assert!(pair[0] <= pair[1], "bounds must be non-decreasing: {pair:?}");
         }

@@ -271,180 +271,6 @@ impl TieredCacheModule {
         outcome.set_served_by_cache(!disk_in_datapath);
     }
 
-    /// [`TieredCacheModule::access_into`] resolved through the pre-handle
-    /// block-addressed lookups: every hit re-finds its block for each
-    /// touch, invalidate and dirty upgrade instead of reusing one located
-    /// slot. Semantically identical to `access_into` (pinned by the
-    /// `eager_equivalence` proptest); kept only as the reference side of
-    /// the `tier/batched_vs_eager_movement` micro-bench.
-    #[doc(hidden)]
-    pub fn access_into_eager(&mut self, request: &IoRequest, outcome: &mut TieredOutcome) {
-        debug_assert_eq!(
-            request.origin(),
-            RequestOrigin::Application,
-            "only application requests enter the tiered cache module"
-        );
-        outcome.clear();
-        let mut any_miss = false;
-        let mut any_hit = false;
-
-        for block in request.range().block_indices() {
-            let hit = match request.kind() {
-                RequestKind::Read => self.handle_read_block_eager(block, outcome),
-                RequestKind::Write => self.handle_write_block_eager(block, outcome),
-            };
-            if hit {
-                any_hit = true;
-            } else {
-                any_miss = true;
-            }
-        }
-
-        match request.kind() {
-            RequestKind::Read => outcome.set_read_hit(any_hit && !any_miss),
-            RequestKind::Write => outcome.set_write_hit(any_hit && !any_miss),
-        }
-        let disk_in_datapath = outcome
-            .ops()
-            .iter()
-            .any(|op| op.target == TierTarget::Disk && op.origin == RequestOrigin::Application);
-        outcome.set_served_by_cache(!disk_in_datapath);
-    }
-
-    /// The eager (block-addressed) read path: the original touch-per-level
-    /// probe followed by re-finding invalidates.
-    fn handle_read_block_eager(&mut self, block: u64, outcome: &mut TieredOutcome) -> bool {
-        let range = Self::block_range(block);
-        if let Some(level) = (0..self.maps.len()).find(|&i| self.maps[i].touch(block)) {
-            self.stats[level].read_hits += 1;
-            outcome.note_hit_level(level);
-            outcome.push(TieredOp::new(
-                TierTarget::Level(level),
-                RequestKind::Read,
-                RequestOrigin::Application,
-                range,
-            ));
-            if level > 0 && self.topology.promotion == PromotionPolicy::OnHit {
-                let state = match self.topology.inclusion {
-                    InclusionPolicy::Exclusive => {
-                        self.maps[level].invalidate(block).expect("hit block is resident")
-                    }
-                    InclusionPolicy::Inclusive => SlotState::Clean,
-                };
-                self.insert_cascading(0, block, state, outcome);
-                self.pending[0].promotions_in += 1;
-                self.stats[0].promotes += 1;
-                outcome.push(TieredOp::new(
-                    TierTarget::Level(0),
-                    RequestKind::Write,
-                    RequestOrigin::Promote,
-                    range,
-                ));
-            }
-            return true;
-        }
-
-        self.stats[0].read_misses += 1;
-        outcome.push(TieredOp::new(
-            TierTarget::Disk,
-            RequestKind::Read,
-            RequestOrigin::Application,
-            range,
-        ));
-        let place = self.topology.placement_level();
-        if self.policies[place].promotes_read_misses() {
-            self.insert_cascading(place, block, SlotState::Clean, outcome);
-            self.stats[place].promotes += 1;
-            outcome.push(TieredOp::new(
-                TierTarget::Level(place),
-                RequestKind::Write,
-                RequestOrigin::Promote,
-                range,
-            ));
-        } else {
-            self.stats[0].unpromoted_read_misses += 1;
-        }
-        false
-    }
-
-    /// The eager (block-addressed) write path: `resident_level` scan plus
-    /// re-finding insert/mark-dirty/invalidate calls.
-    fn handle_write_block_eager(&mut self, block: u64, outcome: &mut TieredOutcome) -> bool {
-        let range = Self::block_range(block);
-        let resident = self.resident_level(block);
-        let policy = self.policies[resident.unwrap_or(0)];
-
-        if !policy.buffers_writes() {
-            self.stats[0].write_bypasses += 1;
-            self.stats[0].write_misses += 1;
-            if let Some(level) = resident {
-                self.drop_copies_from(level, block);
-            }
-            outcome.push(TieredOp::new(
-                TierTarget::Disk,
-                RequestKind::Write,
-                RequestOrigin::Application,
-                range,
-            ));
-            return false;
-        }
-
-        match resident {
-            Some(level) => self.stats[level].write_hits += 1,
-            None => self.stats[0].write_misses += 1,
-        }
-        let state = if policy.leaves_dirty_blocks() { SlotState::Dirty } else { SlotState::Clean };
-        let target = match resident {
-            Some(level) if level > 0 && self.topology.promotion == PromotionPolicy::OnHit => {
-                let merged = match self.topology.inclusion {
-                    InclusionPolicy::Exclusive => {
-                        let old =
-                            self.maps[level].invalidate(block).expect("hit block is resident");
-                        if old == SlotState::Dirty {
-                            SlotState::Dirty
-                        } else {
-                            state
-                        }
-                    }
-                    InclusionPolicy::Inclusive => state,
-                };
-                self.insert_cascading(0, block, merged, outcome);
-                self.pending[0].promotions_in += 1;
-                outcome.note_hit_level(level);
-                0
-            }
-            Some(level) => {
-                self.insert_cascading(level, block, state, outcome);
-                if policy.leaves_dirty_blocks() {
-                    self.maps[level].mark_dirty(block);
-                }
-                outcome.note_hit_level(level);
-                level
-            }
-            None => {
-                self.insert_cascading(0, block, state, outcome);
-                0
-            }
-        };
-
-        outcome.push(TieredOp::new(
-            TierTarget::Level(target),
-            RequestKind::Write,
-            RequestOrigin::Application,
-            range,
-        ));
-
-        if policy.writes_through() {
-            outcome.push(TieredOp::new(
-                TierTarget::Disk,
-                RequestKind::Write,
-                RequestOrigin::Application,
-                range,
-            ));
-        }
-        true
-    }
-
     /// Locates the topmost level holding `block` together with its slot
     /// handle, without a recency update — one tag scan per level, reused by
     /// every subsequent operation on the hit instead of re-finding the
@@ -462,10 +288,7 @@ impl TieredCacheModule {
     ///
     /// Hits are resolved through one slot-handle lookup per level: the
     /// recency touch, the exclusive-promotion invalidate and the dirty-state
-    /// read all reuse the located slot instead of re-scanning the set, which
-    /// is what the pre-handle implementation
-    /// ([`TieredCacheModule::access_into_eager`]) paid on every promoting
-    /// hit.
+    /// read all reuse the located slot instead of re-scanning the set.
     fn handle_read_block(&mut self, block: u64, outcome: &mut TieredOutcome) -> bool {
         let range = Self::block_range(block);
         if let Some((level, slot)) = self.locate_resident(block) {
@@ -480,10 +303,9 @@ impl TieredCacheModule {
             if level > 0 && self.topology.promotion == PromotionPolicy::OnHit {
                 let state = match self.topology.inclusion {
                     // Exclusive: the block *moves* up, carrying its state.
-                    // The touch the eager path performed before the
-                    // invalidate is elided: splicing a slot to the hot end
-                    // and then unlinking it leaves the same recency list as
-                    // unlinking it directly.
+                    // No touch precedes the invalidate: splicing a slot to
+                    // the hot end and then unlinking it leaves the same
+                    // recency list as unlinking it directly.
                     InclusionPolicy::Exclusive => self.maps[level].invalidate_at(slot),
                     // Inclusive: the lower line stays resident (and keeps
                     // ownership of any dirty data); the hot tier gets a
@@ -597,11 +419,9 @@ impl TieredCacheModule {
             }
             Some((level, slot)) => {
                 // In-place write: refresh recency and upgrade the state via
-                // the located slot. The eager path routed this through a
-                // full `insert` (tag scan → `AlreadyPresent` → touch →
-                // upgrade) plus a `mark_dirty` re-find; the net effect is
-                // exactly a touch plus a dirty upgrade when the policy
-                // leaves dirty blocks (`state` is `Dirty` iff it does).
+                // the located slot — what an `insert` of a present block
+                // would do, without its tag scan (`state` is `Dirty` iff the
+                // policy leaves dirty blocks).
                 self.maps[level].touch_at(slot);
                 if policy.leaves_dirty_blocks() {
                     self.maps[level].mark_dirty_at(slot);
@@ -638,20 +458,6 @@ impl TieredCacheModule {
     /// The topmost copy is removed through its already-located slot handle.
     fn drop_copies_from_at(&mut self, level: usize, slot: u32, block: u64) {
         self.maps[level].invalidate_at(slot);
-        self.stats[level].invalidations += 1;
-        if self.topology.inclusion == InclusionPolicy::Inclusive {
-            for lower in level + 1..self.maps.len() {
-                if self.maps[lower].invalidate(block).is_some() {
-                    self.stats[lower].invalidations += 1;
-                }
-            }
-        }
-    }
-
-    /// Block-addressed variant of [`TieredCacheModule::drop_copies_from_at`]
-    /// for the eager reference path.
-    fn drop_copies_from(&mut self, level: usize, block: u64) {
-        self.maps[level].invalidate(block);
         self.stats[level].invalidations += 1;
         if self.topology.inclusion == InclusionPolicy::Inclusive {
             for lower in level + 1..self.maps.len() {
