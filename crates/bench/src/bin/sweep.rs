@@ -699,11 +699,18 @@ fn check_cell_checkpoint(
 
 fn main() -> ExitCode {
     if env::args().nth(1).as_deref() == Some("merge") {
-        return match parse_merge_args().and_then(|opts| run_merge(&opts)) {
-            Ok(()) => ExitCode::SUCCESS,
+        let result = match parse_merge_args() {
+            Ok(opts) => run_merge(&opts),
             Err(e) => {
                 eprintln!("error: {e}");
                 eprintln!("{}", usage());
+                return ExitCode::FAILURE;
+            }
+        };
+        return match result {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("error: {e}");
                 ExitCode::FAILURE
             }
         };

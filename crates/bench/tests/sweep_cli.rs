@@ -109,7 +109,10 @@ fn merge_of_an_incomplete_shard_set_fails() {
         sweep(&["merge", lone.to_str().unwrap(), "--out", tmp("incomplete-out").to_str().unwrap()]);
     assert!(!merge.status.success(), "merging 1 of 3 shards must fail");
     assert!(stderr_of(&merge).contains("shard 1 is missing"), "got: {}", stderr_of(&merge));
+    // A data error is not a usage error: no flag synopsis follows it.
+    assert!(!stderr_of(&merge).contains("usage:"), "got: {}", stderr_of(&merge));
 
     let none = sweep(&["merge", "--out", tmp("incomplete-out").to_str().unwrap()]);
     assert!(!none.status.success(), "merge with no partials must fail");
+    assert!(stderr_of(&none).contains("usage:"), "got: {}", stderr_of(&none));
 }

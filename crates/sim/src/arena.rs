@@ -4,8 +4,9 @@
 //! matrices the per-cell setup — allocating slot arenas, tracker slabs,
 //! event-queue lanes and monitor histories, then prewarming the cache —
 //! rivals the event loop itself. A [`SimArena`] keeps the previously built
-//! [`StorageSystem`] / [`TieredStorageSystem`] alive between cells and
-//! hands it back **reset** instead of reallocated whenever the next cell
+//! system of each flavor — one flat [`StorageSystem`], one
+//! [`TieredStorageSystem`] — alive between cells and hands it back
+//! **reset** instead of reallocated whenever the next cell of that flavor
 //! asks for the same [`SimulationConfig`].
 //!
 //! The contract is strict: *reset is observationally equivalent to fresh
@@ -26,7 +27,7 @@
 use lbica_trace::record::TraceRecord;
 
 use crate::config::SimulationConfig;
-use crate::system::StorageSystem;
+use crate::system::{CacheFront, StorageSystem, System};
 use crate::tiered::TieredStorageSystem;
 
 /// Reusable backing store for the simulated systems of consecutive runs.
@@ -42,8 +43,8 @@ use crate::tiered::TieredStorageSystem;
 /// ```
 #[derive(Debug, Default)]
 pub struct SimArena {
-    flat: Option<(SimulationConfig, StorageSystem)>,
-    tiered: Option<(SimulationConfig, TieredStorageSystem)>,
+    pub(crate) flat: Option<(SimulationConfig, StorageSystem)>,
+    pub(crate) tiered: Option<(SimulationConfig, TieredStorageSystem)>,
     records: Vec<TraceRecord>,
 }
 
@@ -53,21 +54,34 @@ impl SimArena {
         SimArena::default()
     }
 
-    /// Hands out a flat system for `config`: the stored one, reset, when
-    /// its construction config matches; a freshly built one otherwise.
-    pub fn take_flat(&mut self, config: &SimulationConfig) -> StorageSystem {
-        match self.flat.take() {
+    /// Hands out a system for `config`: the stored one of its flavor,
+    /// reset, when its construction config matches; a freshly built one
+    /// otherwise.
+    pub(crate) fn take<C: CacheFront>(&mut self, config: &SimulationConfig) -> System<C> {
+        match C::arena_slot(self).take() {
             Some((stored, mut system)) if stored == *config => {
                 system.reset(config);
                 system
             }
-            _ => StorageSystem::new(config),
+            _ => System::new(config),
         }
+    }
+
+    /// Returns a system to the arena for the next [`SimArena::take`] of its
+    /// flavor.
+    pub(crate) fn store<C: CacheFront>(&mut self, config: SimulationConfig, system: System<C>) {
+        *C::arena_slot(self) = Some((config, system));
+    }
+
+    /// Hands out a flat system for `config`: the stored one, reset, when
+    /// its construction config matches; a freshly built one otherwise.
+    pub fn take_flat(&mut self, config: &SimulationConfig) -> StorageSystem {
+        self.take(config)
     }
 
     /// Returns a flat system to the arena for the next [`SimArena::take_flat`].
     pub fn store_flat(&mut self, config: SimulationConfig, system: StorageSystem) {
-        self.flat = Some((config, system));
+        self.store(config, system);
     }
 
     /// Hands out a tiered system for `config`: the stored one, reset, when
@@ -75,22 +89,16 @@ impl SimArena {
     ///
     /// # Panics
     ///
-    /// Panics (in [`TieredStorageSystem::new`]) if `config` carries no tier
-    /// topology and no stored system matches.
+    /// Panics if `config` carries no tier topology and no stored system
+    /// matches.
     pub fn take_tiered(&mut self, config: &SimulationConfig) -> TieredStorageSystem {
-        match self.tiered.take() {
-            Some((stored, mut system)) if stored == *config => {
-                system.reset(config);
-                system
-            }
-            _ => TieredStorageSystem::new(config),
-        }
+        self.take(config)
     }
 
     /// Returns a tiered system to the arena for the next
     /// [`SimArena::take_tiered`].
     pub fn store_tiered(&mut self, config: SimulationConfig, system: TieredStorageSystem) {
-        self.tiered = Some((config, system));
+        self.store(config, system);
     }
 
     /// Hands out the interval-arrivals buffer (empty, with the capacity of

@@ -317,26 +317,21 @@ impl EventQueue {
 
     /// The next event at or before `limit`: the smallest `(time, seq)` over
     /// the arrival lane's front and the cached next completion of every
-    /// station in `groups`. Stations are numbered in order across the
-    /// groups.
+    /// station in `stations`.
     pub(crate) fn next_event(
         &self,
-        groups: [&[DeviceStation]; 2],
+        stations: &[DeviceStation],
         limit: SimTime,
     ) -> Option<NextEvent> {
         let mut best = self.arrivals.front().map_or(NO_EVENT, |a| event_key(a.key()));
         // `usize::MAX` stands for the arrival.
         let (mut best_station, mut best_slot) = (usize::MAX, 0);
-        let mut station = 0;
-        for group in groups {
-            for held in group {
-                let (key, slot) = held.next_completion();
-                let earlier = key < best;
-                best = if earlier { key } else { best };
-                best_station = if earlier { station } else { best_station };
-                best_slot = if earlier { slot } else { best_slot };
-                station += 1;
-            }
+        for (station, held) in stations.iter().enumerate() {
+            let (key, slot) = held.next_completion();
+            let earlier = key < best;
+            best = if earlier { key } else { best };
+            best_station = if earlier { station } else { best_station };
+            best_slot = if earlier { slot } else { best_slot };
         }
         if best == NO_EVENT || (best >> 64) as u64 > limit.as_micros() {
             return None;
@@ -473,7 +468,7 @@ mod tests {
         TraceRecord::new(t, 0, 8, RequestKind::Read)
     }
 
-    const NO_STATIONS: [&[DeviceStation]; 2] = [&[], &[]];
+    const NO_STATIONS: &[DeviceStation] = &[];
 
     /// Pops every arrival in firing order, returning the request ids.
     fn drain(q: &mut EventQueue) -> Vec<u64> {
@@ -559,8 +554,7 @@ mod tests {
         disk.hold(SimTime::from_micros(50), q.start_service(), served(11, 50)).unwrap();
         disk.hold(SimTime::from_micros(100), q.start_service(), served(12, 100)).unwrap();
         let mut fired = Vec::new();
-        while let Some(next) = q.next_event([&stations[..1], &stations[1..]], SimTime::from_secs(1))
-        {
+        while let Some(next) = q.next_event(&stations, SimTime::from_secs(1)) {
             let id = match next {
                 NextEvent::Arrival => q.pop_arrival().id(),
                 NextEvent::Completion { station, slot } => {

@@ -14,6 +14,12 @@
 //!   configurable number of service slots, and
 //! * the `iostat` / `blktrace` monitors sampled once per interval.
 //!
+//! That system is [`StorageSystem`]. The same [`System`], built around the
+//! N-level [`lbica_tier::TieredCacheModule`] instead, is
+//! [`TieredStorageSystem`]: one station per cache level in front of the
+//! disk subsystem. [`System`] is generic over the sealed [`CacheFront`]
+//! trait, which carries only what the two cache modules do differently.
+//!
 //! A [`CacheController`] (the WB baseline, SIB, or LBICA from
 //! `lbica-core`) is consulted at every monitoring-interval boundary and may
 //! switch the cache write policy and/or bypass queued requests to the disk
@@ -57,6 +63,6 @@ pub use event::{EventKind, EventQueue};
 pub use lbica_storage::snap::SnapError;
 pub use report::{PolicyChange, SimPerf, SimulationReport, TierLevelStats};
 pub use runner::Simulation;
-pub use system::{DeviceStation, StorageSystem};
+pub use system::{CacheFront, DeviceStation, StorageSystem, System};
 pub use tiered::TieredStorageSystem;
 pub use tracker::AppTracker;

@@ -1,28 +1,25 @@
 //! The per-workload simulation driver.
 //!
-//! One interval loop drives both datapaths: the paper's flat
-//! [`StorageSystem`] and the N-level [`TieredStorageSystem`]. A private
-//! `Datapath` trait, implemented by both systems, holds only what differs
-//! between them, and the loop is generic over it. A run executes the
-//! loop over `0..N`; a checkpoint runs `0..k` and its resume `k..N`.
+//! One interval loop drives both flavors of the simulated [`System`]: the
+//! paper's flat [`crate::StorageSystem`] and the N-level
+//! [`crate::TieredStorageSystem`]. The loop is generic over the system's
+//! [`CacheFront`], so each flavor runs its own compiled copy. A run
+//! executes the loop over `0..N`; a checkpoint runs `0..k` and its resume
+//! `k..N`.
 
 use std::ops::Range;
 
-use lbica_cache::{CacheStats, WritePolicy};
+use lbica_cache::CacheModule;
 use lbica_obs::{QueueTier, SimObserver};
-use lbica_trace::record::TraceRecord;
+use lbica_tier::TieredCacheModule;
 use lbica_trace::workload::WorkloadSpec;
 
 use crate::arena::SimArena;
 use crate::checkpoint::ReplayCheckpoint;
 use crate::config::SimulationConfig;
-use crate::controller::{
-    BypassDirective, CacheController, ControllerContext, ControllerDecision, TierLoad,
-};
-use crate::report::{PolicyChange, SimPerf, SimulationReport, TierLevelStats};
-use crate::system::StorageSystem;
-use crate::tiered::TieredStorageSystem;
-use crate::tracker::AppTracker;
+use crate::controller::{CacheController, ControllerContext};
+use crate::report::{PolicyChange, SimPerf, SimulationReport};
+use crate::system::{CacheFront, System};
 
 use lbica_storage::snap::{SnapError, SnapReader, SnapWriter};
 use lbica_storage::time::SimTime;
@@ -34,10 +31,10 @@ use lbica_trace::monitor::IntervalReport;
 /// [`SimulationReport::unfinished_requests`]) rather than chased forever.
 const DRAIN_STEPS: u32 = 600;
 
-/// Drives one [`WorkloadSpec`] through a [`StorageSystem`] (or, for a
-/// configuration with two or more cache levels, a [`TieredStorageSystem`])
-/// under a [`CacheController`], interval by interval, producing a
-/// [`SimulationReport`].
+/// Drives one [`WorkloadSpec`] through a [`crate::StorageSystem`] (or, for
+/// a configuration with two or more cache levels, a
+/// [`crate::TieredStorageSystem`]) under a [`CacheController`], interval by
+/// interval, producing a [`SimulationReport`].
 ///
 /// The loop mirrors the paper's deployment: the workload runs continuously;
 /// once per monitoring interval the `iostat`/`blktrace` measurements are
@@ -106,8 +103,8 @@ impl Simulation {
     /// Runs the full workload under `controller` and returns the report.
     ///
     /// Configurations describing two or more cache levels run on the
-    /// tiered datapath ([`TieredStorageSystem`]); everything else takes the
-    /// paper's flat single-SSD path ([`StorageSystem`]).
+    /// tiered system ([`crate::TieredStorageSystem`]); everything else takes
+    /// the paper's flat single-SSD system ([`crate::StorageSystem`]).
     pub fn run(&mut self, controller: &mut dyn CacheController) -> SimulationReport {
         let mut arena = SimArena::new();
         self.run_in(controller, &mut arena)
@@ -125,22 +122,22 @@ impl Simulation {
         arena: &mut SimArena,
     ) -> SimulationReport {
         if self.config.is_tiered() {
-            self.run_on::<TieredStorageSystem>(controller, arena)
+            self.run_on::<TieredCacheModule>(controller, arena)
         } else {
-            self.run_on::<StorageSystem>(controller, arena)
+            self.run_on::<CacheModule>(controller, arena)
         }
     }
 
-    fn run_on<D: Datapath>(
+    fn run_on<C: CacheFront>(
         &mut self,
         controller: &mut dyn CacheController,
         arena: &mut SimArena,
     ) -> SimulationReport {
-        let mut system = D::take(arena, &self.config);
+        let mut system = arena.take::<C>(&self.config);
         let mut progress = self.start(&mut system, controller);
         self.span(&mut system, controller, arena, 0..self.spec.total_intervals(), &mut progress);
         let report = self.finish(&mut system, controller, progress);
-        system.store(arena, self.config);
+        arena.store(self.config, system);
         report
     }
 
@@ -168,9 +165,9 @@ impl Simulation {
         }
         let tiered = self.config.is_tiered();
         let (progress, state) = if tiered {
-            self.checkpoint_on::<TieredStorageSystem>(controller, split_at)
+            self.checkpoint_on::<TieredCacheModule>(controller, split_at)
         } else {
-            self.checkpoint_on::<StorageSystem>(controller, split_at)
+            self.checkpoint_on::<CacheModule>(controller, split_at)
         };
         Ok(ReplayCheckpoint {
             workload: self.spec.name().to_string(),
@@ -186,15 +183,15 @@ impl Simulation {
         })
     }
 
-    /// Runs `[0, split_at)` on datapath `D`; returns the accumulated rows
+    /// Runs `[0, split_at)` on a `System<C>`; returns the accumulated rows
     /// and the system-then-controller state bytes.
-    fn checkpoint_on<D: Datapath>(
+    fn checkpoint_on<C: CacheFront>(
         &mut self,
         controller: &mut dyn CacheController,
         split_at: u32,
     ) -> (Progress, Vec<u8>) {
         let mut arena = SimArena::new();
-        let mut system = D::take(&mut arena, &self.config);
+        let mut system = arena.take::<C>(&self.config);
         let mut progress = self.start(&mut system, controller);
         self.span(&mut system, controller, &mut arena, 0..split_at, &mut progress);
         let mut w = SnapWriter::new();
@@ -238,19 +235,19 @@ impl Simulation {
         }
         cp.check()?;
         if cp.tiered {
-            self.resume_on::<TieredStorageSystem>(controller, cp)
+            self.resume_on::<TieredCacheModule>(controller, cp)
         } else {
-            self.resume_on::<StorageSystem>(controller, cp)
+            self.resume_on::<CacheModule>(controller, cp)
         }
     }
 
-    fn resume_on<D: Datapath>(
+    fn resume_on<C: CacheFront>(
         &mut self,
         controller: &mut dyn CacheController,
         cp: &ReplayCheckpoint,
     ) -> Result<SimulationReport, SnapError> {
         let mut arena = SimArena::new();
-        let mut system = D::take(&mut arena, &self.config);
+        let mut system = arena.take::<C>(&self.config);
         // The restored cache carries the checkpointed write policy; the
         // run-start `set_policy(initial)` is deliberately *not* replayed.
         let mut r = SnapReader::new(&cp.state);
@@ -269,20 +266,24 @@ impl Simulation {
 
     /// Applies the controller's initial policy and opens the report rows
     /// with the run-start policy label.
-    fn start<D: Datapath>(&self, system: &mut D, controller: &dyn CacheController) -> Progress {
-        let label = system.start(controller.initial_policy());
+    fn start<C: CacheFront>(
+        &self,
+        system: &mut System<C>,
+        controller: &dyn CacheController,
+    ) -> Progress {
+        system.set_policy(controller.initial_policy());
         Progress {
             intervals: Vec::with_capacity(self.spec.total_intervals() as usize),
-            policy_changes: vec![PolicyChange { interval: 0, policy: label }],
+            policy_changes: vec![PolicyChange { interval: 0, policy: system.policy_label() }],
             bypassed_total: 0,
         }
     }
 
     /// The interval loop: runs the intervals in `range`, appending their
     /// rows to `progress`.
-    fn span<D: Datapath>(
+    fn span<C: CacheFront>(
         &mut self,
-        system: &mut D,
+        system: &mut System<C>,
         controller: &mut dyn CacheController,
         arena: &mut SimArena,
         range: Range<u32>,
@@ -305,16 +306,33 @@ impl Simulation {
             system.run_until(boundary);
 
             // 2. Gather the iostat/blktrace measurements for the interval.
-            let mut report = system.end_interval(index, &mut tier_loads);
+            let mut report = system.end_interval(index);
+            system.tier_loads_into(&mut tier_loads);
 
             // 3. Consult the controller and apply its decision.
-            let decision = controller.on_interval(&system.context(index, &report, &tier_loads));
+            let decision = controller.on_interval(&ControllerContext {
+                interval_index: index,
+                now: system.now(),
+                cache_queue_depth: report.cache.queue_depth,
+                disk_queue_depth: report.disk.queue_depth,
+                cache_avg_latency: system.cache_avg_latency(),
+                disk_avg_latency: system.disk_avg_latency(),
+                cache_queue_mix: report.cache_queue_mix,
+                current_policy: system.policy(),
+                cache_queue: system.cache_queue(),
+                tier_loads: &tier_loads,
+                tier_policies: system.level_policies(),
+            });
             report.burst_detected = decision.burst_detected;
             let switched_to = system.apply_policy(&decision);
             // `bypassed_requests` counts requests reclassified *to the
             // disk*. Spills (write and read alike) stay in the hierarchy and
             // are accounted separately (tier_stats / spilled_requests()).
-            let [to_disk, spill_writes, spill_reads] = system.apply_bypass(&decision.bypass);
+            let spilled = (system.spilled_requests(), system.spilled_reads());
+            let moved = system.apply_bypass(&decision.bypass) as u64;
+            let spill_writes = system.spilled_requests() - spilled.0;
+            let spill_reads = system.spilled_reads() - spilled.1;
+            let to_disk = moved - (spill_writes + spill_reads);
             progress.bypassed_total += to_disk;
 
             // Out-of-band observability: reads interval measurements, never
@@ -366,9 +384,9 @@ impl Simulation {
     }
 
     /// Drains the tail and builds the report.
-    fn finish<D: Datapath>(
+    fn finish<C: CacheFront>(
         &mut self,
-        system: &mut D,
+        system: &mut System<C>,
         controller: &mut dyn CacheController,
         progress: Progress,
     ) -> SimulationReport {
@@ -376,8 +394,11 @@ impl Simulation {
         // cover the whole workload (up to the drain cap).
         system.drain(self.drain_steps);
 
-        let app = system.app();
-        let perf = system.perf();
+        let app = system.app_tracker();
+        let perf = SimPerf {
+            events_processed: system.events_processed(),
+            peak_event_queue_depth: system.peak_event_queue_depth(),
+        };
         if let Some(obs) = self.observer.as_mut() {
             controller.export_obs(obs, self.spec.interval_us());
             obs.run_totals(
@@ -402,242 +423,10 @@ impl Simulation {
             app_p95_latency_us: app.percentile_us(95.0),
             app_p99_latency_us: app.percentile_us(99.0),
             bypassed_requests: progress.bypassed_total,
-            cache_stats: system.hot_stats(),
+            cache_stats: *system.cache().level_stats(0),
             perf,
-            tier_stats: system.tier_stats(),
+            tier_stats: system.tier_level_stats(),
         }
-    }
-}
-
-/// What the interval loop needs from a storage system, implemented by the
-/// flat [`StorageSystem`] and the [`TieredStorageSystem`]: only what differs
-/// between them. `schedule_record` and `run_until` forward to the inherent
-/// methods, so monomorphisation leaves each event loop as it is.
-trait Datapath: Sized {
-    fn take(arena: &mut SimArena, config: &SimulationConfig) -> Self;
-    fn store(self, arena: &mut SimArena, config: SimulationConfig);
-    /// Applies the controller's initial policy; returns the run-start label.
-    fn start(&mut self, policy: WritePolicy) -> String;
-    fn schedule_record(&mut self, record: &TraceRecord);
-    fn run_until(&mut self, limit: SimTime);
-    /// Closes interval `index`, refreshing `tier_loads` (left empty when
-    /// flat).
-    fn end_interval(&mut self, index: u32, tier_loads: &mut Vec<TierLoad>) -> IntervalReport;
-    /// What the controller sees at the end of interval `index`.
-    fn context<'a>(
-        &'a self,
-        index: u32,
-        report: &IntervalReport,
-        tier_loads: &'a [TierLoad],
-    ) -> ControllerContext<'a>;
-    /// Applies the decision's policy; returns the recorded label when the
-    /// policy switches.
-    fn apply_policy(&mut self, decision: &ControllerDecision) -> Option<String>;
-    /// Applies the bypass; returns `[to_disk, spilled_writes, spilled_reads]`.
-    fn apply_bypass(&mut self, directive: &BypassDirective) -> [u64; 3];
-    /// Cumulative (promotions, demotions) over all cache levels.
-    fn movement_totals(&self) -> (u64, u64);
-    fn drain(&mut self, max_steps: u32);
-    fn snap_to(&self, w: &mut SnapWriter);
-    fn snap_state_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
-    fn app(&self) -> &AppTracker;
-    fn perf(&self) -> SimPerf;
-    /// The headline cache stats: the whole cache, or the hot tier (the
-    /// level every application request is judged against).
-    fn hot_stats(&self) -> CacheStats;
-    /// The per-level breakdown (empty when flat).
-    fn tier_stats(&self) -> Vec<TierLevelStats>;
-}
-
-impl Datapath for StorageSystem {
-    fn take(arena: &mut SimArena, config: &SimulationConfig) -> Self {
-        arena.take_flat(config)
-    }
-    fn store(self, arena: &mut SimArena, config: SimulationConfig) {
-        arena.store_flat(config, self);
-    }
-    fn start(&mut self, policy: WritePolicy) -> String {
-        self.set_policy(policy);
-        policy.label().to_string()
-    }
-    fn schedule_record(&mut self, record: &TraceRecord) {
-        StorageSystem::schedule_record(self, record);
-    }
-    fn run_until(&mut self, limit: SimTime) {
-        StorageSystem::run_until(self, limit);
-    }
-    fn end_interval(&mut self, index: u32, _tier_loads: &mut Vec<TierLoad>) -> IntervalReport {
-        StorageSystem::end_interval(self, index)
-    }
-    fn context<'a>(
-        &'a self,
-        index: u32,
-        report: &IntervalReport,
-        tier_loads: &'a [TierLoad],
-    ) -> ControllerContext<'a> {
-        ControllerContext {
-            interval_index: index,
-            now: self.now(),
-            cache_queue_depth: report.cache.queue_depth,
-            disk_queue_depth: report.disk.queue_depth,
-            cache_avg_latency: self.cache_avg_latency(),
-            disk_avg_latency: self.disk_avg_latency(),
-            cache_queue_mix: report.cache_queue_mix,
-            current_policy: self.policy(),
-            cache_queue: self.cache_queue(),
-            tier_loads,
-            tier_policies: &[],
-        }
-    }
-    fn apply_policy(&mut self, decision: &ControllerDecision) -> Option<String> {
-        if decision.policy == self.policy() {
-            return None;
-        }
-        self.set_policy(decision.policy);
-        Some(decision.policy.label().to_string())
-    }
-    fn apply_bypass(&mut self, directive: &BypassDirective) -> [u64; 3] {
-        [StorageSystem::apply_bypass(self, directive) as u64, 0, 0]
-    }
-    fn movement_totals(&self) -> (u64, u64) {
-        (0, 0)
-    }
-    fn drain(&mut self, max_steps: u32) {
-        StorageSystem::drain(self, max_steps);
-    }
-    fn snap_to(&self, w: &mut SnapWriter) {
-        StorageSystem::snap_to(self, w);
-    }
-    fn snap_state_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        StorageSystem::snap_state_from(self, r)
-    }
-    fn app(&self) -> &AppTracker {
-        self.app_tracker()
-    }
-    fn perf(&self) -> SimPerf {
-        SimPerf {
-            events_processed: self.events_processed(),
-            peak_event_queue_depth: self.peak_event_queue_depth(),
-        }
-    }
-    fn hot_stats(&self) -> CacheStats {
-        *self.cache().stats()
-    }
-    fn tier_stats(&self) -> Vec<TierLevelStats> {
-        Vec::new()
-    }
-}
-
-impl Datapath for TieredStorageSystem {
-    fn take(arena: &mut SimArena, config: &SimulationConfig) -> Self {
-        arena.take_tiered(config)
-    }
-    fn store(self, arena: &mut SimArena, config: SimulationConfig) {
-        arena.store_tiered(config, self);
-    }
-    /// On an explicitly per-tier topology `set_policy` drives the hot tier
-    /// only (lower levels are config-pinned; see
-    /// `TieredCacheModule::set_policy`), so a configured warm-tier policy
-    /// survives run start, every burst switch and every revert.
-    fn start(&mut self, policy: WritePolicy) -> String {
-        self.set_policy(policy);
-        tier_policy_label(self.level_policies())
-    }
-    fn schedule_record(&mut self, record: &TraceRecord) {
-        TieredStorageSystem::schedule_record(self, record);
-    }
-    fn run_until(&mut self, limit: SimTime) {
-        TieredStorageSystem::run_until(self, limit);
-    }
-    fn end_interval(&mut self, index: u32, tier_loads: &mut Vec<TierLoad>) -> IntervalReport {
-        let report = TieredStorageSystem::end_interval(self, index);
-        self.tier_loads_into(tier_loads);
-        report
-    }
-    fn context<'a>(
-        &'a self,
-        index: u32,
-        report: &IntervalReport,
-        tier_loads: &'a [TierLoad],
-    ) -> ControllerContext<'a> {
-        ControllerContext {
-            interval_index: index,
-            now: self.now(),
-            cache_queue_depth: report.cache.queue_depth,
-            disk_queue_depth: report.disk.queue_depth,
-            cache_avg_latency: self.cache_avg_latency(),
-            disk_avg_latency: self.disk_avg_latency(),
-            cache_queue_mix: report.cache_queue_mix,
-            current_policy: self.policy(),
-            cache_queue: self.cache_queue(),
-            tier_loads,
-            tier_policies: self.level_policies(),
-        }
-    }
-    fn apply_policy(&mut self, decision: &ControllerDecision) -> Option<String> {
-        if decision.tier_policies.is_empty() {
-            // The paper's single policy knob (which drives the hot tier only
-            // on an explicitly per-tier stack); the recorded label is the
-            // resulting hot-to-cold assignment.
-            if decision.policy == self.policy() {
-                return None;
-            }
-            self.set_policy(decision.policy);
-            Some(tier_policy_label(self.level_policies()))
-        } else if self.level_policies() != decision.tier_policies.as_slice() {
-            // Tier-aware assignment: one policy per level, recorded as a
-            // composite hot-to-cold label (e.g. "WO/WB").
-            self.set_level_policies(&decision.tier_policies);
-            Some(tier_policy_label(&decision.tier_policies))
-        } else {
-            None
-        }
-    }
-    fn apply_bypass(&mut self, directive: &BypassDirective) -> [u64; 3] {
-        let writes_before = self.spilled_requests();
-        let reads_before = self.spilled_reads();
-        let moved = TieredStorageSystem::apply_bypass(self, directive) as u64;
-        let spill_writes = self.spilled_requests() - writes_before;
-        let spill_reads = self.spilled_reads() - reads_before;
-        [moved - (spill_writes + spill_reads), spill_writes, spill_reads]
-    }
-    fn movement_totals(&self) -> (u64, u64) {
-        TieredStorageSystem::movement_totals(self)
-    }
-    fn drain(&mut self, max_steps: u32) {
-        TieredStorageSystem::drain(self, max_steps);
-    }
-    fn snap_to(&self, w: &mut SnapWriter) {
-        TieredStorageSystem::snap_to(self, w);
-    }
-    fn snap_state_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        TieredStorageSystem::snap_state_from(self, r)
-    }
-    fn app(&self) -> &AppTracker {
-        self.app_tracker()
-    }
-    fn perf(&self) -> SimPerf {
-        SimPerf {
-            events_processed: self.events_processed(),
-            peak_event_queue_depth: self.peak_event_queue_depth(),
-        }
-    }
-    fn hot_stats(&self) -> CacheStats {
-        *self.cache().stats(0)
-    }
-    fn tier_stats(&self) -> Vec<TierLevelStats> {
-        self.tier_level_stats()
-    }
-}
-
-/// The Fig. 6-style label of a per-tier policy assignment: the plain policy
-/// label when every level agrees, a hot-to-cold `"WO/WB"` composite when
-/// they differ.
-fn tier_policy_label(policies: &[WritePolicy]) -> String {
-    if policies.windows(2).all(|w| w[0] == w[1]) {
-        policies[0].label().to_string()
-    } else {
-        policies.iter().map(|p| p.label()).collect::<Vec<_>>().join("/")
     }
 }
 

@@ -205,3 +205,29 @@ fn all_schemes_complete_the_same_workload() {
     assert_eq!(wb.app_completed, lbica.app_completed);
     assert!(wb.app_completed > 0);
 }
+
+/// The system-and-controller bytes of tiny `tpcc`'s midpoint checkpoint,
+/// as (length, FNV-1a digest): the flat cache under LBICA and the
+/// two-level hierarchy under tier-aware LBICA. No other test pins the
+/// checkpoint body's layout; a change to what it stores, or to the order
+/// it is written in, moves these values and must bump the format version.
+#[test]
+fn midpoint_checkpoint_bytes_are_pinned() {
+    use lbica::storage::hash::{fnv1a, FNV_OFFSET};
+    let spec = WorkloadSpec::tpcc_scaled(WorkloadScale::tiny());
+    let cells: [(SimulationConfig, LbicaController, (usize, u64)); 2] = [
+        (SimulationConfig::tiny(), LbicaController::new(), (99_217, 11_027_101_263_180_068_575)),
+        (
+            SimulationConfig::tiny_two_tier(),
+            LbicaController::tier_aware(),
+            (321_928, 13_010_951_631_928_730_564),
+        ),
+    ];
+    for (config, mut controller, pinned) in cells {
+        let cp = Simulation::new(config, spec.clone(), SEED)
+            .run_to_checkpoint(&mut controller, spec.total_intervals() / 2)
+            .unwrap();
+        let got = (cp.state.len(), fnv1a(&cp.state, FNV_OFFSET));
+        assert_eq!(got, pinned, "tiered: {}", config.is_tiered());
+    }
+}
