@@ -159,22 +159,6 @@ fn bench_set_assoc(c: &mut Criterion) {
             map.touch(std::hint::black_box(block))
         })
     });
-    c.bench_function("set_assoc/dirty_candidates_into_sparse", |b| {
-        // 4096 slots, only one set dirty: the per-set dirty counter must
-        // skip the clean sets without scanning their ways.
-        let mut map = SetAssociativeMap::new(256, 16, ReplacementKind::Lru);
-        for block in 0..4096u64 {
-            map.insert(block, SlotState::Clean);
-        }
-        for way in 0..16u64 {
-            map.mark_dirty(100 + way * 256); // all in set 100
-        }
-        let mut buf = Vec::new();
-        b.iter(|| {
-            map.dirty_candidates_into(32, &mut buf);
-            buf.len()
-        })
-    });
 }
 
 /// The slab-backed application tracker: dense-id register/complete cycles,

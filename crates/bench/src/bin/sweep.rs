@@ -422,16 +422,25 @@ struct TelemetrySinks {
     metrics: MetricsFold,
 }
 
+/// Creates the directory a file at `path` will live in.
+fn create_parent(path: &Path) -> Result<(), String> {
+    match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => fs::create_dir_all(parent)
+            .map_err(|e| format!("cannot create {}: {e}", parent.display())),
+        _ => Ok(()),
+    }
+}
+
+/// Creates (truncating) the JSONL telemetry stream at `path`, making its
+/// parent directory first.
+fn create_jsonl(path: &Path) -> Result<JsonlTelemetry<std::io::BufWriter<fs::File>>, String> {
+    create_parent(path)?;
+    JsonlTelemetry::create(path).map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
 impl TelemetrySinks {
     fn create(path: &Path) -> Result<Self, String> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent)
-                    .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-            }
-        }
-        let jsonl = JsonlTelemetry::create(path)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        let jsonl = create_jsonl(path)?;
         Ok(TelemetrySinks { path: path.to_path_buf(), jsonl, metrics: MetricsFold::new() })
     }
 
@@ -460,15 +469,9 @@ impl TelemetrySinks {
 fn write_cell_trace(
     out_dir: &Path,
     matrix_name: &str,
-    matrix: &ScenarioMatrix,
     index: usize,
+    cell: &Scenario,
 ) -> Result<(), String> {
-    let cell: Scenario = matrix.cell(index).ok_or_else(|| {
-        format!(
-            "--trace-cell {index} is out of range: matrix `{matrix_name}` has {} cells",
-            matrix.len()
-        )
-    })?;
     eprintln!("tracing cell {index} (`{}`)", cell.id());
     let (_report, obs) = cell.run_observed(SimObserver::new());
     let trace = obs.render_chrome_trace(&cell.id());
@@ -525,12 +528,7 @@ fn run_shard(opts: &Options, index: usize, count: usize) -> Result<(), String> {
     }
 
     let path = partial_path(&opts.out_dir, &opts.matrix, index, count);
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)
-                .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-        }
-    }
+    create_parent(&path)?;
     partial.write_to(&path).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     println!(
         "wrote {} ({} cells, fingerprint {:016x})",
@@ -542,42 +540,32 @@ fn run_shard(opts: &Options, index: usize, count: usize) -> Result<(), String> {
 }
 
 fn run_merge(opts: &MergeOptions) -> Result<(), String> {
-    let jsonl = opts
-        .telemetry
-        .as_deref()
-        .map(|path| {
-            if let Some(parent) = path.parent() {
-                if !parent.as_os_str().is_empty() {
-                    fs::create_dir_all(parent)
-                        .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-                }
-            }
-            JsonlTelemetry::create(path)
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))
-        })
-        .transpose()?;
+    let started = Instant::now();
+    eprintln!("merging {} partial(s)", opts.parts.len());
+    let partials = opts
+        .parts
+        .iter()
+        .map(|path| PartialSweep::read_from(path).map_err(|e| format!("{}: {e}", path.display())))
+        .collect::<Result<Vec<_>, _>>()?;
+    let merged = PartialSweep::merge(&partials).map_err(|e| e.to_string())?;
+
+    // The telemetry stream opens only once the merge has succeeded, so a
+    // rejected shard set leaves no half-written stream behind.
+    let jsonl = opts.telemetry.as_deref().map(create_jsonl).transpose()?;
     let stderr = StderrProgress::new();
     let mut hooks: Vec<&dyn TelemetryHook> = vec![&stderr];
     if let Some(j) = &jsonl {
         hooks.push(j);
     }
     let fan = FanOut::new(&hooks);
-
-    let started = Instant::now();
     fan.record(TelemetryEvent::SweepStart { matrix: "merge", cells: opts.parts.len(), jobs: 1 });
-    eprintln!("merging {} partial(s)", opts.parts.len());
-    let mut partials = Vec::with_capacity(opts.parts.len());
-    for path in &opts.parts {
-        let partial =
-            PartialSweep::read_from(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    for partial in &partials {
         fan.record(TelemetryEvent::ShardMerged {
             shard_index: partial.shard_index,
             shard_count: partial.shard_count,
             cells: partial.cells.len(),
         });
-        partials.push(partial);
     }
-    let merged = PartialSweep::merge(&partials).map_err(|e| e.to_string())?;
     eprintln!("merged {} shard(s), {} cells", partials.len(), merged.cells);
     // Re-derive the per-tenant offered-load rows from the matrix
     // definition, exactly as the unsharded path does — tenant rows are a
@@ -610,8 +598,20 @@ fn run_merge(opts: &MergeOptions) -> Result<(), String> {
 fn run_sweep(opts: &Options) -> Result<(), String> {
     let matrix = build_matrix(&opts.matrix)?;
 
-    // Validate the output directory up front: a bad --out must fail fast,
-    // not after a (possibly slow) sweep has already run.
+    // Validate the cell indices and the output directory up front: a bad
+    // --trace-cell, --checkpoint-cell or --out must fail fast, not after a
+    // (possibly slow) sweep has already run.
+    let pick = |flag: &str, index: usize| {
+        matrix.cell(index).map(|cell| (index, cell)).ok_or_else(|| {
+            format!(
+                "{flag} {index} is out of range: matrix `{}` has {} cells",
+                opts.matrix,
+                matrix.len()
+            )
+        })
+    };
+    let traced = opts.trace_cell.map(|i| pick("--trace-cell", i)).transpose()?;
+    let checked = opts.checkpoint_cell.map(|i| pick("--checkpoint-cell", i)).transpose()?;
     fs::create_dir_all(&opts.out_dir)
         .map_err(|e| format!("cannot create {}: {e}", opts.out_dir.display()))?;
 
@@ -653,11 +653,11 @@ fn run_sweep(opts: &Options) -> Result<(), String> {
     }
 
     write_summary(&opts.out_dir, &opts.matrix, &summary)?;
-    if let Some(index) = opts.trace_cell {
-        write_cell_trace(&opts.out_dir, &opts.matrix, &matrix, index)?;
+    if let Some((index, cell)) = traced {
+        write_cell_trace(&opts.out_dir, &opts.matrix, index, &cell)?;
     }
-    if let Some(index) = opts.checkpoint_cell {
-        check_cell_checkpoint(&opts.matrix, &matrix, index)?;
+    if let Some((index, cell)) = checked {
+        check_cell_checkpoint(index, &cell)?;
     }
     Ok(())
 }
@@ -666,17 +666,7 @@ fn run_sweep(opts: &Options) -> Result<(), String> {
 /// midpoint interval with the replay checkpoint round-tripped through the
 /// binary encoding — and fails unless the two reports are byte-identical.
 /// CI's workload-smoke job points this at a tiered `paper-mt` cell.
-fn check_cell_checkpoint(
-    matrix_name: &str,
-    matrix: &ScenarioMatrix,
-    index: usize,
-) -> Result<(), String> {
-    let cell: Scenario = matrix.cell(index).ok_or_else(|| {
-        format!(
-            "--checkpoint-cell {index} is out of range: matrix `{matrix_name}` has {} cells",
-            matrix.len()
-        )
-    })?;
+fn check_cell_checkpoint(index: usize, cell: &Scenario) -> Result<(), String> {
     let direct = cell.run();
     let split = direct.total_intervals / 2;
     let resumed = cell

@@ -7,7 +7,7 @@
 
 use lbica_core::{HeadlineSummary, WorkloadComparison};
 use lbica_lab::{ScenarioMatrix, SweepExecutor};
-use lbica_sim::{Simulation, SimulationConfig, SimulationReport};
+use lbica_sim::{SimulationConfig, SimulationReport};
 use lbica_trace::workload::{WorkloadScale, WorkloadSpec};
 
 // Re-exported under its historical path: the controller axis moved to
@@ -107,16 +107,6 @@ impl SuiteResult {
     }
 }
 
-/// Runs one workload under one controller.
-pub fn run_controller(
-    spec: &WorkloadSpec,
-    kind: ControllerKind,
-    config: &SuiteConfig,
-) -> SimulationReport {
-    let mut controller = kind.build();
-    Simulation::new(config.sim, spec.clone(), config.seed).run(controller.as_mut())
-}
-
 /// Regroups a matrix's cell-ordered reports into per-workload results.
 fn group_reports(matrix: &ScenarioMatrix, reports: Vec<SimulationReport>) -> SuiteResult {
     let mut slots: Vec<(String, [Option<SimulationReport>; 3])> =
@@ -176,6 +166,7 @@ pub fn run_suite_with_jobs(config: &SuiteConfig, jobs: usize) -> SuiteResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lbica_sim::Simulation;
 
     #[test]
     fn controller_kinds_build_correctly_named_controllers() {
@@ -216,7 +207,8 @@ mod tests {
         // literal seed, same reports.
         let config = SuiteConfig::tiny();
         let spec = WorkloadSpec::tpcc_scaled(config.scale);
-        let direct = run_controller(&spec, ControllerKind::Lbica, &config);
+        let direct = Simulation::new(config.sim, spec, config.seed)
+            .run(ControllerKind::Lbica.build().as_mut());
         let suite = run_suite(&config);
         assert_eq!(suite.workload("tpcc").unwrap().lbica, direct);
     }

@@ -1,7 +1,7 @@
 //! Figure- and table-reproduction harness for the LBICA paper.
 //!
 //! The paper's evaluation consists of four artefacts, each regenerated by
-//! this crate (see `DESIGN.md` for the experiment index):
+//! this crate's `reproduce` binary:
 //!
 //! * **Fig. 4** — I/O cache load (max latency per interval) under WB, SIB
 //!   and LBICA for TPC-C, mail-server and web-server workloads;
@@ -27,6 +27,6 @@ pub mod csv;
 pub mod harness;
 
 pub use harness::{
-    run_controller, run_suite, run_suite_with_jobs, run_workload, ControllerKind, SuiteConfig,
-    SuiteResult, WorkloadResult,
+    run_suite, run_suite_with_jobs, run_workload, ControllerKind, SuiteConfig, SuiteResult,
+    WorkloadResult,
 };

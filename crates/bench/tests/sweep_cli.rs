@@ -116,3 +116,50 @@ fn merge_of_an_incomplete_shard_set_fails() {
     assert!(!none.status.success(), "merge with no partials must fail");
     assert!(stderr_of(&none).contains("usage:"), "got: {}", stderr_of(&none));
 }
+
+#[test]
+fn a_failed_merge_writes_no_telemetry() {
+    let parts = tmp("telemetry-incomplete");
+    let lone = parts.join("part_0.json");
+    let shard = sweep(&[
+        "--matrix",
+        "tiny",
+        "--jobs",
+        "2",
+        "--shard",
+        "0/3",
+        "--out",
+        lone.to_str().unwrap(),
+    ]);
+    assert!(shard.status.success(), "shard 0/3 failed: {}", stderr_of(&shard));
+
+    let telemetry = parts.join("merge.jsonl");
+    let out = tmp("telemetry-incomplete-out");
+    let merge = sweep(&[
+        "merge",
+        lone.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+        "--telemetry",
+        telemetry.to_str().unwrap(),
+    ]);
+    assert!(!merge.status.success(), "merging 1 of 3 shards must fail");
+    assert!(!telemetry.exists(), "a rejected merge left a telemetry stream behind");
+    assert!(!out.exists(), "a rejected merge wrote summaries");
+}
+
+#[test]
+fn out_of_range_cell_indices_fail_before_the_sweep_runs() {
+    for flag in ["--trace-cell", "--checkpoint-cell"] {
+        let out = tmp(&format!("out-of-range{flag}"));
+        let run =
+            sweep(&["--matrix", "tiny", "--jobs", "2", flag, "99", "--out", out.to_str().unwrap()]);
+        assert!(!run.status.success(), "`{flag} 99` on the 36-cell tiny matrix must fail");
+        let stderr = stderr_of(&run);
+        assert!(stderr.contains(&format!("{flag} 99 is out of range")), "got: {stderr}");
+        assert!(!stderr.contains("complete"), "`{flag} 99` ran the sweep first: {stderr}");
+        for name in ["sweep_tiny.csv", "sweep_tiny.json"] {
+            assert!(!out.join(name).exists(), "`{flag} 99` wrote {name} before failing");
+        }
+    }
+}

@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod flusher;
 pub mod module;
 pub mod outcome;
 pub mod policy;
@@ -51,7 +50,6 @@ pub mod replacement;
 pub mod set_assoc;
 pub mod stats;
 
-pub use flusher::{FlushPolicy, Flusher};
 pub use module::{CacheConfig, CacheModule};
 pub use outcome::{CacheOutcome, DerivedOp, TargetDevice};
 pub use policy::WritePolicy;

@@ -73,10 +73,6 @@ pub struct CacheModule {
     map: SetAssociativeMap,
     policy: WritePolicy,
     stats: CacheStats,
-    /// Reused victim buffer for `flush_dirty`; always left empty between
-    /// calls, so it never affects equality or serialization semantics.
-    #[serde(skip)]
-    flush_scratch: Vec<u64>,
 }
 
 impl CacheModule {
@@ -87,7 +83,6 @@ impl CacheModule {
             policy: config.initial_policy,
             config,
             stats: CacheStats::default(),
-            flush_scratch: Vec::new(),
         }
     }
 
@@ -102,8 +97,8 @@ impl CacheModule {
     }
 
     /// Assigns a new write policy. Takes effect for subsequent accesses;
-    /// already-dirty blocks remain dirty and are still flushed/evicted
-    /// correctly under the new policy.
+    /// already-dirty blocks remain dirty and are still written back when
+    /// evicted under the new policy.
     pub fn set_policy(&mut self, policy: WritePolicy) {
         self.policy = policy;
     }
@@ -323,35 +318,6 @@ impl CacheModule {
         }
     }
 
-    /// Flushes up to `max_blocks` dirty blocks, returning the derived
-    /// operations (an SSD read and an HDD write per block). The blocks are
-    /// marked clean immediately; callers queue the returned operations.
-    pub fn flush_dirty(&mut self, max_blocks: usize) -> Vec<DerivedOp> {
-        let mut victims = std::mem::take(&mut self.flush_scratch);
-        self.map.dirty_candidates_into(max_blocks, &mut victims);
-        let mut ops = Vec::with_capacity(victims.len() * 2);
-        for &block in &victims {
-            self.map.mark_clean(block);
-            self.stats.flushes += 1;
-            let range = Self::block_range(block);
-            ops.push(DerivedOp::new(
-                TargetDevice::Ssd,
-                RequestKind::Read,
-                RequestOrigin::Flush,
-                range,
-            ));
-            ops.push(DerivedOp::new(
-                TargetDevice::Hdd,
-                RequestKind::Write,
-                RequestOrigin::Flush,
-                range,
-            ));
-        }
-        victims.clear();
-        self.flush_scratch = victims;
-        ops
-    }
-
     /// Invalidates a single cached block (e.g. because a controller bypassed
     /// the write that would have updated it to the disk subsystem), returning
     /// its previous state if it was cached.
@@ -398,8 +364,7 @@ impl CacheModule {
 
     /// Serializes the module — map contents, active policy, statistics —
     /// for a replay checkpoint. The configuration is rebuilt from the
-    /// simulation config on resume, not stored (`flush_scratch` is always
-    /// empty between calls and carries no state).
+    /// simulation config on resume, not stored.
     pub fn snap_to(&self, w: &mut SnapWriter) {
         self.map.snap_to(w);
         w.put_u8(match self.policy {
@@ -566,19 +531,6 @@ mod tests {
         assert_eq!(out.hdd_ops().len(), 4);
         assert_eq!(out.ssd_ops().len(), 4);
         assert_eq!(cache.stats().read_misses, 4);
-    }
-
-    #[test]
-    fn flush_dirty_cleans_blocks_and_emits_ops() {
-        let mut cache = module();
-        cache.access(&write(1, 0));
-        cache.access(&write(2, 8));
-        assert_eq!(cache.dirty_blocks(), 2);
-        let ops = cache.flush_dirty(10);
-        assert_eq!(ops.len(), 4); // SSD read + HDD write per block
-        assert_eq!(cache.dirty_blocks(), 0);
-        assert_eq!(cache.stats().flushes, 2);
-        assert!(cache.flush_dirty(10).is_empty());
     }
 
     #[test]

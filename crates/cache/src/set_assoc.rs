@@ -3,15 +3,13 @@
 //! The map is one contiguous arena of 16-byte `Slot` records indexed by
 //! `set * associativity + way`: each record holds the block tag, the
 //! occupancy/dirty state and the slot's intrusive recency links, stored as
-//! way indices within its set. A per-set `SetHead` holds the coldest and
-//! hottest way and the set's dirty count. A lookup and its LRU splice
-//! therefore stay inside the set's own few cache lines (a 4-way set is 64
-//! bytes), and `dirty_candidates` skips whole sets via the dirty counter.
-//! The observable semantics are bit-identical to the seed's boxed-slot
-//! representation (a `Vec<Option<Slot>>` per set plus a recency `Vec` of
-//! way indices): same hit/eviction decisions, same victim order, same
-//! candidate enumeration order — pinned by the model-based proptest in
-//! `tests/model_equivalence.rs`.
+//! way indices within its set. A per-set 4-byte `SetHead` holds the coldest
+//! and hottest way. A lookup and its LRU splice therefore stay inside the
+//! set's own few cache lines (a 4-way set is 64 bytes). The observable
+//! semantics are bit-identical to the seed's boxed-slot representation (a
+//! `Vec<Option<Slot>>` per set plus a recency `Vec` of way indices): same
+//! hit/eviction decisions, same victim order — pinned by the model-based
+//! proptest in `tests/model_equivalence.rs`.
 
 use std::fmt;
 
@@ -55,20 +53,20 @@ impl Slot {
 
 const _: () = assert!(std::mem::size_of::<Slot>() == 16, "a slot record is 16 bytes");
 
-/// The ends of one set's recency list, plus its dirty-slot count so clean
-/// sets are skipped wholesale when enumerating flush candidates.
+/// The ends of one set's recency list: 4 bytes per set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 struct SetHead {
     /// Coldest way (the eviction victim), `NIL` when the set is empty.
     head: u16,
     /// Hottest way, `NIL` when the set is empty.
     tail: u16,
-    dirty: u32,
 }
 
 impl SetHead {
-    const EMPTY: SetHead = SetHead { head: NIL, tail: NIL, dirty: 0 };
+    const EMPTY: SetHead = SetHead { head: NIL, tail: NIL };
 }
+
+const _: () = assert!(std::mem::size_of::<SetHead>() == 4, "a set record is 4 bytes");
 
 /// What happened when a block was inserted into the map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -247,15 +245,13 @@ impl SetAssociativeMap {
         }
     }
 
-    /// Rewrites a way's state, keeping `len`, `dirty` and the set's dirty
-    /// count in step.
+    /// Rewrites a way's state, keeping `len` and `dirty` in step.
     fn set_state(&mut self, set: usize, way: usize, state: Option<SlotState>) {
         let base = self.set_base(set);
         let old = std::mem::replace(&mut self.slots[base + way].state, state);
-        let dirty = |s: Option<SlotState>| u32::from(s == Some(SlotState::Dirty));
+        let dirty = |s: Option<SlotState>| usize::from(s == Some(SlotState::Dirty));
         self.len = self.len + usize::from(state.is_some()) - usize::from(old.is_some());
-        self.sets[set].dirty = self.sets[set].dirty + dirty(state) - dirty(old);
-        self.dirty = self.dirty + dirty(state) as usize - dirty(old) as usize;
+        self.dirty = self.dirty + dirty(state) - dirty(old);
     }
 
     /// Empties an occupied way, returning the state it held.
@@ -301,7 +297,7 @@ impl SetAssociativeMap {
                 };
             }
         }
-        self.sets.fill(SetHead { head: 0, tail: (assoc - 1) as u16, dirty: 0 });
+        self.sets.fill(SetHead { head: 0, tail: (assoc - 1) as u16 });
         self.len = self.capacity_blocks();
         self.dirty = 0;
     }
@@ -400,47 +396,10 @@ impl SetAssociativeMap {
         self.find(set, block).map(|way| self.set_state(set, way, Some(SlotState::Dirty))).is_some()
     }
 
-    /// Marks a cached block clean (after a flush). Returns `false` when the
-    /// block is not cached.
-    pub fn mark_clean(&mut self, block: u64) -> bool {
-        let set = self.set_of(block);
-        self.find(set, block).map(|way| self.set_state(set, way, Some(SlotState::Clean))).is_some()
-    }
-
     /// Removes `block` from the cache, returning its state if it was cached.
     pub fn invalidate(&mut self, block: u64) -> Option<SlotState> {
         let set = self.set_of(block);
         self.find(set, block).map(|way| self.remove(set, way))
-    }
-
-    /// Returns up to `max` dirty block indices, coldest sets first, for the
-    /// background flusher.
-    pub fn dirty_candidates(&self, max: usize) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.dirty_candidates_into(max, &mut out);
-        out
-    }
-
-    /// [`SetAssociativeMap::dirty_candidates`] into a caller-owned buffer,
-    /// so a periodic flusher reuses one allocation. The buffer is cleared
-    /// first. Sets with no dirty blocks are skipped without scanning their
-    /// ways.
-    pub fn dirty_candidates_into(&self, max: usize, out: &mut Vec<u64>) {
-        out.clear();
-        if max == 0 || self.dirty == 0 {
-            return;
-        }
-        for (ways, links) in self.slots.chunks_exact(self.associativity).zip(&self.sets) {
-            if links.dirty == 0 {
-                continue;
-            }
-            for slot in ways.iter().filter(|s| s.state == Some(SlotState::Dirty)) {
-                out.push(slot.tag);
-                if out.len() >= max {
-                    return;
-                }
-            }
-        }
     }
 
     /// Iterates all cached block indices.
@@ -450,9 +409,8 @@ impl SetAssociativeMap {
 
     /// Serializes the map — geometry, slot records and recency links, the
     /// links as global slot indices — for a replay checkpoint. Derived
-    /// fields (`set_mask`, per-set dirty counters, `len`, `dirty`) are
-    /// recomputed on restore rather than stored, shrinking the corruption
-    /// surface.
+    /// fields (`set_mask`, `len`, `dirty`) are recomputed on restore rather
+    /// than stored, shrinking the corruption surface.
     pub fn snap_to(&self, w: &mut SnapWriter) {
         w.put_usize(self.num_sets);
         w.put_usize(self.associativity);
@@ -539,10 +497,7 @@ impl SetAssociativeMap {
             }
             for slot in ways.iter().filter(|s| s.state.is_some()) {
                 map.len += 1;
-                if slot.state == Some(SlotState::Dirty) {
-                    map.dirty += 1;
-                    links.dirty += 1;
-                }
+                map.dirty += usize::from(slot.state == Some(SlotState::Dirty));
             }
         }
         Ok(map)
@@ -665,10 +620,12 @@ mod tests {
         m.insert(3, SlotState::Clean);
         assert!(m.mark_dirty(3));
         assert_eq!(m.dirty_blocks(), 1);
-        assert!(m.mark_clean(3));
+        // A dirty block turns clean only by leaving the map and coming back.
+        assert_eq!(m.invalidate(3), Some(SlotState::Dirty));
+        m.insert(3, SlotState::Clean);
+        assert_eq!(m.state(3), Some(SlotState::Clean));
         assert_eq!(m.dirty_blocks(), 0);
         assert!(!m.mark_dirty(99));
-        assert!(!m.mark_clean(99));
     }
 
     #[test]
@@ -679,32 +636,6 @@ mod tests {
         assert_eq!(m.invalidate(5), None);
         assert_eq!(m.len(), 0);
         assert_eq!(m.dirty_blocks(), 0);
-    }
-
-    #[test]
-    fn dirty_candidates_lists_dirty_blocks_up_to_max() {
-        let mut m = SetAssociativeMap::new(8, 2, ReplacementKind::Lru);
-        for b in 0..6 {
-            m.insert(b, SlotState::Dirty);
-        }
-        let some = m.dirty_candidates(4);
-        assert_eq!(some.len(), 4);
-        let all = m.dirty_candidates(100);
-        assert_eq!(all.len(), 6);
-    }
-
-    #[test]
-    fn dirty_candidates_into_reuses_the_buffer() {
-        let mut m = SetAssociativeMap::new(8, 2, ReplacementKind::Lru);
-        for b in 0..6 {
-            m.insert(b, SlotState::Dirty);
-        }
-        let mut buf = vec![99, 98, 97];
-        m.dirty_candidates_into(4, &mut buf);
-        assert_eq!(buf.len(), 4);
-        assert_eq!(buf, m.dirty_candidates(4));
-        m.dirty_candidates_into(0, &mut buf);
-        assert!(buf.is_empty());
     }
 
     #[test]
@@ -730,20 +661,6 @@ mod tests {
         }
         assert_eq!(m.len(), m.capacity_blocks());
         assert_eq!(m.blocks().count(), 4);
-    }
-
-    #[test]
-    fn per_set_dirty_counters_track_global_count() {
-        let mut m = SetAssociativeMap::new(4, 4, ReplacementKind::Lru);
-        for b in 0..12 {
-            m.insert(b, if b % 2 == 0 { SlotState::Dirty } else { SlotState::Clean });
-        }
-        assert_eq!(m.sets.iter().map(|s| s.dirty as usize).sum::<usize>(), m.dirty_blocks());
-        for b in 0..12 {
-            m.invalidate(b);
-        }
-        assert_eq!(m.dirty_blocks(), 0);
-        assert!(m.sets.iter().all(|s| s.dirty == 0));
     }
 
     #[test]

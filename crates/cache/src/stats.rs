@@ -27,7 +27,9 @@ pub struct CacheStats {
     pub unpromoted_read_misses: u64,
     /// Cached blocks invalidated because a bypassed write made them stale.
     pub invalidations: u64,
-    /// Dirty blocks flushed by the background flusher.
+    /// Dirty blocks flushed in the background. Nothing in the simulator
+    /// flushes, so this is always 0; it stays in checkpoints and in
+    /// perfbench's report digest.
     pub flushes: u64,
 }
 

@@ -104,34 +104,6 @@ proptest! {
     }
 
     #[test]
-    fn flushing_everything_always_leaves_a_clean_cache(
-        writes in proptest::collection::vec(0u64..64, 1..200),
-    ) {
-        let mut cache = CacheModule::new(small_config(WritePolicy::WriteBack));
-        for (i, block) in writes.iter().enumerate() {
-            let req = IoRequest::new(
-                i as u64,
-                RequestKind::Write,
-                RequestOrigin::Application,
-                block * 8,
-                8,
-            );
-            cache.access(&req);
-        }
-        let dirty_before = cache.dirty_blocks();
-        let ops = cache.flush_dirty(usize::MAX);
-        prop_assert_eq!(ops.len(), dirty_before * 2);
-        prop_assert_eq!(cache.dirty_blocks(), 0);
-        // Every flush op pair is an SSD read plus a disk write.
-        let ssd_reads =
-            ops.iter().filter(|op| op.target == TargetDevice::Ssd && op.kind == RequestKind::Read).count();
-        let disk_writes =
-            ops.iter().filter(|op| op.target == TargetDevice::Hdd && op.kind == RequestKind::Write).count();
-        prop_assert_eq!(ssd_reads, dirty_before);
-        prop_assert_eq!(disk_writes, dirty_before);
-    }
-
-    #[test]
     fn hit_ratio_is_always_a_probability(
         policy in arb_policy(),
         accesses in proptest::collection::vec((0u64..32, any::<bool>()), 0..200),

@@ -92,13 +92,6 @@ impl WorkloadComparison {
     pub fn latency_improvement_vs_sib(&self) -> f64 {
         percent_reduction(self.sib_avg_latency_us as f64, self.lbica_avg_latency_us as f64)
     }
-
-    /// How much load LBICA shifted onto the disk subsystem relative to WB,
-    /// percent (negative values mean the disk got *busier*, which is the
-    /// intended direction of the balance).
-    pub fn disk_load_shift_vs_wb(&self) -> f64 {
-        percent_reduction(self.wb_disk_load_us, self.lbica_disk_load_us)
-    }
 }
 
 impl fmt::Display for WorkloadComparison {

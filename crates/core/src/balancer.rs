@@ -74,13 +74,6 @@ pub struct BalancingAction {
     pub tail_bypass: usize,
 }
 
-impl BalancingAction {
-    /// An action that assigns `policy` and bypasses nothing.
-    pub const fn policy_only(policy: WritePolicy) -> Self {
-        BalancingAction { policy, tail_bypass: 0 }
-    }
-}
-
 /// Computes the per-interval [`BalancingAction`] from the detected workload
 /// group and the observed queue state.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -131,12 +124,6 @@ impl LoadBalancer {
             _ => 0,
         };
         BalancingAction { policy, tail_bypass }
-    }
-
-    /// The action for a non-burst interval: fall back to the default policy
-    /// and leave the queue alone.
-    pub fn action_for_calm(&self) -> BalancingAction {
-        BalancingAction::policy_only(self.map.fallback)
     }
 
     /// The per-tier generalization of the group → policy map: the *hot*
@@ -254,14 +241,6 @@ mod tests {
             lb.tail_bypass_count(5, SimDuration::from_micros(75), SimDuration::from_micros(10_000)),
             0
         );
-    }
-
-    #[test]
-    fn calm_intervals_revert_to_the_fallback_policy() {
-        let lb = LoadBalancer::new();
-        let a = lb.action_for_calm();
-        assert_eq!(a.policy, WritePolicy::WriteBack);
-        assert_eq!(a.tail_bypass, 0);
     }
 
     #[test]

@@ -195,11 +195,6 @@ impl WorkloadCharacterizer {
             _ => WorkloadGroup::Unknown,
         }
     }
-
-    /// Convenience: classify straight from a queue snapshot.
-    pub fn classify_snapshot(&self, snapshot: &QueueSnapshot) -> WorkloadGroup {
-        self.classify(&RequestMix::from_snapshot(snapshot))
-    }
 }
 
 impl Default for WorkloadCharacterizer {
@@ -259,7 +254,8 @@ mod tests {
     #[test]
     fn empty_queue_is_unknown() {
         assert_eq!(
-            WorkloadCharacterizer::new().classify_snapshot(&QueueSnapshot::default()),
+            WorkloadCharacterizer::new()
+                .classify(&RequestMix::from_snapshot(&QueueSnapshot::default())),
             WorkloadGroup::Unknown
         );
     }

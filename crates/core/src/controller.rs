@@ -690,9 +690,6 @@ mod tests {
         assert_eq!(log.len(), 2);
         assert!(log.records()[0].burst);
         assert!(!log.records()[1].burst);
-        let summary = log.summarize();
-        assert_eq!(summary.total_intervals, 2);
-        assert_eq!(summary.burst_intervals, 1);
-        assert_eq!(summary.group_counts["random-read"], 1);
+        assert_eq!(log.records()[0].group, Some(WorkloadGroup::RandomRead));
     }
 }

@@ -3,11 +3,8 @@
 //! The paper presents Fig. 6 as the controller's own view of the run —
 //! which intervals were bursts, how each was characterized and which
 //! policy was assigned. [`DecisionLog`] records exactly that from inside
-//! the controller, and [`DecisionSummary`] aggregates it (policy residency,
-//! group histogram, burst coverage) for reports and the ablation benches.
-
-use std::collections::BTreeMap;
-use std::fmt;
+//! the controller, whose `export_obs` replays it into the observability
+//! layer.
 
 use serde::{Deserialize, Serialize};
 
@@ -66,89 +63,6 @@ impl DecisionLog {
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
-
-    /// The decision for a specific interval, if recorded.
-    pub fn for_interval(&self, interval: u32) -> Option<&DecisionRecord> {
-        self.records.iter().find(|r| r.interval == interval)
-    }
-
-    /// Aggregates the log into a summary.
-    pub fn summarize(&self) -> DecisionSummary {
-        let mut policy_intervals = BTreeMap::new();
-        let mut group_counts = BTreeMap::new();
-        let mut burst_intervals = 0usize;
-        let mut total_tail_bypass = 0u64;
-        for record in &self.records {
-            *policy_intervals.entry(record.policy.label().to_string()).or_insert(0u32) += 1;
-            if record.burst {
-                burst_intervals += 1;
-                if let Some(group) = record.group {
-                    *group_counts.entry(group.to_string()).or_insert(0u32) += 1;
-                }
-            }
-            total_tail_bypass += record.tail_bypass as u64;
-        }
-        DecisionSummary {
-            total_intervals: self.records.len(),
-            burst_intervals,
-            policy_intervals,
-            group_counts,
-            total_tail_bypass,
-        }
-    }
-}
-
-/// Aggregated view of a [`DecisionLog`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct DecisionSummary {
-    /// Number of intervals the controller was consulted for.
-    pub total_intervals: usize,
-    /// Number of intervals flagged as bursts.
-    pub burst_intervals: usize,
-    /// For each policy label, how many intervals it was assigned for.
-    pub policy_intervals: BTreeMap<String, u32>,
-    /// For each detected workload group, how many burst intervals it covered.
-    pub group_counts: BTreeMap<String, u32>,
-    /// Total number of tail-bypass requests issued across the run.
-    pub total_tail_bypass: u64,
-}
-
-impl DecisionSummary {
-    /// Fraction of intervals flagged as bursts, in `[0, 1]`.
-    pub fn burst_fraction(&self) -> f64 {
-        if self.total_intervals == 0 {
-            0.0
-        } else {
-            self.burst_intervals as f64 / self.total_intervals as f64
-        }
-    }
-
-    /// The policy assigned for the most intervals, if any were recorded.
-    pub fn dominant_policy(&self) -> Option<&str> {
-        self.policy_intervals
-            .iter()
-            .max_by_key(|(_, count)| **count)
-            .map(|(label, _)| label.as_str())
-    }
-}
-
-impl fmt::Display for DecisionSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{} intervals, {} bursts ({:.0}%)",
-            self.total_intervals,
-            self.burst_intervals,
-            self.burst_fraction() * 100.0
-        )?;
-        for (policy, count) in &self.policy_intervals {
-            writeln!(f, "  policy {policy}: {count} intervals")?;
-        }
-        for (group, count) in &self.group_counts {
-            writeln!(f, "  group {group}: {count} burst intervals")?;
-        }
-        write!(f, "  tail-bypass requests: {}", self.total_tail_bypass)
-    }
 }
 
 #[cfg(test)]
@@ -180,37 +94,9 @@ mod tests {
         log.push(record(0, false, None, WritePolicy::WriteBack, 0));
         log.push(record(1, true, Some(WorkloadGroup::RandomRead), WritePolicy::WriteOnly, 0));
         assert_eq!(log.len(), 2);
-        assert_eq!(log.for_interval(1).unwrap().policy, WritePolicy::WriteOnly);
-        assert!(log.for_interval(7).is_none());
+        let by_interval = |i: u32| log.records().iter().find(|r| r.interval == i);
+        assert_eq!(by_interval(1).unwrap().policy, WritePolicy::WriteOnly);
+        assert!(by_interval(7).is_none());
         assert_eq!(log.records()[0].interval, 0);
-    }
-
-    #[test]
-    fn summary_counts_policies_groups_and_bursts() {
-        let mut log = DecisionLog::new();
-        log.push(record(0, false, None, WritePolicy::WriteBack, 0));
-        log.push(record(1, true, Some(WorkloadGroup::RandomRead), WritePolicy::WriteOnly, 0));
-        log.push(record(2, true, Some(WorkloadGroup::RandomRead), WritePolicy::WriteOnly, 0));
-        log.push(record(3, true, Some(WorkloadGroup::RandomWrite), WritePolicy::WriteBack, 12));
-        let summary = log.summarize();
-        assert_eq!(summary.total_intervals, 4);
-        assert_eq!(summary.burst_intervals, 3);
-        assert!((summary.burst_fraction() - 0.75).abs() < 1e-12);
-        assert_eq!(summary.policy_intervals["WO"], 2);
-        assert_eq!(summary.policy_intervals["WB"], 2);
-        assert_eq!(summary.group_counts["random-read"], 2);
-        assert_eq!(summary.group_counts["random-write"], 1);
-        assert_eq!(summary.total_tail_bypass, 12);
-        assert!(summary.dominant_policy() == Some("WB") || summary.dominant_policy() == Some("WO"));
-        let display = summary.to_string();
-        assert!(display.contains("bursts"));
-        assert!(display.contains("tail-bypass"));
-    }
-
-    #[test]
-    fn empty_summary_is_safe() {
-        let summary = DecisionLog::new().summarize();
-        assert_eq!(summary.burst_fraction(), 0.0);
-        assert_eq!(summary.dominant_policy(), None);
     }
 }

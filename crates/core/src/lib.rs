@@ -63,5 +63,5 @@ pub use baseline::{SibConfig, SibController, WbController};
 pub use characterizer::{RequestMix, WorkloadCharacterizer, WorkloadGroup};
 pub use controller::{LbicaConfig, LbicaController};
 pub use detector::{BottleneckDetector, BottleneckVerdict};
-pub use history::{DecisionLog, DecisionRecord, DecisionSummary};
+pub use history::{DecisionLog, DecisionRecord};
 pub use tier::{SpillPlan, SpillPlanner, SpillTarget};

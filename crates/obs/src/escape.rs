@@ -33,13 +33,6 @@ pub fn prometheus_help(s: &str) -> String {
     s.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
-/// Escapes a label *value* for the Prometheus text exposition format.
-///
-/// Label values additionally require `"` to be escaped.
-pub fn prometheus_label(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,10 +50,5 @@ mod tests {
     fn prometheus_help_escapes_backslash_and_newline_only() {
         assert_eq!(prometheus_help("queue \\depth\nnext"), "queue \\\\depth\\nnext");
         assert_eq!(prometheus_help("quotes \" stay"), "quotes \" stay");
-    }
-
-    #[test]
-    fn prometheus_label_escapes_quotes_too() {
-        assert_eq!(prometheus_label("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

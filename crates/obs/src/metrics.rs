@@ -144,16 +144,6 @@ impl MetricsRegistry {
         self.counters[id.0].value
     }
 
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> u64 {
-        self.gauges[id.0].value
-    }
-
-    /// Read access to a registered histogram.
-    pub fn histogram_values(&self, id: HistogramId) -> &LatencyHistogram {
-        &self.histograms[id.0].values
-    }
-
     /// Folds another registry into this one, matching instruments by name
     /// and registering any that are missing. Counters add, gauges take the
     /// maximum (high-water semantics), histograms merge — all commutative,
@@ -358,11 +348,12 @@ mod tests {
     fn gauges_set_and_high_water() {
         let mut reg = MetricsRegistry::new();
         let g = reg.gauge("lbica_depth", "queue depth");
+        let value = |reg: &MetricsRegistry| reg.snapshot().gauges[0].value;
         reg.set(g, 10);
         reg.set_max(g, 7);
-        assert_eq!(reg.gauge_value(g), 10);
+        assert_eq!(value(&reg), 10);
         reg.set_max(g, 30);
-        assert_eq!(reg.gauge_value(g), 30);
+        assert_eq!(value(&reg), 30);
     }
 
     #[test]

@@ -103,14 +103,6 @@ impl SimulationConfig {
         }
     }
 
-    /// Same as [`SimulationConfig::harness`] but with the raw HDD disk
-    /// subsystem, for ablations.
-    pub const fn harness_with_hdd() -> Self {
-        let mut cfg = SimulationConfig::harness();
-        cfg.disk_device = DiskDeviceConfig::seagate_hdd();
-        cfg
-    }
-
     /// Returns a copy with the cache's set count replaced (builder style).
     /// Together with [`SimulationConfig::with_cache_associativity`] this is
     /// how scenario sweeps enumerate cache geometries.
@@ -247,14 +239,6 @@ impl SimulationConfig {
         base.with_tiers(TierTopology::three_level(hot, warm, cold))
     }
 
-    /// Returns a copy with the service parallelism of both tiers replaced
-    /// (builder style).
-    pub const fn with_parallelism(mut self, ssd: usize, disk: usize) -> Self {
-        self.ssd_parallelism = ssd;
-        self.disk_parallelism = disk;
-        self
-    }
-
     /// Total cache capacity in blocks: `num_sets × associativity` for the
     /// flat cache, the sum over every level for a tiered hierarchy.
     pub fn cache_capacity_blocks(&self) -> usize {
@@ -297,9 +281,6 @@ mod tests {
         assert_eq!(wider.cache_capacity_blocks(), 2048);
         let hdd = base.with_disk_device(DiskDeviceConfig::seagate_hdd());
         assert!(matches!(hdd.disk_device, DiskDeviceConfig::Hdd(_)));
-        let parallel = base.with_parallelism(2, 8);
-        assert_eq!(parallel.ssd_parallelism, 2);
-        assert_eq!(parallel.disk_parallelism, 8);
         // Builders copy: the base config is untouched.
         assert_eq!(base, SimulationConfig::tiny());
     }
@@ -375,7 +356,7 @@ mod tests {
 
     #[test]
     fn hdd_variant_switches_disk_model() {
-        let cfg = SimulationConfig::harness_with_hdd();
+        let cfg = SimulationConfig::harness().with_disk_device(DiskDeviceConfig::seagate_hdd());
         assert!(matches!(cfg.disk_device, DiskDeviceConfig::Hdd(_)));
         assert_eq!(DiskDeviceConfig::default(), DiskDeviceConfig::midrange_ssd());
     }

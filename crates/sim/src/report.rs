@@ -140,35 +140,9 @@ impl SimulationReport {
         mean(self.intervals.iter().map(|i| i.cache.queue_depth as u64))
     }
 
-    /// Mean cache load restricted to the intervals the controller flagged as
-    /// bursts (or all intervals when none were flagged).
-    pub fn avg_cache_load_in_bursts_us(&self) -> f64 {
-        let burst: Vec<u64> = self
-            .intervals
-            .iter()
-            .filter(|i| i.burst_detected)
-            .map(|i| i.cache.max_latency_us)
-            .collect();
-        if burst.is_empty() {
-            self.avg_cache_load_us()
-        } else {
-            mean(burst.into_iter())
-        }
-    }
-
     /// Number of intervals the controller flagged as bursts.
     pub fn burst_intervals(&self) -> usize {
         self.intervals.iter().filter(|i| i.burst_detected).count()
-    }
-
-    /// The per-interval cache max-latency series (the Fig. 4 curve).
-    pub fn cache_load_series(&self) -> Vec<u64> {
-        self.intervals.iter().map(|i| i.cache.max_latency_us).collect()
-    }
-
-    /// The per-interval disk max-latency series (the Fig. 5 curve).
-    pub fn disk_load_series(&self) -> Vec<u64> {
-        self.intervals.iter().map(|i| i.disk.max_latency_us).collect()
     }
 
     /// The policy label in force at every interval (the Fig. 6 annotation).
@@ -266,17 +240,8 @@ mod tests {
         assert!((r.avg_cache_load_us() - 200.0).abs() < 1e-9);
         assert!((r.avg_disk_load_us() - 20.0).abs() < 1e-9);
         assert!((r.avg_cache_queue_depth() - 2.0).abs() < 1e-9);
-        assert_eq!(r.cache_load_series(), vec![100, 300, 200]);
-        assert_eq!(r.disk_load_series(), vec![10, 20, 30]);
         assert_eq!(r.policy_series(), vec!["WB", "WB", "WB"]);
         assert_eq!(r.burst_intervals(), 2);
-        assert!((r.avg_cache_load_in_bursts_us() - 250.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn burst_average_falls_back_to_overall_when_no_bursts() {
-        let r = report_with_loads(&[100, 200], &[0, 0], &[false, false]);
-        assert!((r.avg_cache_load_in_bursts_us() - 150.0).abs() < 1e-9);
     }
 
     #[test]

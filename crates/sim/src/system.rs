@@ -494,11 +494,6 @@ impl<C: CacheFront> System<C> {
         self.app.completed()
     }
 
-    /// Number of application requests that have arrived but not completed.
-    pub fn app_outstanding(&self) -> u64 {
-        self.app.outstanding() as u64
-    }
-
     /// Mean end-to-end latency of completed application requests, µs.
     pub fn app_avg_latency_us(&self) -> u64 {
         self.app.avg_latency_us()
@@ -512,11 +507,6 @@ impl<C: CacheFront> System<C> {
     /// End-to-end application latency at `pct` (0–100), µs, log-bucketed.
     pub fn app_percentile_us(&self, pct: f64) -> u64 {
         self.app.percentile_us(pct)
-    }
-
-    /// The end-to-end application latency distribution.
-    pub fn app_latency_histogram(&self) -> &lbica_storage::histogram::LatencyHistogram {
-        self.app.latency_histogram()
     }
 
     /// The application-request tracker behind the `app_*` accessors.

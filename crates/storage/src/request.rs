@@ -67,7 +67,9 @@ pub enum RequestOrigin {
     /// A cache-internal operation that writes a victim block back to the
     /// disk subsystem (the paper's **E**).
     Evict,
-    /// A background flush of dirty data performed by the write-back flusher.
+    /// A background flush of dirty data. Nothing in the simulator flushes
+    /// (dirty blocks reach the disk only as evictions); the variant stays
+    /// because checkpoints encode it as tag 3.
     Flush,
 }
 

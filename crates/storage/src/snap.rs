@@ -103,11 +103,6 @@ impl SnapWriter {
         self.put_u8(u8::from(v));
     }
 
-    /// Writes an `f64` by bit pattern (exact round-trip).
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
     /// Writes an optional `u64` as a tag byte plus, when present, the value.
     pub fn put_opt_u64(&mut self, v: Option<u64>) {
         match v {
@@ -189,11 +184,6 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    /// Reads an `f64` stored by bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, SnapError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
     /// Reads an optional `u64`.
     pub fn get_opt_u64(&mut self) -> Result<Option<u64>, SnapError> {
         match self.get_u8()? {
@@ -239,7 +229,6 @@ mod tests {
         w.put_usize(12_345);
         w.put_bool(true);
         w.put_bool(false);
-        w.put_f64(core::f64::consts::PI);
         w.put_opt_u64(None);
         w.put_opt_u64(Some(7));
         w.put_str("tier0-ssd");
@@ -254,7 +243,6 @@ mod tests {
         assert_eq!(r.get_usize().unwrap(), 12_345);
         assert!(r.get_bool().unwrap());
         assert!(!r.get_bool().unwrap());
-        assert_eq!(r.get_f64().unwrap(), core::f64::consts::PI);
         assert_eq!(r.get_opt_u64().unwrap(), None);
         assert_eq!(r.get_opt_u64().unwrap(), Some(7));
         assert_eq!(r.get_str().unwrap(), "tier0-ssd");

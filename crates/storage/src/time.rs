@@ -124,11 +124,6 @@ impl SimDuration {
         self.0 / 1_000
     }
 
-    /// The duration as floating-point microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64
-    }
-
     /// The duration as floating-point seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0

@@ -108,17 +108,6 @@ impl PatternSpec {
             _ => None,
         }
     }
-
-    /// Fraction of generated requests expected to be reads.
-    pub fn expected_read_fraction(&self) -> f64 {
-        match *self {
-            PatternSpec::RandomRead { .. } | PatternSpec::SequentialRead { .. } => 1.0,
-            PatternSpec::RandomWrite { .. } | PatternSpec::SequentialWrite { .. } => 0.0,
-            PatternSpec::Mixed { read_fraction, .. }
-            | PatternSpec::Hotspot { read_fraction, .. }
-            | PatternSpec::Zipfian { read_fraction, .. } => read_fraction.clamp(0.0, 1.0),
-        }
-    }
 }
 
 /// A stateful generator of `(sector, sectors, kind)` triples.
@@ -559,17 +548,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn expected_read_fraction_matches_specs() {
-        assert_eq!(PatternSpec::RandomRead { working_set_blocks: 1 }.expected_read_fraction(), 1.0);
-        assert_eq!(PatternSpec::SequentialWrite { length_blocks: 1 }.expected_read_fraction(), 0.0);
-        assert_eq!(
-            PatternSpec::Mixed { read_fraction: 0.3, working_set_blocks: 1 }
-                .expected_read_fraction(),
-            0.3
-        );
     }
 
     #[test]

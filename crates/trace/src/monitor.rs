@@ -153,7 +153,6 @@ impl IntervalReport {
 pub struct IostatCollector {
     cache: TierAccumulator,
     disk: TierAccumulator,
-    history: Vec<IntervalReport>,
 }
 
 /// Per-interval accumulator backed by a [`LatencyHistogram`], so interval
@@ -229,29 +228,26 @@ impl IostatCollector {
     }
 
     /// Closes the current interval: produces its report (with the supplied
-    /// end-of-interval queue depths), appends it to the history and resets
-    /// the accumulators.
+    /// end-of-interval queue depths) and resets the accumulators.
     pub fn finish_interval(
         &mut self,
         index: u32,
         cache_queue_depth: usize,
         disk_queue_depth: usize,
     ) -> IntervalReport {
-        let report = IntervalReport {
+        IntervalReport {
             index,
             cache: self.cache.finish(cache_queue_depth),
             disk: self.disk.finish(disk_queue_depth),
             cache_queue_mix: QueueSnapshot::default(),
             policy_label: String::new(),
             burst_detected: false,
-        };
-        self.history.push(report.clone());
-        report
+        }
     }
 
-    /// Clears both per-interval accumulators and the report history while
-    /// keeping the history Vec (and the histograms' bucket arrays)
-    /// allocated. Observationally identical to a fresh collector afterwards.
+    /// Clears both per-interval accumulators while keeping the histograms'
+    /// bucket arrays allocated. Observationally identical to a fresh
+    /// collector afterwards.
     pub fn reset(&mut self) {
         self.cache.enqueued = 0;
         self.cache.peak_queue_depth = 0;
@@ -259,12 +255,11 @@ impl IostatCollector {
         self.disk.enqueued = 0;
         self.disk.peak_queue_depth = 0;
         self.disk.latency.reset();
-        self.history.clear();
     }
 
     /// Serializes the *in-progress* interval accumulators for a replay
-    /// checkpoint — not the report history, which the checkpoint carries as
-    /// finished interval reports itself. The accumulators are usually empty
+    /// checkpoint; finished intervals travel as the checkpoint's own
+    /// interval reports. The accumulators are usually empty
     /// at an interval boundary, but a boundary-time controller action (e.g.
     /// a bypass moving queued requests to the disk subsystem) may already
     /// have fed the *next* interval's counters, so a checkpoint cannot
@@ -274,8 +269,7 @@ impl IostatCollector {
         self.disk.snap_to(w);
     }
 
-    /// Restores accumulators written by [`IostatCollector::snap_to`]. The
-    /// history is left untouched.
+    /// Restores accumulators written by [`IostatCollector::snap_to`].
     ///
     /// # Errors
     ///
@@ -284,16 +278,6 @@ impl IostatCollector {
         self.cache.snap_state_from(r)?;
         self.disk.snap_state_from(r)?;
         Ok(())
-    }
-
-    /// All interval reports produced so far.
-    pub fn history(&self) -> &[IntervalReport] {
-        &self.history
-    }
-
-    /// Consumes the collector and returns its history.
-    pub fn into_history(self) -> Vec<IntervalReport> {
-        self.history
     }
 }
 
@@ -314,12 +298,6 @@ impl BlktraceProbe {
     /// Adds one observation of the queue's current contents.
     pub fn observe(&mut self, queue: &DeviceQueue) {
         self.accumulated.merge(&queue.snapshot());
-        self.samples += 1;
-    }
-
-    /// Adds a pre-computed snapshot (e.g. counted at enqueue time).
-    pub fn observe_snapshot(&mut self, snapshot: &QueueSnapshot) {
-        self.accumulated.merge(snapshot);
         self.samples += 1;
     }
 
@@ -407,7 +385,6 @@ mod tests {
         let r1 = io.finish_interval(1, 0, 0);
         assert_eq!(r1.cache.completed, 0);
         assert_eq!(r1.cache.max_latency_us, 0);
-        assert_eq!(io.history().len(), 2);
     }
 
     #[test]
