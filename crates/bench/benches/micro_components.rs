@@ -1,6 +1,7 @@
 //! Micro-benchmarks of LBICA's building blocks: the bottleneck detector,
 //! the workload characterizer, the cache module's datapath decision, the
-//! device service-time models and the device queue.
+//! device service-time models, the device queue and the text-trace
+//! writer and importer.
 //!
 //! These quantify the per-interval and per-request overhead of the control
 //! loop — the paper argues LBICA's interval-granularity decisions are much
@@ -345,6 +346,39 @@ fn bench_zipf_interval(c: &mut Criterion) {
     });
 }
 
+/// The text-trace kernels over one fixed, time-ordered capture of 65,536
+/// records (two back-to-back runs of a harness-scale write-heavy synthetic
+/// workload, cut to length): writing it as text, importing the text, and
+/// importing it straight to the binary codec (import, then sort and
+/// encode). Divide a time by 65,536 for the per-record cost.
+fn bench_trace_io(c: &mut Criterion) {
+    use lbica_trace::io::{import_text_to_binary, import_text_trace, write_text_trace};
+    use lbica_trace::workload::{WorkloadScale, WorkloadSpec};
+
+    let spec = WorkloadSpec::synthetic_scaled("capture", WorkloadScale::harness(), 0.1);
+    let mut records = spec.generate_all(7);
+    let rerun = spec.generate_all(8).into_iter().map(|mut r| {
+        r.timestamp_us += spec.total_duration_us();
+        r
+    });
+    records.extend(rerun);
+    assert!(records.len() >= 1 << 16, "the capture is shorter than the benched length");
+    records.truncate(1 << 16);
+    let mut text = Vec::new();
+    c.bench_function("trace_io/write_text", |b| {
+        b.iter(|| {
+            text.clear();
+            write_text_trace(&mut text, std::hint::black_box(&records))
+        })
+    });
+    c.bench_function("trace_io/import_text", |b| {
+        b.iter(|| import_text_trace(std::hint::black_box(text.as_slice())))
+    });
+    c.bench_function("trace_io/import_to_binary", |b| {
+        b.iter(|| import_text_to_binary(std::hint::black_box(text.as_slice())))
+    });
+}
+
 trait BenchQueueExt {
     fn default_for_bench() -> DeviceQueue;
 }
@@ -369,6 +403,7 @@ criterion_group!(
     bench_remove_by_ids,
     bench_tier_movement,
     bench_arena,
-    bench_zipf_interval
+    bench_zipf_interval,
+    bench_trace_io
 );
 criterion_main!(benches);

@@ -501,6 +501,10 @@ fn run_shard(opts: &Options, index: usize, count: usize) -> Result<(), String> {
     let matrix = build_matrix(&opts.matrix)?;
     let executor = SweepExecutor::new(opts.jobs);
     let range = matrix.shard(index, count);
+    // Make the partial's directory up front: a bad --out must fail fast,
+    // not after the shard has run.
+    let path = partial_path(&opts.out_dir, &opts.matrix, index, count);
+    create_parent(&path)?;
     eprintln!(
         "sweeping shard {index}/{count} of matrix `{}`: cells [{}, {}) of {} on {} worker(s)",
         opts.matrix,
@@ -527,8 +531,6 @@ fn run_shard(opts: &Options, index: usize, count: usize) -> Result<(), String> {
         s.finish()?;
     }
 
-    let path = partial_path(&opts.out_dir, &opts.matrix, index, count);
-    create_parent(&path)?;
     partial.write_to(&path).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     println!(
         "wrote {} ({} cells, fingerprint {:016x})",

@@ -163,3 +163,29 @@ fn out_of_range_cell_indices_fail_before_the_sweep_runs() {
         }
     }
 }
+
+#[test]
+fn a_shard_with_an_unusable_out_fails_before_the_sweep_runs() {
+    let blocker = tmp("shard-out-blocker");
+    fs::write(&blocker, b"a regular file, not a directory").expect("temp dir is writable");
+    let part = blocker.join("part.json");
+    let run = sweep(&[
+        "--matrix",
+        "tiny",
+        "--jobs",
+        "2",
+        "--shard",
+        "0/2",
+        "--out",
+        part.to_str().unwrap(),
+    ]);
+    assert!(!run.status.success(), "a shard whose --out sits under a regular file must fail");
+    let stderr = stderr_of(&run);
+    assert!(stderr.contains("cannot create"), "got: {stderr}");
+    assert!(!stderr.contains("sweeping shard"), "the shard ran before --out was checked: {stderr}");
+    assert!(run.stdout.is_empty(), "a failed shard reported writing something");
+    assert_eq!(
+        fs::read(&blocker).expect("the blocking file is still there"),
+        b"a regular file, not a directory",
+    );
+}

@@ -8,26 +8,76 @@
 //!   captures, and
 //! * a compact binary format ([`BinaryTraceCodec`]) using fixed-width
 //!   little-endian fields, convenient for large synthetic traces.
+//!
+//! The text path allocates nothing per record. The writer formats lines
+//! into one reused chunk of about 64 KiB and hands the underlying writer
+//! whole chunks, so an unbuffered `File` sees one write per chunk, not one
+//! per line. The reader reads each line into one reused byte buffer. An
+//! all-ASCII line is trimmed, split and parsed as bytes; a line holding
+//! any non-ASCII byte is trimmed and split as `str` with Unicode
+//! whitespace, so such lines are accepted or rejected exactly as a
+//! `str`-only reader would. Both paths feed one field validator.
 
 use std::io::{self, BufRead, Write};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 
 use lbica_storage::request::RequestKind;
 
 use crate::record::TraceRecord;
 
+/// Bytes [`write_text_trace`] gathers before each `write_all`.
+const TEXT_CHUNK_BYTES: usize = 64 * 1024;
+
+/// The longest line [`write_text_trace`] emits: two 20-digit `u64`s, a
+/// 10-digit `u32`, the direction letter, three spaces and the newline.
+const MAX_TEXT_LINE_BYTES: usize = 20 + 1 + 20 + 1 + 10 + 1 + 1 + 1;
+
 /// Writes records to `writer`, one text line per record; read them back
-/// with [`import_text_trace`].
+/// with [`import_text_trace`]. Each line is byte-identical to
+/// [`TraceRecord::to_line`] plus `\n`. Lines are gathered into chunks of
+/// about 64 KiB, and `writer` receives one `write_all` per chunk.
 ///
 /// # Errors
 ///
 /// Propagates any I/O error from the underlying writer.
 pub fn write_text_trace<W: Write>(mut writer: W, records: &[TraceRecord]) -> io::Result<()> {
+    let capacity = TEXT_CHUNK_BYTES.min(records.len().saturating_mul(MAX_TEXT_LINE_BYTES));
+    let mut chunk = Vec::with_capacity(capacity);
     for rec in records {
-        writeln!(writer, "{}", rec.to_line())?;
+        push_decimal(&mut chunk, rec.timestamp_us);
+        chunk.push(b' ');
+        push_decimal(&mut chunk, rec.sector);
+        chunk.push(b' ');
+        push_decimal(&mut chunk, u64::from(rec.sectors));
+        chunk.push(b' ');
+        chunk.push(if rec.kind.is_read() { b'R' } else { b'W' });
+        chunk.push(b'\n');
+        if chunk.len() + MAX_TEXT_LINE_BYTES > TEXT_CHUNK_BYTES {
+            writer.write_all(&chunk)?;
+            chunk.clear();
+        }
+    }
+    if !chunk.is_empty() {
+        writer.write_all(&chunk)?;
     }
     Ok(())
+}
+
+/// Appends `value` in decimal, as `Display` formats it.
+fn push_decimal(out: &mut Vec<u8>, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        // `value % 10` is a single digit, so the cast cannot truncate.
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
 }
 
 /// Why one line of an imported text trace was rejected.
@@ -128,35 +178,125 @@ pub(crate) fn check_range(record: &TraceRecord) -> Result<(), ImportLineError> {
     }
 }
 
-fn parse_import_field(
-    fields: &[&str],
-    index: usize,
-    name: &'static str,
-) -> Result<u64, ImportLineError> {
-    let raw = fields.get(index).ok_or(ImportLineError::MissingField(name))?;
-    raw.parse::<u64>().map_err(|_| ImportLineError::InvalidNumber(name))
+/// Parses an unsigned decimal exactly as `u64::from_str` does: an optional
+/// leading `+`, then one or more ASCII digits, without overflow.
+fn parse_decimal(field: &[u8]) -> Option<u64> {
+    let digits = field.strip_prefix(b"+").unwrap_or(field);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |acc, &b| {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        acc.checked_mul(10)?.checked_add(u64::from(digit))
+    })
 }
 
-fn parse_import_line(fields: &[&str]) -> Result<TraceRecord, ImportLineError> {
-    let timestamp_us = parse_import_field(fields, 0, "timestamp_us")?;
-    let sector = parse_import_field(fields, 1, "sector")?;
-    let sectors = parse_import_field(fields, 2, "sectors")?;
-    let direction = fields.get(3).ok_or(ImportLineError::MissingField("direction"))?;
-    if fields.len() > 4 {
+/// The direction markers, matched ignoring ASCII case.
+fn parse_direction(field: &[u8]) -> Option<RequestKind> {
+    let is = |markers: [&[u8]; 3]| markers.iter().any(|m| field.eq_ignore_ascii_case(m));
+    if is([b"r", b"read", b"0"]) {
+        Some(RequestKind::Read)
+    } else if is([b"w", b"write", b"1"]) {
+        Some(RequestKind::Write)
+    } else {
+        None
+    }
+}
+
+/// The one field validator both line paths feed: checks run in a fixed
+/// order, so a line with several faults always reports the same one.
+fn parse_fields<'a>(
+    mut fields: impl Iterator<Item = &'a [u8]>,
+) -> Result<TraceRecord, ImportLineError> {
+    let mut number = |name| {
+        let raw = fields.next().ok_or(ImportLineError::MissingField(name))?;
+        parse_decimal(raw).ok_or(ImportLineError::InvalidNumber(name))
+    };
+    let timestamp_us = number("timestamp_us")?;
+    let sector = number("sector")?;
+    let sectors = number("sectors")?;
+    let direction = fields.next().ok_or(ImportLineError::MissingField("direction"))?;
+    if fields.next().is_some() {
         return Err(ImportLineError::TrailingFields);
     }
     if sectors == 0 {
         return Err(ImportLineError::ZeroLength);
     }
     let sectors = u32::try_from(sectors).map_err(|_| ImportLineError::LengthTooLarge)?;
-    let kind = match direction.to_ascii_lowercase().as_str() {
-        "r" | "read" | "0" => RequestKind::Read,
-        "w" | "write" | "1" => RequestKind::Write,
-        _ => return Err(ImportLineError::UnknownDirection),
-    };
+    let kind = parse_direction(direction).ok_or(ImportLineError::UnknownDirection)?;
     let record = TraceRecord::new(timestamp_us, sector, sectors, kind);
     check_range(&record)?;
     Ok(record)
+}
+
+/// One data-bearing line's fields. `header` marks a CSV line whose first
+/// column starts with a letter: the first such data-bearing line is a
+/// header and is skipped; anywhere later it is parsed (and rejected).
+fn data_line<'a>(
+    header: bool,
+    fields: impl Iterator<Item = &'a [u8]>,
+    seen_data_line: &mut bool,
+) -> Result<Option<TraceRecord>, ImportLineError> {
+    let first = !std::mem::replace(seen_data_line, true);
+    if first && header {
+        return Ok(None);
+    }
+    parse_fields(fields).map(Some)
+}
+
+/// `char::is_whitespace` on an ASCII byte. Unlike `u8::is_ascii_whitespace`
+/// it includes the vertical tab `\x0B`.
+fn is_space(b: u8) -> bool {
+    matches!(b, b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r' | b' ')
+}
+
+/// `str::trim` on ASCII bytes.
+fn trim_spaces(bytes: &[u8]) -> &[u8] {
+    let start = bytes.iter().position(|&b| !is_space(b)).unwrap_or(bytes.len());
+    let end = bytes.iter().rposition(|&b| !is_space(b)).map_or(start, |last| last + 1);
+    &bytes[start..end]
+}
+
+/// An all-ASCII line (line ending included), trimmed and split as bytes.
+fn ascii_line(
+    line: &[u8],
+    seen_data_line: &mut bool,
+) -> Result<Option<TraceRecord>, ImportLineError> {
+    let trimmed = trim_spaces(line);
+    match trimmed.first() {
+        None | Some(b'#') => Ok(None),
+        Some(first) if trimmed.contains(&b',') => data_line(
+            first.is_ascii_alphabetic(),
+            trimmed.split(|&b| b == b',').map(trim_spaces),
+            seen_data_line,
+        ),
+        Some(_) => data_line(
+            false,
+            trimmed.split(|&b| is_space(b)).filter(|field| !field.is_empty()),
+            seen_data_line,
+        ),
+    }
+}
+
+/// A line holding non-ASCII text (line ending included), trimmed and split
+/// with Unicode whitespace.
+fn unicode_line(
+    line: &str,
+    seen_data_line: &mut bool,
+) -> Result<Option<TraceRecord>, ImportLineError> {
+    let trimmed = line.trim();
+    if trimmed.is_empty() || trimmed.starts_with('#') {
+        return Ok(None);
+    }
+    if trimmed.contains(',') {
+        let header = trimmed.chars().next().is_some_and(char::is_alphabetic);
+        data_line(header, trimmed.split(',').map(|f| f.trim().as_bytes()), seen_data_line)
+    } else {
+        data_line(false, trimmed.split_whitespace().map(str::as_bytes), seen_data_line)
+    }
 }
 
 /// Reads a text trace — one written by [`write_text_trace`] or an external
@@ -171,56 +311,60 @@ fn parse_import_line(fields: &[&str]) -> Result<TraceRecord, ImportLineError> {
 ///   the first data-bearing line.
 ///
 /// Directions accept `R`/`W` (any case), `read`/`write`, and the binary
-/// codec's `0`/`1`. Blank lines and `#` comments are ignored. Records that
-/// could never survive the binary path — zero length, lengths above the
-/// codec's 32-bit field, sector ranges overflowing `u64` — are rejected up
-/// front with the offending line number, so `import → encode → replay`
-/// never panics on hostile input.
+/// codec's `0`/`1`. Numbers are unsigned decimals with an optional leading
+/// `+`. Blank lines and `#` comments are ignored; fields and lines are
+/// trimmed of Unicode whitespace. Records that could never survive the
+/// binary path — zero length, lengths above the codec's 32-bit field,
+/// sector ranges overflowing `u64` — are rejected up front with the
+/// offending line number, so `import → encode → replay` never panics on
+/// hostile input.
 ///
 /// # Errors
 ///
 /// Returns [`ImportError::Line`] for the first malformed line (1-based), or
-/// [`ImportError::Io`] if the reader itself fails.
-pub fn import_text_trace<R: BufRead>(reader: R) -> Result<Vec<TraceRecord>, ImportError> {
+/// [`ImportError::Io`] if the reader itself fails or a line is not valid
+/// UTF-8 (`ErrorKind::InvalidData`).
+pub fn import_text_trace<R: BufRead>(mut reader: R) -> Result<Vec<TraceRecord>, ImportError> {
     let mut out = Vec::new();
+    let mut line = Vec::new();
     let mut seen_data_line = false;
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line.map_err(ImportError::Io)?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
+    let mut number = 0;
+    loop {
+        line.clear();
+        if reader.read_until(b'\n', &mut line).map_err(ImportError::Io)? == 0 {
+            return Ok(out);
         }
-        let csv = trimmed.contains(',');
-        let fields: Vec<&str> = if csv {
-            trimmed.split(',').map(str::trim).collect()
+        number += 1;
+        // The line ending stays on: both paths trim it as whitespace.
+        let parsed = if line.is_ascii() {
+            ascii_line(&line, &mut seen_data_line)
         } else {
-            trimmed.split_whitespace().collect()
+            let text = std::str::from_utf8(&line).map_err(|_| {
+                ImportError::Io(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                ))
+            })?;
+            unicode_line(text, &mut seen_data_line)
         };
-        // A leading CSV header (alphabetic first column) is tolerated once.
-        if !seen_data_line
-            && csv
-            && fields.first().is_some_and(|f| f.chars().next().is_some_and(char::is_alphabetic))
-        {
-            seen_data_line = true;
-            continue;
+        if let Some(record) = parsed.map_err(|kind| ImportError::Line { line: number, kind })? {
+            out.push(record);
         }
-        seen_data_line = true;
-        let record =
-            parse_import_line(&fields).map_err(|kind| ImportError::Line { line: idx + 1, kind })?;
-        out.push(record);
     }
-    Ok(out)
 }
 
 /// [`import_text_trace`] straight into the binary format: the imported
-/// records, sorted by timestamp, encoded with [`BinaryTraceCodec`].
+/// records, sorted by timestamp (stably; a time-ordered capture is left as
+/// it is), encoded with [`BinaryTraceCodec`].
 ///
 /// # Errors
 ///
 /// Propagates [`import_text_trace`]'s errors.
 pub fn import_text_to_binary<R: BufRead>(reader: R) -> Result<Bytes, ImportError> {
     let mut records = import_text_trace(reader)?;
-    records.sort_by_key(|r| r.timestamp_us);
+    if !records.is_sorted_by_key(|r| r.timestamp_us) {
+        records.sort_by_key(|r| r.timestamp_us);
+    }
     Ok(BinaryTraceCodec.encode(&records))
 }
 
@@ -233,16 +377,16 @@ impl BinaryTraceCodec {
     /// Bytes per encoded record.
     pub const RECORD_BYTES: usize = 8 + 8 + 4 + 1;
 
-    /// Encodes records into a byte buffer.
+    /// Encodes records into one presized byte buffer.
     pub fn encode(&self, records: &[TraceRecord]) -> Bytes {
-        let mut buf = BytesMut::with_capacity(records.len() * Self::RECORD_BYTES);
-        for rec in records {
-            buf.put_u64_le(rec.timestamp_us);
-            buf.put_u64_le(rec.sector);
-            buf.put_u32_le(rec.sectors);
-            buf.put_u8(if rec.kind.is_read() { 0 } else { 1 });
+        let mut buf = vec![0u8; records.len() * Self::RECORD_BYTES];
+        for (rec, out) in records.iter().zip(buf.chunks_exact_mut(Self::RECORD_BYTES)) {
+            out[..8].copy_from_slice(&rec.timestamp_us.to_le_bytes());
+            out[8..16].copy_from_slice(&rec.sector.to_le_bytes());
+            out[16..20].copy_from_slice(&rec.sectors.to_le_bytes());
+            out[20] = u8::from(!rec.kind.is_read());
         }
-        buf.freeze()
+        Bytes::from(buf)
     }
 
     /// Decodes a buffer produced by [`Self::encode`].
@@ -299,6 +443,8 @@ impl BinaryTraceCodec {
 
 #[cfg(test)]
 mod tests {
+    use bytes::{BufMut, BytesMut};
+
     use super::*;
 
     fn sample() -> Vec<TraceRecord> {
@@ -315,6 +461,78 @@ mod tests {
         write_text_trace(&mut buf, &sample()).unwrap();
         let parsed = import_text_trace(buf.as_slice()).unwrap();
         assert_eq!(parsed, sample());
+    }
+
+    #[test]
+    fn text_writer_hands_over_whole_chunks() {
+        /// Records each `write` call's length.
+        struct Calls(Vec<usize>);
+        impl Write for Calls {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let records: Vec<TraceRecord> = (0..5_000)
+            .map(|i| TraceRecord::new(u64::MAX - i, i * 8, u32::MAX, RequestKind::Write))
+            .collect();
+        let mut calls = Calls(Vec::new());
+        write_text_trace(&mut calls, &records).unwrap();
+        let total: usize = records.iter().map(|r| r.to_line().len() + 1).sum();
+        assert_eq!(calls.0.iter().sum::<usize>(), total);
+        // Every write but the last hands over a full chunk.
+        let (last, full) = calls.0.split_last().unwrap();
+        assert!(!full.is_empty(), "the trace spans several chunks");
+        assert!(full.iter().all(|&len| len > TEXT_CHUNK_BYTES - MAX_TEXT_LINE_BYTES));
+        assert!(calls.0.iter().all(|&len| len <= TEXT_CHUNK_BYTES) && *last > 0);
+        // An empty trace writes nothing at all.
+        let mut calls = Calls(Vec::new());
+        write_text_trace(&mut calls, &[]).unwrap();
+        assert!(calls.0.is_empty());
+    }
+
+    #[test]
+    fn byte_kernels_match_their_str_counterparts() {
+        for b in 0..=0x7fu8 {
+            assert_eq!(is_space(b), char::from(b).is_whitespace(), "byte {b:#04x}");
+        }
+        for field in
+            ["0", "+0", "+", "", "-0", "007", "18446744073709551615", "18446744073709551616"]
+        {
+            assert_eq!(parse_decimal(field.as_bytes()), field.parse::<u64>().ok(), "{field:?}");
+        }
+        let mut line = Vec::new();
+        for value in [0, 9, 10, u64::from(u32::MAX), u64::MAX] {
+            line.clear();
+            push_decimal(&mut line, value);
+            assert_eq!(line, value.to_string().as_bytes());
+        }
+    }
+
+    #[test]
+    fn text_reader_trims_unicode_whitespace_and_rejects_invalid_utf8() {
+        // \x0B is whitespace to `str::trim` (though not to
+        // `u8::is_ascii_whitespace`); NBSP and EM SPACE take the `str` path.
+        let text = "\x0B0\x0C0 8\tR\r\n\u{a0}1\u{2003}8 8 w\u{a0}\n";
+        let expected = vec![
+            TraceRecord::new(0, 0, 8, RequestKind::Read),
+            TraceRecord::new(1, 8, 8, RequestKind::Write),
+        ];
+        assert_eq!(import_text_trace(text.as_bytes()).unwrap(), expected);
+        let mut bytes = b"0 0 8 R\n1 8 8 \xffW\n".to_vec();
+        match import_text_trace(bytes.as_slice()) {
+            Err(ImportError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+            other => panic!("invalid UTF-8 gave {other:?}"),
+        }
+        // A malformed line before the invalid one is reported first.
+        bytes.splice(0..0, b"bogus\n".iter().copied());
+        assert!(matches!(
+            import_text_trace(bytes.as_slice()),
+            Err(ImportError::Line { line: 1, .. })
+        ));
     }
 
     #[test]

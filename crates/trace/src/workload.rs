@@ -728,11 +728,13 @@ impl WorkloadSpec {
         generate_stream_into(&mut pattern, &mut arrivals, start_us, self.interval_us, out);
     }
 
-    /// Generates the full trace for the workload.
+    /// Generates the full trace for the workload: every interval's
+    /// records, in interval order, through one reused interval buffer.
     pub fn generate_all(&self, seed: u64) -> Vec<TraceRecord> {
         let mut out = Vec::new();
+        let mut interval = Vec::new();
         for idx in 0..self.total_intervals() {
-            out.extend(self.generate_interval(idx, seed));
+            out.extend_from_slice(self.interval_records(idx, seed, &mut interval));
         }
         out
     }
@@ -1319,6 +1321,22 @@ mod tests {
         assert_eq!(merged, manual);
         assert!(!merged.is_empty());
         assert!(merged.windows(2).all(|w| w[0].timestamp_us <= w[1].timestamp_us));
+    }
+
+    #[test]
+    fn generate_all_concatenates_every_interval() {
+        let scale = WorkloadScale::tiny();
+        let specs = [
+            WorkloadSpec::synthetic_scaled("synthetic", scale, 0.2),
+            WorkloadSpec::zipfian_scaled("zipf", scale, 900),
+            tiny_mt(3).with_diurnal(DiurnalCurve::day_night()),
+        ];
+        for spec in specs {
+            let expected: Vec<TraceRecord> =
+                (0..spec.total_intervals()).flat_map(|i| spec.generate_interval(i, 31)).collect();
+            assert!(!expected.is_empty(), "{} generated nothing", spec.name());
+            assert_eq!(spec.generate_all(31), expected, "{}", spec.name());
+        }
     }
 
     #[test]

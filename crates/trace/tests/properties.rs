@@ -482,3 +482,328 @@ proptest! {
         prop_assert!(report.cache.avg_latency_us <= report.cache.max_latency_us);
     }
 }
+
+/// A `str`-only importer (every line through `BufRead::lines` and `str`
+/// splitting): the oracle the byte-level reader must match.
+mod reference_import {
+    use std::io::BufRead;
+
+    use lbica_storage::request::RequestKind;
+    use lbica_trace::io::{ImportError, ImportLineError};
+    use lbica_trace::record::TraceRecord;
+
+    fn parse_import_field(
+        fields: &[&str],
+        index: usize,
+        name: &'static str,
+    ) -> Result<u64, ImportLineError> {
+        let raw = fields.get(index).ok_or(ImportLineError::MissingField(name))?;
+        raw.parse::<u64>().map_err(|_| ImportLineError::InvalidNumber(name))
+    }
+
+    fn parse_import_line(fields: &[&str]) -> Result<TraceRecord, ImportLineError> {
+        let timestamp_us = parse_import_field(fields, 0, "timestamp_us")?;
+        let sector = parse_import_field(fields, 1, "sector")?;
+        let sectors = parse_import_field(fields, 2, "sectors")?;
+        let direction = fields.get(3).ok_or(ImportLineError::MissingField("direction"))?;
+        if fields.len() > 4 {
+            return Err(ImportLineError::TrailingFields);
+        }
+        if sectors == 0 {
+            return Err(ImportLineError::ZeroLength);
+        }
+        let sectors = u32::try_from(sectors).map_err(|_| ImportLineError::LengthTooLarge)?;
+        let kind = match direction.to_ascii_lowercase().as_str() {
+            "r" | "read" | "0" => RequestKind::Read,
+            "w" | "write" | "1" => RequestKind::Write,
+            _ => return Err(ImportLineError::UnknownDirection),
+        };
+        let record = TraceRecord::new(timestamp_us, sector, sectors, kind);
+        if record.sector.checked_add(u64::from(record.sectors)).is_none() {
+            return Err(ImportLineError::RangeOverflow);
+        }
+        Ok(record)
+    }
+
+    pub fn import_text_trace<R: BufRead>(reader: R) -> Result<Vec<TraceRecord>, ImportError> {
+        let mut out = Vec::new();
+        let mut seen_data_line = false;
+        for (idx, line) in reader.lines().enumerate() {
+            let line = line.map_err(ImportError::Io)?;
+            let trimmed = line.trim();
+            if trimmed.is_empty() || trimmed.starts_with('#') {
+                continue;
+            }
+            let csv = trimmed.contains(',');
+            let fields: Vec<&str> = if csv {
+                trimmed.split(',').map(str::trim).collect()
+            } else {
+                trimmed.split_whitespace().collect()
+            };
+            // A leading CSV header (alphabetic first column) is tolerated once.
+            if !seen_data_line
+                && csv
+                && fields.first().is_some_and(|f| f.chars().next().is_some_and(char::is_alphabetic))
+            {
+                seen_data_line = true;
+                continue;
+            }
+            seen_data_line = true;
+            let record = parse_import_line(&fields)
+                .map_err(|kind| ImportError::Line { line: idx + 1, kind })?;
+            out.push(record);
+        }
+        Ok(out)
+    }
+}
+
+/// What an import returned, comparable across readers: the records, or
+/// the error's variant with its line number and kind or `io::ErrorKind`.
+#[derive(Debug, PartialEq)]
+enum ImportOutcome {
+    Records(Vec<TraceRecord>),
+    Line(usize, lbica_trace::io::ImportLineError),
+    Io(std::io::ErrorKind),
+}
+
+fn import_outcome(result: Result<Vec<TraceRecord>, lbica_trace::io::ImportError>) -> ImportOutcome {
+    use lbica_trace::io::ImportError;
+    match result {
+        Ok(records) => ImportOutcome::Records(records),
+        Err(ImportError::Line { line, kind }) => ImportOutcome::Line(line, kind),
+        Err(ImportError::Io(e)) => ImportOutcome::Io(e.kind()),
+    }
+}
+
+/// Field values that sit on a parsing edge: signs, leading zeros, the
+/// `u64` and `u32` limits and one past them, direction spellings, a CSV
+/// header column and non-ASCII letters and digits.
+const IMPORT_TOKENS: &[&str] = &[
+    "0",
+    "8",
+    "1200",
+    "+8",
+    "+",
+    "-1",
+    "0008",
+    "000000000000000000000000000042",
+    "18446744073709551615",
+    "18446744073709551616",
+    "18446744073709551608",
+    "4294967295",
+    "4294967296",
+    "R",
+    "r",
+    "W",
+    "w",
+    "Read",
+    "WRITE",
+    "wRiTe",
+    "1",
+    "X",
+    "",
+    "timestamp_us",
+    "sector",
+    "élan",
+    "٣",
+    "8\u{a0}",
+    "R\u{2003}",
+];
+
+/// Per-column edge values for timestamps and sectors, lengths and
+/// directions.
+const EDGE_NUMBERS: &[&str] = &[
+    "0",
+    "+7",
+    "0009",
+    "18446744073709551615",
+    "18446744073709551608",
+    "18446744073709551616",
+    "x",
+    "",
+];
+const EDGE_LENGTHS: &[&str] = &["8", "0", "+1", "4294967295", "4294967296", "-8", ""];
+const EDGE_DIRECTIONS: &[&str] = &["R", "w", "Read", "WRITE", "0", "1", "X", ""];
+
+/// Column separators, ASCII and Unicode.
+const IMPORT_SEPARATORS: &[&str] =
+    &[" ", "  ", "\t", "\x0B", "\x0C", ",", " , ", ",\t", "\u{a0}", "\u{2003}", "\u{85}"];
+
+/// Line endings, `\n` drawn twice as often as the others; the empty one
+/// leaves the last line unterminated or glues two lines together.
+const IMPORT_LINE_ENDS: &[&str] = &["\n", "\n", "\r\n", "\r", ""];
+
+/// Whole lines that are not records: comments, blanks, headers.
+const IMPORT_SPECIAL_LINES: &[&str] = &[
+    "# timestamp_us sector sectors direction",
+    "  # indented comment",
+    "",
+    " \t\x0B\x0C ",
+    "\u{a0}\u{2003}",
+    "timestamp_us,sector,sectors,direction",
+    "Timestamp , Sector , Sectors , Direction",
+    "timestamp_us sector sectors direction",
+];
+
+/// Bytes spliced into an input: invalid UTF-8 (a stray continuation
+/// byte, a truncated two-byte sequence, 0xFF), NUL and ASCII edges.
+const IMPORT_SPLICES: &[&[u8]] =
+    &[b"\xff", b"\x80", b"\xc3", b"\xc2\xa0", b"\0", b"\n", b",", b"+", b"\x0B", b"#"];
+
+/// One line of an import input.
+fn arb_import_line() -> impl Strategy<Value = Vec<u8>> {
+    let pick = |n: usize| 0..n;
+    prop_oneof![
+        // A well-formed record in one style, with edge-case values drawn
+        // for up to two of its columns and maybe a fifth column.
+        (
+            (0u64..1_000_000, 0u64..1_000_000, 1u32..4_096, any::<bool>()),
+            proptest::collection::vec((pick(IMPORT_TOKENS.len()), 0usize..8), 0..3),
+            (pick(IMPORT_SEPARATORS.len()), pick(IMPORT_LINE_ENDS.len())),
+        )
+            .prop_map(|((ts, sector, len, read), edits, (sep, end))| {
+                let dir = if read { "R" } else { "W" };
+                let mut fields =
+                    vec![ts.to_string(), sector.to_string(), len.to_string(), dir.to_string()];
+                for (token, column) in edits {
+                    match column {
+                        0..=3 => fields[column] = IMPORT_TOKENS[token].to_string(),
+                        4 => fields.push(IMPORT_TOKENS[token].to_string()),
+                        _ => {}
+                    }
+                }
+                let mut line = fields.join(IMPORT_SEPARATORS[sep]);
+                line.push_str(IMPORT_LINE_ENDS[end]);
+                line.into_bytes()
+            }),
+        // Every column at an edge of its own check, so lines that break
+        // several checks at once pin the order the checks run in.
+        (
+            (pick(EDGE_NUMBERS.len()), pick(EDGE_NUMBERS.len()), pick(EDGE_LENGTHS.len())),
+            (pick(EDGE_DIRECTIONS.len()), 0usize..3, any::<bool>()),
+            pick(IMPORT_LINE_ENDS.len()),
+        )
+            .prop_map(|((ts, sector, len), (dir, extra, csv), end)| {
+                let mut fields = vec![
+                    EDGE_NUMBERS[ts],
+                    EDGE_NUMBERS[sector],
+                    EDGE_LENGTHS[len],
+                    EDGE_DIRECTIONS[dir],
+                ];
+                if extra == 0 {
+                    fields.push("extra");
+                }
+                let mut line = fields.join(if csv { "," } else { " " });
+                line.push_str(IMPORT_LINE_ENDS[end]);
+                line.into_bytes()
+            }),
+        // Arbitrary tokens and separators: too few, too many and empty
+        // fields, mixed styles, padding on both ends.
+        (
+            proptest::collection::vec(
+                (pick(IMPORT_TOKENS.len()), pick(IMPORT_SEPARATORS.len())),
+                0..7,
+            ),
+            pick(IMPORT_SEPARATORS.len()),
+            pick(IMPORT_LINE_ENDS.len()),
+        )
+            .prop_map(|(parts, lead, end)| {
+                let mut line = String::from(IMPORT_SEPARATORS[lead]);
+                for (token, sep) in parts {
+                    line.push_str(IMPORT_TOKENS[token]);
+                    line.push_str(IMPORT_SEPARATORS[sep]);
+                }
+                line.push_str(IMPORT_LINE_ENDS[end]);
+                line.into_bytes()
+            }),
+        (pick(IMPORT_SPECIAL_LINES.len()), pick(IMPORT_LINE_ENDS.len())).prop_map(
+            |(special, end)| {
+                format!("{}{}", IMPORT_SPECIAL_LINES[special], IMPORT_LINE_ENDS[end]).into_bytes()
+            }
+        ),
+    ]
+}
+
+/// A whole import input: lines, optionally with one splice at a random
+/// offset.
+fn arb_import_input() -> impl Strategy<Value = Vec<u8>> {
+    (
+        proptest::collection::vec(arb_import_line(), 0..10),
+        any::<bool>(),
+        0..IMPORT_SPLICES.len(),
+        any::<usize>(),
+    )
+        .prop_map(|(lines, splice, which, at)| {
+            let mut input = lines.concat();
+            if splice {
+                let at = at % (input.len() + 1);
+                input.splice(at..at, IMPORT_SPLICES[which].iter().copied());
+            }
+            input
+        })
+}
+
+/// A byte soup over a small alphabet, so that many soups hold records,
+/// comments and separators rather than failing at their first byte.
+fn arb_import_soup() -> impl Strategy<Value = Vec<u8>> {
+    const ALPHABET: &[u8] = b"0123456789+-, \t\x0B\x0C\r\n#rRwWeadit_\xc2\xa0\xff";
+    proptest::collection::vec(
+        prop_oneof![(0..ALPHABET.len()).prop_map(|i| ALPHABET[i]), any::<u8>()],
+        0..96,
+    )
+}
+
+/// Every `TraceRecord` field at its extremes or anywhere between.
+fn arb_extreme_record() -> impl Strategy<Value = TraceRecord> {
+    let wide = || prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>(), 0u64..1_000];
+    let narrow = prop_oneof![Just(0u32), Just(u32::MAX), any::<u32>(), 1u32..64];
+    (wide(), wide(), narrow, any::<bool>()).prop_map(|(ts, sector, len, read)| {
+        TraceRecord::new(ts, sector, len, if read { RequestKind::Read } else { RequestKind::Write })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn text_importer_matches_the_reference_on_mutated_lines(input in arb_import_input()) {
+        use lbica_trace::io::import_text_trace;
+        prop_assert_eq!(
+            import_outcome(import_text_trace(input.as_slice())),
+            import_outcome(reference_import::import_text_trace(input.as_slice())),
+            "input {:?}",
+            String::from_utf8_lossy(&input)
+        );
+    }
+
+    #[test]
+    fn text_importer_matches_the_reference_on_byte_soup(
+        soup in arb_import_soup(),
+        raw in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        use lbica_trace::io::import_text_trace;
+        for input in [&soup, &raw] {
+            prop_assert_eq!(
+                import_outcome(import_text_trace(input.as_slice())),
+                import_outcome(reference_import::import_text_trace(input.as_slice())),
+                "input {:?}",
+                input
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn text_writer_emits_exactly_the_record_lines(
+        records in proptest::collection::vec(arb_extreme_record(), 0..3_000),
+    ) {
+        use lbica_trace::io::write_text_trace;
+        let mut written = Vec::new();
+        write_text_trace(&mut written, &records).expect("writing to memory cannot fail");
+        let expected: String = records.iter().map(|r| format!("{}\n", r.to_line())).collect();
+        prop_assert!(written == expected.as_bytes(), "writer output differs from to_line");
+    }
+}

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // 2. Read the trace back with the importer, the same reader that takes
     //    external blktrace-style and CSV captures.
     let replayed = import_text_trace(BufReader::new(File::open(&path)?))?;
-    assert_eq!(replayed.len(), records.len());
+    assert_eq!(replayed, records, "the text round trip is lossless");
 
     // 3. Replay it directly through a StorageSystem under two policies.
     for policy in [WritePolicy::WriteBack, WritePolicy::ReadOnly] {
