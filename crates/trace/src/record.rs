@@ -52,18 +52,55 @@ impl TraceRecord {
             .with_arrival(SimTime::from_micros(self.timestamp_us))
     }
 
+    /// The longest line [`Self::push_line`] appends: two 20-digit `u64`s, a
+    /// 10-digit `u32`, the direction letter and three spaces.
+    pub(crate) const MAX_LINE_BYTES: usize = 20 + 1 + 20 + 1 + 10 + 1 + 1;
+
     /// Serialises the record to the single-line text format
     /// `"<ts_us> <sector> <sectors> <R|W>"`, which
     /// [`import_text_trace`](crate::io::import_text_trace) reads back.
     pub fn to_line(&self) -> String {
-        format!(
-            "{} {} {} {}",
-            self.timestamp_us,
-            self.sector,
-            self.sectors,
-            if self.kind.is_read() { 'R' } else { 'W' }
-        )
+        let mut line = Vec::with_capacity(Self::MAX_LINE_BYTES);
+        self.push_line(&mut line);
+        String::from_utf8(line).expect("a record line is ASCII")
     }
+
+    /// Appends [`Self::to_line`]'s text to `out` without allocating: the
+    /// one definition of the line format, shared with
+    /// [`write_text_trace`](crate::io::write_text_trace).
+    pub(crate) fn push_line(&self, out: &mut Vec<u8>) {
+        push_decimal(out, self.timestamp_us);
+        out.push(b' ');
+        push_decimal(out, self.sector);
+        out.push(b' ');
+        push_decimal(out, u64::from(self.sectors));
+        out.push(b' ');
+        out.push(if self.kind.is_read() { b'R' } else { b'W' });
+    }
+}
+
+/// Sorts records by timestamp, stably. A time-ordered trace is left as it
+/// is, which also spares the stable sort's scratch copy of the trace.
+pub(crate) fn sort_by_time(records: &mut [TraceRecord]) {
+    if !records.is_sorted_by_key(|r| r.timestamp_us) {
+        records.sort_by_key(|r| r.timestamp_us);
+    }
+}
+
+/// Appends `value` in decimal, as `Display` formats it.
+fn push_decimal(out: &mut Vec<u8>, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        // `value % 10` is a single digit, so the cast cannot truncate.
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
 }
 
 impl fmt::Display for TraceRecord {
@@ -83,6 +120,19 @@ mod tests {
         assert_eq!(rec.to_line(), "123 4096 16 W");
         assert_eq!(import_text_trace("123 4096 16 W".as_bytes()).unwrap(), vec![rec]);
         assert_eq!(import_text_trace("123 4096 16 w".as_bytes()).unwrap(), vec![rec]);
+    }
+
+    #[test]
+    fn to_line_matches_display_formatting_at_the_field_limits() {
+        for (ts, sector, sectors) in [(0, 0, 0), (9, 10, 1), (u64::MAX, u64::MAX, u32::MAX)] {
+            for kind in [RequestKind::Read, RequestKind::Write] {
+                let rec = TraceRecord::new(ts, sector, sectors, kind);
+                let dir = if kind.is_read() { 'R' } else { 'W' };
+                assert_eq!(rec.to_line(), format!("{ts} {sector} {sectors} {dir}"));
+            }
+        }
+        let longest = TraceRecord::new(u64::MAX, u64::MAX, u32::MAX, RequestKind::Write);
+        assert_eq!(longest.to_line().len(), TraceRecord::MAX_LINE_BYTES);
     }
 
     #[test]

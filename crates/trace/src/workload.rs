@@ -25,7 +25,7 @@ use crate::gen::{
     PatternSpec, ZipfCdf,
 };
 use crate::io::{check_range, BinaryTraceCodec};
-use crate::record::TraceRecord;
+use crate::record::{sort_by_time, TraceRecord};
 
 /// Derives a tenant's private stream seed from the cell seed and the tenant
 /// ordinal alone (FNV-1a over the two coordinates with a separator, then a
@@ -395,7 +395,7 @@ impl WorkloadSpec {
         mut records: Vec<TraceRecord>,
     ) -> Result<Self, TraceSpanError> {
         assert!(interval_us > 0, "interval length must be positive");
-        records.sort_by_key(|r| r.timestamp_us);
+        sort_by_time(&mut records);
         let intervals = match records.last() {
             Some(last) => {
                 let span = last.timestamp_us / interval_us + 1;
