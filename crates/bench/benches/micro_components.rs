@@ -1,7 +1,7 @@
 //! Micro-benchmarks of LBICA's building blocks: the bottleneck detector,
 //! the workload characterizer, the cache module's datapath decision, the
-//! device service-time models, the device queue and the text-trace
-//! writer and importer.
+//! device service-time models, the device queue (shallow and at a burst's
+//! depth) and the text-trace writer and importer.
 //!
 //! These quantify the per-interval and per-request overhead of the control
 //! loop — the paper argues LBICA's interval-granularity decisions are much
@@ -100,10 +100,34 @@ fn bench_queue(c: &mut Criterion) {
     });
 }
 
+/// One enqueue and one dispatch with 45,000 requests pending, the peak a
+/// harness-scale tier queue reaches in the `paper-tiered` sweep. The FIFO
+/// window slides through a ring of that many entries, so the per-entry
+/// size shows in the time per pair.
+fn bench_deep_fifo(c: &mut Criterion) {
+    const PENDING: u64 = 45_000;
+    let request = |i: u64| {
+        IoRequest::new(i, RequestKind::Write, RequestOrigin::Application, (i % (1 << 20)) * 8, 8)
+            .with_arrival(SimTime::from_micros(i))
+    };
+    let mut q = DeviceQueue::new("ssd");
+    for i in 0..PENDING {
+        q.enqueue(request(i));
+    }
+    let mut next = PENDING;
+    c.bench_function("queue/deep_fifo", |b| {
+        b.iter(|| {
+            q.enqueue(request(next));
+            next += 1;
+            q.dispatch(SimTime::from_micros(next))
+        })
+    });
+}
+
 /// SIB's per-request victim selection over a deep queue — the overhead the
 /// paper criticises — compared against LBICA's O(1) interval decision above.
 fn bench_sib_selection(c: &mut Criterion) {
-    let mut queue = DeviceQueue::without_merging("ssd");
+    let mut queue = DeviceQueue::new("ssd");
     for i in 0..512u64 {
         queue.enqueue(
             IoRequest::new(i, RequestKind::Write, RequestOrigin::Application, i * 64, 8)
@@ -186,7 +210,7 @@ fn bench_app_tracker(c: &mut Criterion) {
 /// O(1) incremental snapshot vs recomputing the class mix by scanning the
 /// queue — the cost a monitor probe used to pay per observation.
 fn bench_snapshot(c: &mut Criterion) {
-    let mut q = DeviceQueue::without_merging("ssd");
+    let mut q = DeviceQueue::new("ssd");
     for i in 0..512u64 {
         let origin = match i % 4 {
             0 => RequestOrigin::Application,
@@ -219,7 +243,7 @@ fn bench_remove_by_ids(c: &mut Criterion) {
     c.bench_function("queue/remove_by_ids_100_of_1k", |b| {
         b.iter_batched(
             || {
-                let mut q = DeviceQueue::without_merging("ssd");
+                let mut q = DeviceQueue::new("ssd");
                 for i in 0..1_000u64 {
                     q.enqueue(
                         IoRequest::new(
@@ -385,7 +409,7 @@ trait BenchQueueExt {
 
 impl BenchQueueExt for DeviceQueue {
     fn default_for_bench() -> DeviceQueue {
-        DeviceQueue::without_merging("bench")
+        DeviceQueue::new("bench")
     }
 }
 
@@ -396,6 +420,7 @@ criterion_group!(
     bench_cache_module,
     bench_devices,
     bench_queue,
+    bench_deep_fifo,
     bench_sib_selection,
     bench_set_assoc,
     bench_app_tracker,

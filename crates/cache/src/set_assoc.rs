@@ -13,6 +13,7 @@
 
 use std::fmt;
 
+use lbica_storage::block::BLOCK_SECTORS;
 use lbica_storage::snap::{SnapError, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
 
@@ -441,8 +442,10 @@ impl SetAssociativeMap {
 
     /// Restores a map serialized by [`SetAssociativeMap::snap_to`]. Every
     /// link must stay inside its own set, and each set's recency list must
-    /// run from its head through exactly its occupied ways to its tail;
-    /// anything else is [`SnapError::Corrupt`].
+    /// run from its head through exactly its occupied ways to its tail.
+    /// Every occupied tag must map to its own set, appear once in it and
+    /// name a block whose first sector fits a `u64`. Anything else is
+    /// [`SnapError::Corrupt`].
     pub fn snap_from(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let num_sets = r.get_usize()?;
         let associativity = r.get_usize()?;
@@ -474,6 +477,7 @@ impl SetAssociativeMap {
                 .ok_or(SnapError::Corrupt("recency link out of range")),
         };
         let mut map = SetAssociativeMap::new(num_sets, associativity, replacement);
+        let mut tags = Vec::with_capacity(associativity);
         for (i, slot) in map.slots.iter_mut().enumerate() {
             let base = i - i % associativity;
             slot.tag = r.get_u64()?;
@@ -495,9 +499,21 @@ impl SetAssociativeMap {
             if !chain_ok(ways, *links) {
                 return Err(SnapError::Corrupt("recency list"));
             }
+            tags.clear();
             for slot in ways.iter().filter(|s| s.state.is_some()) {
+                if slot.tag.checked_mul(BLOCK_SECTORS).is_none() {
+                    return Err(SnapError::Corrupt("cache map tag past the sector space"));
+                }
+                if map.set_of(slot.tag) != set {
+                    return Err(SnapError::Corrupt("cache map tag outside its set"));
+                }
+                tags.push(slot.tag);
                 map.len += 1;
                 map.dirty += usize::from(slot.state == Some(SlotState::Dirty));
+            }
+            tags.sort_unstable();
+            if tags.windows(2).any(|pair| pair[0] == pair[1]) {
+                return Err(SnapError::Corrupt("cache map tag repeated in its set"));
             }
         }
         Ok(map)

@@ -5,12 +5,20 @@
 //! `u32::MAX` for none): a 17-byte header (`num_sets`, `associativity`,
 //! replacement tag), then 17 bytes per slot (tag, state byte, `next` at
 //! +9, `prev` at +13), then `head` and `tail` per set.
+//!
+//! Occupied tags are checked too: each must map to its own set, appear
+//! once in it and name a block whose first sector fits a `u64`.
 
 use lbica_cache::{ReplacementKind, SetAssociativeMap, SlotState};
+use lbica_storage::block::BLOCK_SECTORS;
 use lbica_storage::snap::{SnapError, SnapReader, SnapWriter};
 
 const NIL: u32 = u32::MAX;
 const HEADER: usize = 17;
+
+fn tag_off(slot: usize) -> usize {
+    HEADER + slot * 17
+}
 
 fn next_off(slot: usize) -> usize {
     HEADER + slot * 17 + 9
@@ -20,6 +28,13 @@ fn snap(m: &SetAssociativeMap) -> Vec<u8> {
     let mut w = SnapWriter::new();
     m.snap_to(&mut w);
     w.into_bytes()
+}
+
+/// Snapshot bytes of `m` with slot `slot`'s tag replaced.
+fn snap_with_tag(m: &SetAssociativeMap, slot: usize, tag: u64) -> Vec<u8> {
+    let mut bytes = snap(m);
+    bytes[tag_off(slot)..tag_off(slot) + 8].copy_from_slice(&tag.to_le_bytes());
+    bytes
 }
 
 /// Snapshot bytes of `m` with the `u32` at byte `off` replaced.
@@ -107,4 +122,47 @@ fn every_single_link_rewrite_is_corrupt() {
             }
         }
     }
+}
+
+#[test]
+fn a_tag_of_another_set_is_corrupt() {
+    let mut m = SetAssociativeMap::new(2, 2, ReplacementKind::Lru);
+    m.insert(0, SlotState::Clean);
+    m.insert(1, SlotState::Clean);
+    // Slot 0 is in set 0; block 3 belongs to set 1.
+    assert_eq!(
+        restore(&snap_with_tag(&m, 0, 3)),
+        Err(SnapError::Corrupt("cache map tag outside its set"))
+    );
+    assert_eq!(restore(&snap_with_tag(&m, 0, 2)).map(|r| r.contains(2)), Ok(true));
+}
+
+#[test]
+fn a_tag_repeated_in_its_set_is_corrupt() {
+    let mut m = SetAssociativeMap::new(2, 2, ReplacementKind::Lru);
+    m.insert(0, SlotState::Clean);
+    m.insert(2, SlotState::Dirty);
+    // Slots 0 and 1 hold blocks 0 and 2 of set 0.
+    assert_eq!(
+        restore(&snap_with_tag(&m, 1, 0)),
+        Err(SnapError::Corrupt("cache map tag repeated in its set"))
+    );
+    // An empty way's stale tag may repeat an occupied one.
+    let mut half = SetAssociativeMap::new(1, 2, ReplacementKind::Lru);
+    half.insert(5, SlotState::Clean);
+    let restored = restore(&snap_with_tag(&half, 1, 5)).expect("a stale tag is not checked");
+    assert_eq!((restored.len(), restored.contains(5)), (1, true));
+}
+
+#[test]
+fn a_tag_past_the_sector_space_is_corrupt() {
+    let mut m = SetAssociativeMap::new(1, 2, ReplacementKind::Lru);
+    m.insert(0, SlotState::Dirty);
+    // The last block whose first sector fits a u64, then the next one.
+    let last = u64::MAX / BLOCK_SECTORS;
+    assert_eq!(restore(&snap_with_tag(&m, 0, last)).map(|r| r.contains(last)), Ok(true));
+    assert_eq!(
+        restore(&snap_with_tag(&m, 0, last + 1)),
+        Err(SnapError::Corrupt("cache map tag past the sector space"))
+    );
 }

@@ -205,7 +205,7 @@ mod tests {
     use lbica_storage::time::SimTime;
 
     fn loaded_queue(requests: usize) -> DeviceQueue {
-        let mut q = DeviceQueue::without_merging("ssd");
+        let mut q = DeviceQueue::new("ssd");
         for i in 0..requests {
             let origin =
                 if i % 4 == 3 { RequestOrigin::Promote } else { RequestOrigin::Application };

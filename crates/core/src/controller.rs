@@ -404,7 +404,7 @@ mod tests {
     #[test]
     fn export_obs_publishes_decision_log_and_counters() {
         let mut ctrl = LbicaController::new();
-        let queue = DeviceQueue::without_merging("ssd");
+        let queue = DeviceQueue::new("ssd");
         // A saturated cache queue with a write-heavy mix triggers a burst.
         let mix = QueueSnapshot { writes: 90, reads: 10, ..QueueSnapshot::default() };
         let context = ctx(&queue, 200, 1, mix, WritePolicy::WriteBack);

@@ -86,11 +86,8 @@ impl DeviceStation {
         parallelism: usize,
     ) -> Self {
         assert!(parallelism > 0, "a device needs at least one service slot");
-        // Merging is disabled at the station level: each derived request is
-        // tied to the application request it serves, and coalescing two
-        // requests would conflate their completions.
         DeviceStation {
-            queue: DeviceQueue::without_merging(name),
+            queue: DeviceQueue::new(name),
             model: model.into(),
             parallelism,
             slots: Vec::with_capacity(parallelism),
@@ -250,20 +247,24 @@ impl DeviceStation {
 #[cfg(test)]
 impl DeviceStation {
     /// Gives the station a service stamp no run produces and returns the
-    /// error restoring its checkpoint must give. `case` 0 queues a request
-    /// already stamped as dispatched, 1 strips an in-service request of its
-    /// stamps, 2 moves an in-service completion off its stamp.
-    pub(crate) fn misstamp(&mut self, case: u8) -> SnapError {
+    /// error restoring its checkpoint must give. `case` 0 queues an
+    /// unstamped request and returns it too: a queue cannot hold a stamped
+    /// request, so the caller stamps it in the checkpoint bytes. 1 strips
+    /// an in-service request of its stamps, 2 moves an in-service
+    /// completion off its stamp.
+    pub(crate) fn misstamp(&mut self, case: u8) -> (SnapError, Option<IoRequest>) {
         let slot = self.slots.first_mut().expect("a request in service");
         let held = &slot.request;
-        match case {
+        let error = match case {
             0 => {
                 let far = held.range().start().sector() + (1 << 40);
-                let mut queued = IoRequest::new(held.id(), held.kind(), held.origin(), far, 8)
+                let queued = IoRequest::new(held.id(), held.kind(), held.origin(), far, 8)
                     .with_arrival(held.arrival());
-                queued.mark_dispatched(held.arrival());
-                self.queue.enqueue(queued);
-                SnapError::Corrupt("queued request carries a service stamp")
+                self.queue.enqueue(queued.clone());
+                return (
+                    SnapError::Corrupt("queued request carries a service stamp"),
+                    Some(queued),
+                );
             }
             1 => {
                 slot.request =
@@ -276,7 +277,8 @@ impl DeviceStation {
                 self.rescan();
                 SnapError::Corrupt("held completion stamp differs from its event time")
             }
-        }
+        };
+        (error, None)
     }
 }
 
@@ -1575,11 +1577,33 @@ pub(crate) mod tests {
         ) {
             for case in 0..3 {
                 let mut sys = busy();
-                let expected = sys.stations.as_mut()[station].misstamp(case);
-                let err = System::<C>::new(config)
-                    .snap_state_from(&mut SnapReader::new(&snap_bytes(&sys)));
+                let (expected, queued) = sys.stations.as_mut()[station].misstamp(case);
+                let mut bytes = snap_bytes(&sys);
+                if let Some(queued) = queued {
+                    stamp_dispatch(&mut bytes, &queued);
+                }
+                let err = System::<C>::new(config).snap_state_from(&mut SnapReader::new(&bytes));
                 assert_eq!(err, Err(expected), "case {case}");
             }
+        }
+
+        /// Rewrites `request`'s record in the checkpoint `bytes` as
+        /// dispatched at its arrival: the dispatch presence bit set and the
+        /// stamp after it.
+        fn stamp_dispatch(bytes: &mut Vec<u8>, request: &IoRequest) {
+            let record = |r: &IoRequest| {
+                let mut w = SnapWriter::new();
+                r.snap_to(&mut w);
+                w.into_bytes()
+            };
+            let plain = record(request);
+            let mut stamped = request.clone();
+            stamped.mark_dispatched(request.arrival());
+            let at = bytes
+                .windows(plain.len())
+                .position(|w| w == plain)
+                .expect("the queued request is in the checkpoint");
+            bytes.splice(at..at + plain.len(), record(&stamped));
         }
 
         pub(crate) fn a_checkpointed_live_id_past_the_next_id_is_corrupt<C: CacheFront>(

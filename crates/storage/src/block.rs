@@ -74,15 +74,14 @@ impl From<u64> for Lba {
 /// A contiguous range of sectors `[start, start + sectors)`.
 ///
 /// Ranges are what requests carry; the cache module splits them into
-/// block-aligned pieces, and the device queue merges adjacent ranges the way
-/// the kernel block layer merges adjacent bios.
+/// block-aligned pieces.
 ///
 /// ```
 /// use lbica_storage::block::{BlockRange, Lba};
 /// let a = BlockRange::new(Lba::new(0), 8);
-/// let b = BlockRange::new(Lba::new(8), 8);
-/// assert!(a.is_adjacent_to(&b));
-/// assert_eq!(a.merged(&b).unwrap().sectors(), 16);
+/// let b = BlockRange::new(Lba::new(4), 8);
+/// assert!(a.overlaps(&b));
+/// assert_eq!(b.end(), Lba::new(12));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct BlockRange {
@@ -122,11 +121,6 @@ impl BlockRange {
         self.sectors * SECTOR_SIZE
     }
 
-    /// Whether `other` begins exactly where this range ends or vice versa.
-    pub fn is_adjacent_to(&self, other: &BlockRange) -> bool {
-        self.end() == other.start() || other.end() == self.start()
-    }
-
     /// Whether the two ranges share at least one sector.
     pub fn overlaps(&self, other: &BlockRange) -> bool {
         self.start.sector() < other.end().sector() && other.start.sector() < self.end().sector()
@@ -135,17 +129,6 @@ impl BlockRange {
     /// Whether `lba` falls inside the range.
     pub fn contains(&self, lba: Lba) -> bool {
         lba.sector() >= self.start.sector() && lba.sector() < self.end().sector()
-    }
-
-    /// Merges two adjacent or overlapping ranges into their union, or
-    /// returns `None` when they are disjoint and non-adjacent.
-    pub fn merged(&self, other: &BlockRange) -> Option<BlockRange> {
-        if !self.is_adjacent_to(other) && !self.overlaps(other) {
-            return None;
-        }
-        let start = self.start.sector().min(other.start.sector());
-        let end = self.end().sector().max(other.end().sector());
-        Some(BlockRange::new(Lba::new(start), end - start))
     }
 
     /// Iterates the cache-block indices touched by the range.
@@ -187,23 +170,9 @@ mod tests {
         let b = BlockRange::new(Lba::new(8), 8);
         let c = BlockRange::new(Lba::new(4), 8);
         let d = BlockRange::new(Lba::new(100), 8);
-        assert!(a.is_adjacent_to(&b));
-        assert!(b.is_adjacent_to(&a));
-        assert!(!a.is_adjacent_to(&d));
         assert!(a.overlaps(&c));
         assert!(!a.overlaps(&b));
         assert!(!a.overlaps(&d));
-    }
-
-    #[test]
-    fn merge_produces_union() {
-        let a = BlockRange::new(Lba::new(0), 8);
-        let b = BlockRange::new(Lba::new(8), 16);
-        let m = a.merged(&b).expect("adjacent ranges merge");
-        assert_eq!(m.start(), Lba::new(0));
-        assert_eq!(m.sectors(), 24);
-        let far = BlockRange::new(Lba::new(64), 8);
-        assert!(a.merged(&far).is_none());
     }
 
     #[test]

@@ -2,16 +2,26 @@
 //!
 //! [`DeviceQueue`] models the pending-request queue in front of a device —
 //! the structure whose depth `iostat` reports as `avgqu-sz` and which the
-//! paper calls `ssdQSize` / `hddQSize`. It is a FIFO with optional
-//! block-layer-style merging of adjacent requests, and it tracks everything
-//! the monitors need: current depth, per-request wait, the class mix of
-//! in-queue requests and cumulative statistics.
+//! paper calls `ssdQSize` / `hddQSize`. It is a plain FIFO: requests are
+//! never merged, because each one the simulator queues is tied to the
+//! application request it serves, and coalescing two would conflate their
+//! completions. It tracks everything the monitors need: current depth,
+//! per-request wait, the class mix of in-queue requests and cumulative
+//! statistics.
+//!
+//! Bursts pile tens of thousands of requests up in a queue, so an entry is
+//! a private 40-byte record rather than a 64-byte [`IoRequest`]: a queued
+//! request has no dispatch or completion stamp to store, and its length
+//! fits a `u32` (trace records are `u32` long and cache blocks are 8
+//! sectors). [`DeviceQueue::dispatch`], [`DeviceQueue::iter`],
+//! [`DeviceQueue::drain_tail`] and [`DeviceQueue::remove_by_ids`] rebuild
+//! exactly the request that was enqueued.
 
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
-use crate::request::{IoRequest, RequestClass, RequestId};
+use crate::request::{IoRequest, RequestClass, RequestId, RequestKind, RequestOrigin};
 use crate::snap::{SnapError, SnapReader, SnapWriter};
 use crate::time::{SimDuration, SimTime};
 
@@ -100,8 +110,6 @@ pub struct QueueStats {
     pub enqueued: u64,
     /// Requests dispatched to the device.
     pub dispatched: u64,
-    /// Requests absorbed by merging into an already-queued request.
-    pub merged: u64,
     /// Requests removed by a controller bypass decision before dispatch.
     pub bypassed: u64,
     /// Sum of queue-wait times of dispatched requests, in microseconds.
@@ -117,7 +125,69 @@ impl QueueStats {
     }
 }
 
-/// A FIFO device queue with block-layer-style request merging.
+/// One pending request as the queue stores it: an [`IoRequest`] without
+/// its dispatch and completion stamps (a queued request has neither) and
+/// with a `u32` sector count.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    id: RequestId,
+    start: u64,
+    /// Meaningful only when `has_parent` is set; 0 otherwise.
+    parent: RequestId,
+    arrival_us: u64,
+    sectors: u32,
+    kind: RequestKind,
+    origin: RequestOrigin,
+    has_parent: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<Queued>() == 40, "a queue entry is 40 bytes");
+
+impl Queued {
+    /// Packs an unstamped request.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the request carries a dispatch or completion stamp, or
+    /// spans more than `u32::MAX` sectors.
+    fn pack(request: &IoRequest) -> Self {
+        assert!(
+            request.dispatch().is_none() && request.completion().is_none(),
+            "a queued request carries no service stamp"
+        );
+        let range = request.range();
+        let sectors = u32::try_from(range.sectors())
+            .expect("a queued request spans at most u32::MAX sectors");
+        Queued {
+            id: request.id(),
+            start: range.start().sector(),
+            parent: request.parent().unwrap_or(0),
+            arrival_us: request.arrival().as_micros(),
+            sectors,
+            kind: request.kind(),
+            origin: request.origin(),
+            has_parent: request.parent().is_some(),
+        }
+    }
+
+    /// Rebuilds exactly the request [`Queued::pack`] was given.
+    fn unpack(&self) -> IoRequest {
+        let request =
+            IoRequest::new(self.id, self.kind, self.origin, self.start, u64::from(self.sectors))
+                .with_arrival(SimTime::from_micros(self.arrival_us));
+        if self.has_parent {
+            request.with_parent(self.parent)
+        } else {
+            request
+        }
+    }
+
+    fn class(&self) -> RequestClass {
+        RequestClass::classify(self.kind, self.origin)
+    }
+}
+
+/// A FIFO device queue.
 ///
 /// ```
 /// use lbica_storage::queue::DeviceQueue;
@@ -136,8 +206,7 @@ impl QueueStats {
 #[derive(Debug, Clone)]
 pub struct DeviceQueue {
     name: String,
-    pending: VecDeque<IoRequest>,
-    merge_enabled: bool,
+    pending: VecDeque<Queued>,
     stats: QueueStats,
     /// Class counts of the pending requests, maintained incrementally on
     /// enqueue/dispatch/drain so [`DeviceQueue::snapshot`] is O(1) instead
@@ -146,23 +215,14 @@ pub struct DeviceQueue {
 }
 
 impl DeviceQueue {
-    /// Creates an empty queue with merging enabled.
+    /// Creates an empty queue.
     pub fn new(name: impl Into<String>) -> Self {
         DeviceQueue {
             name: name.into(),
             pending: VecDeque::new(),
-            merge_enabled: true,
             stats: QueueStats::default(),
             mix: QueueSnapshot::default(),
         }
-    }
-
-    /// Creates an empty queue with merging disabled (every request is
-    /// dispatched individually).
-    pub fn without_merging(name: impl Into<String>) -> Self {
-        let mut q = DeviceQueue::new(name);
-        q.merge_enabled = false;
-        q
     }
 
     /// The queue's diagnostic name.
@@ -185,43 +245,26 @@ impl DeviceQueue {
         &self.stats
     }
 
-    /// Adds a request to the back of the queue. If merging is enabled and an
-    /// already-queued request of the same kind and class addresses an
-    /// adjacent range, the new request is merged into it instead and `true`
-    /// is returned.
-    pub fn enqueue(&mut self, request: IoRequest) -> bool {
+    /// Adds a request to the back of the queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the request carries a dispatch or completion stamp, or
+    /// spans more than `u32::MAX` sectors.
+    pub fn enqueue(&mut self, request: IoRequest) {
+        let entry = Queued::pack(&request);
         self.stats.enqueued += 1;
-        if self.merge_enabled {
-            if let Some(existing) = self.pending.iter_mut().find(|q| {
-                q.kind() == request.kind()
-                    && q.class() == request.class()
-                    && q.range().is_adjacent_to(&request.range())
-            }) {
-                if let Some(merged_range) = existing.range().merged(&request.range()) {
-                    let merged = IoRequest::from_range(
-                        existing.id(),
-                        existing.kind(),
-                        existing.origin(),
-                        merged_range,
-                    )
-                    .with_arrival(existing.arrival().min(request.arrival()));
-                    *existing = merged;
-                    self.stats.merged += 1;
-                    return true;
-                }
-            }
-        }
-        self.mix.record(request.class());
-        self.pending.push_back(request);
+        self.mix.record(entry.class());
+        self.pending.push_back(entry);
         self.stats.peak_depth = self.stats.peak_depth.max(self.pending.len());
-        false
     }
 
     /// Removes and returns the request at the head of the queue, stamping
     /// its dispatch time.
     pub fn dispatch(&mut self, now: SimTime) -> Option<IoRequest> {
-        let mut request = self.pending.pop_front()?;
-        self.mix.unrecord(request.class());
+        let entry = self.pending.pop_front()?;
+        self.mix.unrecord(entry.class());
+        let mut request = entry.unpack();
         request.mark_dispatched(now);
         self.stats.dispatched += 1;
         if let Some(wait) = request.queue_time() {
@@ -243,11 +286,11 @@ impl DeviceQueue {
         let mut idx = self.pending.len();
         while idx > 0 && taken.len() < count {
             idx -= 1;
-            if predicate(&self.pending[idx]) {
-                if let Some(req) = self.pending.remove(idx) {
-                    self.mix.unrecord(req.class());
-                    taken.push(req);
-                }
+            let request = self.pending[idx].unpack();
+            if predicate(&request) {
+                self.pending.remove(idx);
+                self.mix.unrecord(request.class());
+                taken.push(request);
             }
         }
         self.stats.bypassed += taken.len() as u64;
@@ -269,12 +312,12 @@ impl DeviceQueue {
         sorted.sort_unstable();
         let mut taken = Vec::new();
         let mix = &mut self.mix;
-        self.pending.retain_mut(|req| {
-            if sorted.binary_search(&req.id()).is_err() {
+        self.pending.retain(|entry| {
+            if sorted.binary_search(&entry.id).is_err() {
                 return true;
             }
-            mix.unrecord(req.class());
-            taken.push(req.clone());
+            mix.unrecord(entry.class());
+            taken.push(entry.unpack());
             false
         });
         self.stats.bypassed += taken.len() as u64;
@@ -282,8 +325,8 @@ impl DeviceQueue {
     }
 
     /// Iterates the pending requests from head (oldest) to tail (newest).
-    pub fn iter(&self) -> impl Iterator<Item = &IoRequest> {
-        self.pending.iter()
+    pub fn iter(&self) -> impl Iterator<Item = IoRequest> + '_ {
+        self.pending.iter().map(Queued::unpack)
     }
 
     /// A `blktrace`-style class histogram of the in-queue requests. O(1):
@@ -294,7 +337,10 @@ impl DeviceQueue {
 
     /// The age of the oldest in-queue request at `now`, or zero when empty.
     pub fn oldest_age(&self, now: SimTime) -> SimDuration {
-        self.pending.front().map(|r| r.age(now)).unwrap_or(SimDuration::ZERO)
+        self.pending
+            .front()
+            .map(|entry| now.saturating_since(SimTime::from_micros(entry.arrival_us)))
+            .unwrap_or(SimDuration::ZERO)
     }
 
     /// Discards every pending request (used when tearing a simulation down).
@@ -314,29 +360,39 @@ impl DeviceQueue {
     /// Serializes the queue — pending requests in order, cumulative stats —
     /// for a replay checkpoint. The class mix is rebuilt from the pending
     /// requests on restore rather than stored.
+    ///
+    /// The format predates the removal of request merging: a `false` merge
+    /// flag and a zero merged count still hold their places, so checkpoints
+    /// stay byte-identical.
     pub fn snap_to(&self, w: &mut SnapWriter) {
         w.put_str(&self.name);
-        w.put_bool(self.merge_enabled);
+        w.put_bool(false);
         w.put_u64(self.stats.enqueued);
         w.put_u64(self.stats.dispatched);
-        w.put_u64(self.stats.merged);
+        w.put_u64(0);
         w.put_u64(self.stats.bypassed);
         w.put_u64(self.stats.total_wait_us);
         w.put_usize(self.stats.peak_depth);
         w.put_usize(self.pending.len());
-        for req in &self.pending {
-            req.snap_to(w);
+        for request in self.iter() {
+            request.snap_to(w);
         }
     }
 
     /// Restores a queue serialized by [`DeviceQueue::snap_to`].
     pub fn snap_from(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let name = r.get_str()?;
-        let merge_enabled = r.get_bool()?;
+        if r.get_bool()? {
+            return Err(SnapError::Corrupt("queue merge flag set"));
+        }
+        let enqueued = r.get_u64()?;
+        let dispatched = r.get_u64()?;
+        if r.get_u64()? != 0 {
+            return Err(SnapError::Corrupt("queue merged count is not zero"));
+        }
         let stats = QueueStats {
-            enqueued: r.get_u64()?,
-            dispatched: r.get_u64()?,
-            merged: r.get_u64()?,
+            enqueued,
+            dispatched,
             bypassed: r.get_u64()?,
             total_wait_us: r.get_u64()?,
             peak_depth: r.get_usize()?,
@@ -351,10 +407,14 @@ impl DeviceQueue {
             if req.dispatch().is_some() || req.completion().is_some() {
                 return Err(SnapError::Corrupt("queued request carries a service stamp"));
             }
-            mix.record(req.class());
-            pending.push_back(req);
+            if req.range().sectors() > u64::from(u32::MAX) {
+                return Err(SnapError::Corrupt("queued request spans more than u32::MAX sectors"));
+            }
+            let entry = Queued::pack(&req);
+            mix.record(entry.class());
+            pending.push_back(entry);
         }
-        Ok(DeviceQueue { name, pending, merge_enabled, stats, mix })
+        Ok(DeviceQueue { name, pending, stats, mix })
     }
 }
 
@@ -369,7 +429,7 @@ mod tests {
 
     #[test]
     fn fifo_order_is_preserved() {
-        let mut q = DeviceQueue::without_merging("hdd");
+        let mut q = DeviceQueue::new("hdd");
         for i in 0..5 {
             q.enqueue(req(i, RequestKind::Read, RequestOrigin::Application, i * 1000));
         }
@@ -381,37 +441,21 @@ mod tests {
     }
 
     #[test]
-    fn adjacent_same_class_requests_merge() {
+    fn adjacent_requests_are_never_merged() {
         let mut q = DeviceQueue::new("ssd");
         q.enqueue(req(1, RequestKind::Read, RequestOrigin::Application, 0));
-        let merged = q.enqueue(req(2, RequestKind::Read, RequestOrigin::Application, 8));
-        assert!(merged);
-        assert_eq!(q.depth(), 1);
-        assert_eq!(q.stats().merged, 1);
-        let r = q.dispatch(SimTime::from_secs(1)).expect("request available");
-        assert_eq!(r.range().sectors(), 16);
-    }
-
-    #[test]
-    fn different_classes_never_merge() {
-        let mut q = DeviceQueue::new("ssd");
-        q.enqueue(req(1, RequestKind::Write, RequestOrigin::Application, 0));
-        let merged = q.enqueue(req(2, RequestKind::Write, RequestOrigin::Promote, 8));
-        assert!(!merged);
+        q.enqueue(req(2, RequestKind::Read, RequestOrigin::Application, 8));
         assert_eq!(q.depth(), 2);
-    }
-
-    #[test]
-    fn non_adjacent_requests_never_merge() {
-        let mut q = DeviceQueue::new("ssd");
-        q.enqueue(req(1, RequestKind::Read, RequestOrigin::Application, 0));
-        assert!(!q.enqueue(req(2, RequestKind::Read, RequestOrigin::Application, 64)));
-        assert_eq!(q.depth(), 2);
+        assert_eq!(q.snapshot().reads, 2);
+        for id in [1, 2] {
+            let r = q.dispatch(SimTime::from_secs(1)).expect("request available");
+            assert_eq!((r.id(), r.range().sectors()), (id, 8));
+        }
     }
 
     #[test]
     fn snapshot_counts_classes() {
-        let mut q = DeviceQueue::without_merging("ssd");
+        let mut q = DeviceQueue::new("ssd");
         q.enqueue(req(1, RequestKind::Read, RequestOrigin::Application, 0));
         q.enqueue(req(2, RequestKind::Write, RequestOrigin::Application, 100));
         q.enqueue(req(3, RequestKind::Write, RequestOrigin::Promote, 200));
@@ -428,7 +472,7 @@ mod tests {
 
     #[test]
     fn drain_tail_takes_newest_matching_requests() {
-        let mut q = DeviceQueue::without_merging("ssd");
+        let mut q = DeviceQueue::new("ssd");
         for i in 0..6 {
             q.enqueue(req(i, RequestKind::Write, RequestOrigin::Application, i * 1000));
         }
@@ -442,7 +486,7 @@ mod tests {
 
     #[test]
     fn drain_tail_respects_predicate() {
-        let mut q = DeviceQueue::without_merging("ssd");
+        let mut q = DeviceQueue::new("ssd");
         q.enqueue(req(1, RequestKind::Read, RequestOrigin::Application, 0));
         q.enqueue(req(2, RequestKind::Write, RequestOrigin::Application, 100));
         let taken = q.drain_tail(5, |r| r.kind().is_read());
@@ -453,7 +497,7 @@ mod tests {
 
     #[test]
     fn remove_by_ids_extracts_requested() {
-        let mut q = DeviceQueue::without_merging("ssd");
+        let mut q = DeviceQueue::new("ssd");
         for i in 0..5 {
             q.enqueue(req(i, RequestKind::Read, RequestOrigin::Application, i * 1000));
         }
@@ -464,7 +508,7 @@ mod tests {
 
     #[test]
     fn remove_by_ids_handles_a_deep_queue_with_many_ids() {
-        let mut q = DeviceQueue::without_merging("ssd");
+        let mut q = DeviceQueue::new("ssd");
         for i in 0..1_000u64 {
             q.enqueue(req(i, RequestKind::Write, RequestOrigin::Application, i * 1000));
         }
@@ -488,7 +532,7 @@ mod tests {
 
     #[test]
     fn remove_by_ids_works_in_place_and_keeps_the_ring() {
-        let mut q = DeviceQueue::without_merging("ssd");
+        let mut q = DeviceQueue::new("ssd");
         for i in 0..64u64 {
             let origin =
                 if i % 2 == 0 { RequestOrigin::Application } else { RequestOrigin::Promote };
@@ -516,7 +560,7 @@ mod tests {
             }
             snap
         };
-        let mut q = DeviceQueue::without_merging("ssd");
+        let mut q = DeviceQueue::new("ssd");
         for i in 0..40u64 {
             let origin = match i % 4 {
                 0 => RequestOrigin::Application,
@@ -538,17 +582,8 @@ mod tests {
     }
 
     #[test]
-    fn merged_requests_are_not_double_counted_in_the_snapshot() {
-        let mut q = DeviceQueue::new("ssd");
-        q.enqueue(req(1, RequestKind::Read, RequestOrigin::Application, 0));
-        assert!(q.enqueue(req(2, RequestKind::Read, RequestOrigin::Application, 8)));
-        assert_eq!(q.snapshot().reads, 1);
-        assert_eq!(q.snapshot().total(), 1);
-    }
-
-    #[test]
     fn stats_track_wait_and_peak_depth() {
-        let mut q = DeviceQueue::without_merging("ssd");
+        let mut q = DeviceQueue::new("ssd");
         q.enqueue(
             IoRequest::new(1, RequestKind::Read, RequestOrigin::Application, 0, 8)
                 .with_arrival(SimTime::from_micros(0)),
@@ -566,7 +601,7 @@ mod tests {
 
     #[test]
     fn oldest_age_reflects_head_request() {
-        let mut q = DeviceQueue::without_merging("ssd");
+        let mut q = DeviceQueue::new("ssd");
         assert_eq!(q.oldest_age(SimTime::from_secs(1)), SimDuration::ZERO);
         q.enqueue(
             IoRequest::new(1, RequestKind::Read, RequestOrigin::Application, 0, 8)
@@ -585,7 +620,7 @@ mod tests {
 
     #[test]
     fn snap_round_trip_preserves_pending_order_mix_and_stats() {
-        let mut q = DeviceQueue::without_merging("ssd");
+        let mut q = DeviceQueue::new("ssd");
         for i in 0..7u64 {
             let origin = match i % 3 {
                 0 => RequestOrigin::Application,
@@ -622,6 +657,84 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes[..bytes.len() - 3]);
         assert!(matches!(DeviceQueue::snap_from(&mut r), Err(SnapError::UnexpectedEof { .. })));
+    }
+
+    /// The checkpoint bytes of a queue holding one 8-sector read.
+    fn one_request_bytes() -> Vec<u8> {
+        let mut q = DeviceQueue::new("hdd");
+        q.enqueue(req(1, RequestKind::Read, RequestOrigin::Application, 0));
+        let mut w = SnapWriter::new();
+        q.snap_to(&mut w);
+        w.into_bytes()
+    }
+
+    /// Byte offsets in [`one_request_bytes`]: the name is 8 + 3 bytes.
+    const MERGE_FLAG: usize = 11;
+    const MERGED_COUNT: usize = MERGE_FLAG + 1 + 16;
+    /// The request follows the six statistics words and the length; its
+    /// sector count follows its id, two tag bytes and its start.
+    const SECTORS: usize = MERGED_COUNT + 8 * 5 + 8 + 1 + 1 + 8;
+
+    #[test]
+    fn snap_from_rejects_a_set_merge_flag() {
+        let mut bytes = one_request_bytes();
+        assert_eq!(bytes[MERGE_FLAG], 0);
+        bytes[MERGE_FLAG] = 1;
+        assert_eq!(
+            DeviceQueue::snap_from(&mut SnapReader::new(&bytes)).unwrap_err(),
+            SnapError::Corrupt("queue merge flag set")
+        );
+    }
+
+    #[test]
+    fn snap_from_rejects_a_merged_count() {
+        let mut bytes = one_request_bytes();
+        assert_eq!(bytes[MERGED_COUNT..MERGED_COUNT + 8], 0u64.to_le_bytes());
+        bytes[MERGED_COUNT..MERGED_COUNT + 8].copy_from_slice(&1u64.to_le_bytes());
+        assert_eq!(
+            DeviceQueue::snap_from(&mut SnapReader::new(&bytes)).unwrap_err(),
+            SnapError::Corrupt("queue merged count is not zero")
+        );
+    }
+
+    #[test]
+    fn snap_from_rejects_a_request_longer_than_u32_sectors() {
+        let mut bytes = one_request_bytes();
+        assert_eq!(bytes[SECTORS..SECTORS + 8], 8u64.to_le_bytes());
+        for (sectors, accepted) in [(u64::from(u32::MAX), true), (u64::from(u32::MAX) + 1, false)] {
+            bytes[SECTORS..SECTORS + 8].copy_from_slice(&sectors.to_le_bytes());
+            let restored = DeviceQueue::snap_from(&mut SnapReader::new(&bytes));
+            if accepted {
+                let q = restored.expect("a u32-long request restores");
+                assert_eq!(q.iter().next().map(|r| r.range().sectors()), Some(sectors));
+            } else {
+                assert_eq!(
+                    restored.unwrap_err(),
+                    SnapError::Corrupt("queued request spans more than u32::MAX sectors")
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no service stamp")]
+    fn enqueue_rejects_a_stamped_request() {
+        let mut stamped = req(1, RequestKind::Read, RequestOrigin::Application, 0);
+        stamped.mark_dispatched(SimTime::from_micros(20));
+        DeviceQueue::new("ssd").enqueue(stamped);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most u32::MAX sectors")]
+    fn enqueue_rejects_a_request_longer_than_u32_sectors() {
+        let long = IoRequest::new(
+            1,
+            RequestKind::Write,
+            RequestOrigin::Application,
+            0,
+            u64::from(u32::MAX) + 1,
+        );
+        DeviceQueue::new("ssd").enqueue(long);
     }
 
     #[test]

@@ -22,34 +22,23 @@ fn arb_origin() -> impl Strategy<Value = RequestOrigin> {
     ]
 }
 
+/// A `u64` at either edge or anywhere between.
+fn arb_edge_u64() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>()]
+}
+
+/// A request length up to the `u32::MAX` sectors a queue entry holds.
+fn arb_sectors() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(1u64), Just(8u64), Just(u64::from(u32::MAX)), 1..=u64::from(u32::MAX)]
+}
+
+/// No parent, a parent of id 0 (present, not absent) or any parent.
+fn arb_parent() -> impl Strategy<Value = Option<u64>> {
+    prop_oneof![Just(None), Just(Some(0u64)), any::<u64>().prop_map(Some)]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn block_range_merge_is_commutative_and_covering(
-        a_start in 0u64..10_000, a_len in 1u64..256,
-        b_start in 0u64..10_000, b_len in 1u64..256,
-    ) {
-        let a = BlockRange::new(Lba::new(a_start), a_len);
-        let b = BlockRange::new(Lba::new(b_start), b_len);
-        let ab = a.merged(&b);
-        let ba = b.merged(&a);
-        prop_assert_eq!(ab, ba);
-        if let Some(m) = ab {
-            // The merge covers both inputs and no sector before/after them.
-            prop_assert!(m.start().sector() <= a.start().sector());
-            prop_assert!(m.start().sector() <= b.start().sector());
-            prop_assert!(m.end().sector() >= a.end().sector());
-            prop_assert!(m.end().sector() >= b.end().sector());
-            prop_assert_eq!(
-                m.start().sector(),
-                a.start().sector().min(b.start().sector())
-            );
-            prop_assert_eq!(m.end().sector(), a.end().sector().max(b.end().sector()));
-        } else {
-            prop_assert!(!a.overlaps(&b) && !a.is_adjacent_to(&b));
-        }
-    }
 
     #[test]
     fn block_indices_cover_every_sector(start in 0u64..100_000, len in 1u64..512) {
@@ -84,49 +73,59 @@ proptest! {
 
     #[test]
     fn queue_preserves_every_enqueued_request_without_merging(
-        sectors in proptest::collection::vec(0u64..100_000, 1..100),
+        top_id in prop_oneof![Just(u64::MAX), Just(1_000u64)],
+        specs in proptest::collection::vec(
+            ((arb_kind(), arb_origin(), any::<bool>()), arb_edge_u64(), arb_sectors(),
+             arb_parent(), arb_edge_u64()),
+            1..100,
+        ),
     ) {
-        let mut q = DeviceQueue::without_merging("p");
-        for (i, &s) in sectors.iter().enumerate() {
-            q.enqueue(
-                IoRequest::new(i as u64, RequestKind::Read, RequestOrigin::Application, s, 8)
-                    .with_arrival(SimTime::from_micros(i as u64)),
-            );
+        // Ids count down from `top_id`, so each is unique; `take` marks the
+        // requests `remove_by_ids` pulls out.
+        let requests: Vec<(IoRequest, bool)> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, &((kind, origin, take), start, sectors, parent, arrival))| {
+                let req = IoRequest::new(top_id - i as u64, kind, origin, start, sectors)
+                    .with_arrival(SimTime::from_micros(arrival));
+                let req = match parent {
+                    Some(parent) => req.with_parent(parent),
+                    None => req,
+                };
+                (req, take)
+            })
+            .collect();
+        let expected: Vec<IoRequest> = requests.iter().map(|(r, _)| r.clone()).collect();
+        let mut q = DeviceQueue::new("p");
+        for request in &expected {
+            q.enqueue(request.clone());
         }
-        prop_assert_eq!(q.depth(), sectors.len());
-        let mut dispatched = 0;
-        while let Some(r) = q.dispatch(SimTime::from_secs(1)) {
-            prop_assert_eq!(r.id(), dispatched as u64);
-            prop_assert!(r.queue_time().is_some());
-            dispatched += 1;
-        }
-        prop_assert_eq!(dispatched, sectors.len());
-        prop_assert_eq!(q.stats().enqueued, sectors.len() as u64);
-        prop_assert_eq!(q.stats().dispatched, sectors.len() as u64);
-    }
+        prop_assert_eq!(q.depth(), expected.len());
+        prop_assert_eq!(&q.iter().collect::<Vec<_>>(), &expected);
 
-    #[test]
-    fn queue_merging_never_loses_sectors(
-        starts in proptest::collection::vec(0u64..64, 1..60),
-    ) {
-        // Block-aligned single-block reads over a small region: heavy merging.
-        let mut q = DeviceQueue::new("m");
-        let mut total_enqueued_sectors = 0u64;
-        for (i, &b) in starts.iter().enumerate() {
-            q.enqueue(
-                IoRequest::new(i as u64, RequestKind::Read, RequestOrigin::Application, b * 8, 8)
-                    .with_arrival(SimTime::ZERO),
-            );
-            total_enqueued_sectors += 8;
+        let mut tail = q.clone();
+        let mut newest_first = expected.clone();
+        newest_first.reverse();
+        prop_assert_eq!(&tail.drain_tail(expected.len(), |_| true), &newest_first);
+
+        let mut picked = q.clone();
+        let ids: Vec<u64> =
+            requests.iter().filter(|(_, take)| *take).map(|(r, _)| r.id()).collect();
+        let (taken, kept): (Vec<_>, Vec<_>) = requests.iter().partition(|(_, take)| *take);
+        let taken: Vec<IoRequest> = taken.into_iter().map(|(r, _)| r.clone()).collect();
+        let kept: Vec<IoRequest> = kept.into_iter().map(|(r, _)| r.clone()).collect();
+        prop_assert_eq!(&picked.remove_by_ids(&ids), &taken);
+        prop_assert_eq!(&picked.iter().collect::<Vec<_>>(), &kept);
+
+        let now = SimTime::from_secs(1);
+        for want in &expected {
+            let mut want = want.clone();
+            want.mark_dispatched(now);
+            prop_assert_eq!(q.dispatch(now).as_ref(), Some(&want));
         }
-        let mut dispatched_sectors = 0u64;
-        while let Some(r) = q.dispatch(SimTime::from_secs(1)) {
-            dispatched_sectors += r.range().sectors();
-        }
-        // Merging may coalesce overlapping requests, so the dispatched span
-        // can be smaller, but never larger and never zero.
-        prop_assert!(dispatched_sectors > 0);
-        prop_assert!(dispatched_sectors <= total_enqueued_sectors);
+        prop_assert!(q.dispatch(now).is_none());
+        prop_assert_eq!(q.stats().enqueued, expected.len() as u64);
+        prop_assert_eq!(q.stats().dispatched, expected.len() as u64);
     }
 
     #[test]

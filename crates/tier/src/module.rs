@@ -1266,6 +1266,29 @@ mod tests {
     }
 
     #[test]
+    fn snap_state_from_rejects_a_tag_past_the_sector_space() {
+        // Blocks 0 and 2 fill set 0 of the 2x2 hot tier.
+        let mut cache = two_level();
+        cache.access(&write(1, 0));
+        cache.access(&write(2, 2 * 8));
+        let mut w = lbica_storage::snap::SnapWriter::new();
+        cache.snap_to(&mut w);
+        let mut bytes = w.into_bytes();
+        // Slot 0's tag follows the level count and the map's 17-byte header.
+        let at = 8 + 17;
+        assert_eq!(bytes[at..at + 8], 0u64.to_le_bytes());
+        // Block 2^61 maps to set 0, but its first sector is 2^64. Restored,
+        // it made the next access that evicted it panic in `block_range`.
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        let mut restored = two_level();
+        let mut r = lbica_storage::snap::SnapReader::new(&bytes);
+        assert_eq!(
+            restored.snap_state_from(&mut r),
+            Err(lbica_storage::snap::SnapError::Corrupt("cache map tag past the sector space"))
+        );
+    }
+
+    #[test]
     fn snap_state_from_rejects_level_count_mismatch() {
         let cache = two_level();
         let mut w = lbica_storage::snap::SnapWriter::new();

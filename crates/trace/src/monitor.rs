@@ -413,7 +413,7 @@ mod tests {
 
     #[test]
     fn blktrace_probe_accumulates_queue_mix() {
-        let mut q = DeviceQueue::without_merging("ssd");
+        let mut q = DeviceQueue::new("ssd");
         q.enqueue(
             IoRequest::new(1, RequestKind::Read, RequestOrigin::Application, 0, 8)
                 .with_arrival(SimTime::ZERO),
