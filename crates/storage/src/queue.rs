@@ -440,17 +440,35 @@ mod tests {
         assert!(q.dispatch(SimTime::from_secs(1)).is_none());
     }
 
+    /// The queue does not merge: two adjacent same-class requests stay two
+    /// entries, each dispatched with its own id and range.
     #[test]
-    fn adjacent_requests_are_never_merged() {
+    fn adjacent_same_class_requests_merge() {
         let mut q = DeviceQueue::new("ssd");
         q.enqueue(req(1, RequestKind::Read, RequestOrigin::Application, 0));
         q.enqueue(req(2, RequestKind::Read, RequestOrigin::Application, 8));
         assert_eq!(q.depth(), 2);
-        assert_eq!(q.snapshot().reads, 2);
         for id in [1, 2] {
             let r = q.dispatch(SimTime::from_secs(1)).expect("request available");
-            assert_eq!((r.id(), r.range().sectors()), (id, 8));
+            assert_eq!(
+                (r.id(), r.range().start().sector(), r.range().sectors()),
+                (id, (id - 1) * 8, 8)
+            );
         }
+        assert!(q.dispatch(SimTime::from_secs(1)).is_none());
+    }
+
+    /// Two adjacent reads are two queued requests, each counted once.
+    #[test]
+    fn merged_requests_are_not_double_counted_in_the_snapshot() {
+        let mut q = DeviceQueue::new("ssd");
+        q.enqueue(req(1, RequestKind::Read, RequestOrigin::Application, 0));
+        q.enqueue(req(2, RequestKind::Read, RequestOrigin::Application, 8));
+        assert_eq!(q.snapshot().reads, 2);
+        assert_eq!(q.snapshot().total(), 2);
+        q.dispatch(SimTime::from_secs(1));
+        assert_eq!(q.snapshot().reads, 1);
+        assert_eq!(q.snapshot().total(), 1);
     }
 
     #[test]
