@@ -38,9 +38,8 @@ fn main() -> ExitCode {
         }
     };
     let summary = match kind {
-        "telemetry" => validate::telemetry_jsonl(&text).map(|s| {
-            format!("{} records ({} cells, {} shard merges)", s.records, s.cells, s.shards)
-        }),
+        "telemetry" => validate::telemetry_jsonl(&text)
+            .map(|s| format!("{} records ({} cells)", s.records, s.cells)),
         "trace" => validate::chrome_trace(&text)
             .map(|s| format!("{} events ({} spans, {} counters)", s.events, s.spans, s.counters)),
         "metrics" => validate::metrics_json(&text)

@@ -1,11 +1,10 @@
-//! Drives a scenario-sweep matrix across all cores — or across processes
-//! via `--shard` / `merge` — and writes aggregated CSV/JSON summaries.
+//! Drives a scenario-sweep matrix across all cores and writes aggregated
+//! CSV/JSON summaries.
 //!
 //! ```text
-//! sweep [--matrix NAME] [--jobs N] [--out DIR] [--shard I/N]
+//! sweep [--matrix NAME] [--jobs N] [--out DIR]
 //!       [--telemetry FILE] [--trace-cell IDX]
 //!       [--checkpoint-cell IDX] [--list]
-//! sweep merge PART.json... [--out DIR] [--telemetry FILE]
 //! ```
 //!
 //! The named matrices live in one registry (`MATRICES`): the `--help`
@@ -21,7 +20,7 @@
 //! * `multi-tenant` / `paper-mt` — interleaved per-tenant streams; these
 //!   summaries carry per-tenant offered-load rows (CSV `tenant` section,
 //!   JSON `by_tenant`), regenerated from the matrix definition so they
-//!   are identical however the sweep was executed or sharded.
+//!   are identical for any `--jobs`.
 //! * `replay` — captured traces round-tripped through the binary codec
 //!   and replayed (6 cells).
 //! * `paper` — the canonical figure matrix at published scale (9 cells,
@@ -36,19 +35,6 @@
 //! Results stream into the `lbica-lab` aggregator as cells complete; the
 //! summary is independent of `--jobs`, so `--jobs 1` and `--jobs 8`
 //! produce byte-identical files.
-//!
-//! # Distributed sweeps
-//!
-//! `--shard I/N` runs only the I-th of N contiguous cell ranges and
-//! writes a `lbica-partial-sweep/v2` JSON document instead of the
-//! summary files (with `--shard`, `--out` may name the partial *file*
-//! directly — any path ending in `.json` — or a directory, in which case
-//! the partial lands at `DIR/sweep_<matrix>.part<I>of<N>.json`). Because
-//! every cell's stream seed derives from its coordinates, a cell computes
-//! the same result in any shard; `sweep merge` then validates the
-//! partials (same matrix fingerprint, same shard count, every shard
-//! present exactly once) and re-renders `sweep_<matrix>.csv` / `.json`
-//! byte-identical to a single-process run.
 //!
 //! # Telemetry
 //!
@@ -72,12 +58,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use lbica_bench::SuiteConfig;
-use lbica_lab::telemetry::{
-    FanOut, JsonlTelemetry, MetricsFold, StderrProgress, TelemetryEvent, TelemetryHook,
-};
-use lbica_lab::{
-    CsvSink, JsonSink, PartialSweep, Scenario, ScenarioMatrix, SweepExecutor, SweepSummary,
-};
+use lbica_lab::telemetry::{FanOut, JsonlTelemetry, MetricsFold, StderrProgress, TelemetryHook};
+use lbica_lab::{CsvSink, JsonSink, Scenario, ScenarioMatrix, SweepExecutor, SweepSummary};
 use lbica_obs::SimObserver;
 
 /// One row of the matrix registry: the CLI name, the `--list` blurb and
@@ -180,23 +162,17 @@ fn matrix_name_list() -> String {
 fn usage() -> String {
     format!(
         "\
-usage: sweep [--matrix NAME] [--jobs N] [--out DIR] [--shard I/N]
+usage: sweep [--matrix NAME] [--jobs N] [--out DIR]
              [--telemetry FILE] [--trace-cell IDX]
              [--checkpoint-cell IDX] [--list] [--help]
-       sweep merge PART.json... [--out DIR] [--telemetry FILE]
 
-subcommands:
-  (default)        run a sweep matrix; write sweep_<matrix>.csv/.json to --out
-  merge            fold shard partials back into whole-matrix summaries
+Runs a sweep matrix and writes sweep_<matrix>.csv/.json to --out.
 
 flags:
   --matrix NAME    matrix to run (default: tiny; see --list):
                    {names}
   --jobs N         worker threads, 0 = one per core (default: 0)
-  --out DIR        output directory (default: target/sweep); with --shard, may
-                   name the partial .json file directly
-  --shard I/N      run only the I-th of N contiguous cell ranges and write a
-                   partial-sweep document instead of the summary files
+  --out DIR        output directory (default: target/sweep)
   --telemetry FILE write a JSONL execution-telemetry stream to FILE plus folded
                    metrics snapshots beside it (FILE -> *.metrics.json/.prom);
                    wall-clock lands only here, never in the summaries
@@ -218,17 +194,9 @@ struct Options {
     matrix: String,
     jobs: usize,
     out_dir: PathBuf,
-    shard: Option<(usize, usize)>,
     telemetry: Option<PathBuf>,
     trace_cell: Option<usize>,
     checkpoint_cell: Option<usize>,
-}
-
-#[derive(Debug)]
-struct MergeOptions {
-    parts: Vec<PathBuf>,
-    out_dir: PathBuf,
-    telemetry: Option<PathBuf>,
 }
 
 /// Takes the value of `flag` from `args`, rejecting a missing value or
@@ -245,30 +213,11 @@ fn flag_value(
     }
 }
 
-/// Parses `I/N` from `--shard`, rejecting `N == 0` and `I >= N` up front
-/// so a bad invocation fails before any cell runs.
-fn parse_shard(spec: &str) -> Result<(usize, usize), String> {
-    let invalid = || {
-        format!(
-            "--shard wants INDEX/COUNT with INDEX < COUNT and COUNT > 0 \
-             (e.g. `--shard 0/2`), got `{spec}`"
-        )
-    };
-    let (index, count) = spec.split_once('/').ok_or_else(invalid)?;
-    let index: usize = index.parse().map_err(|_| invalid())?;
-    let count: usize = count.parse().map_err(|_| invalid())?;
-    if count == 0 || index >= count {
-        return Err(invalid());
-    }
-    Ok((index, count))
-}
-
 fn parse_args() -> Result<Option<Options>, String> {
     let mut opts = Options {
         matrix: "tiny".to_string(),
         jobs: 0,
         out_dir: PathBuf::from("target/sweep"),
-        shard: None,
         telemetry: None,
         trace_cell: None,
         checkpoint_cell: None,
@@ -286,10 +235,6 @@ fn parse_args() -> Result<Option<Options>, String> {
             }
             "--out" => {
                 opts.out_dir = PathBuf::from(flag_value(&mut args, "--out", "a path")?);
-            }
-            "--shard" => {
-                let spec = flag_value(&mut args, "--shard", "INDEX/COUNT (e.g. 0/2)")?;
-                opts.shard = Some(parse_shard(&spec)?);
             }
             "--telemetry" => {
                 opts.telemetry =
@@ -319,42 +264,7 @@ fn parse_args() -> Result<Option<Options>, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    if opts.trace_cell.is_some() && opts.shard.is_some() {
-        return Err("--trace-cell cannot be combined with --shard \
-                    (trace the cell from an unsharded run)"
-            .to_string());
-    }
-    if opts.checkpoint_cell.is_some() && opts.shard.is_some() {
-        return Err("--checkpoint-cell cannot be combined with --shard \
-                    (check the cell from an unsharded run)"
-            .to_string());
-    }
     Ok(Some(opts))
-}
-
-fn parse_merge_args() -> Result<MergeOptions, String> {
-    let mut opts =
-        MergeOptions { parts: Vec::new(), out_dir: PathBuf::from("target/sweep"), telemetry: None };
-    let mut args = env::args().skip(2);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => {
-                opts.out_dir = PathBuf::from(flag_value(&mut args, "--out", "a directory")?);
-            }
-            "--telemetry" => {
-                opts.telemetry =
-                    Some(PathBuf::from(flag_value(&mut args, "--telemetry", "a file path")?));
-            }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown merge argument `{flag}`"));
-            }
-            part => opts.parts.push(PathBuf::from(part)),
-        }
-    }
-    if opts.parts.is_empty() {
-        return Err("merge needs at least one partial-sweep file".to_string());
-    }
-    Ok(opts)
 }
 
 fn build_matrix(name: &str) -> Result<ScenarioMatrix, String> {
@@ -396,9 +306,7 @@ fn print_summary(summary: &SweepSummary) {
     }
 }
 
-/// Writes `sweep_<matrix>.csv` / `.json` into `out_dir` — shared by the
-/// single-process path and `merge`, so both name and render the output
-/// files identically.
+/// Writes `sweep_<matrix>.csv` / `.json` into `out_dir`.
 fn write_summary(out_dir: &Path, matrix: &str, summary: &SweepSummary) -> Result<(), String> {
     fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
     let csv_path = out_dir.join(format!("sweep_{matrix}.csv"));
@@ -422,19 +330,13 @@ struct TelemetrySinks {
     metrics: MetricsFold,
 }
 
-/// Creates the directory a file at `path` will live in.
-fn create_parent(path: &Path) -> Result<(), String> {
-    match path.parent() {
-        Some(parent) if !parent.as_os_str().is_empty() => fs::create_dir_all(parent)
-            .map_err(|e| format!("cannot create {}: {e}", parent.display())),
-        _ => Ok(()),
-    }
-}
-
 /// Creates (truncating) the JSONL telemetry stream at `path`, making its
 /// parent directory first.
 fn create_jsonl(path: &Path) -> Result<JsonlTelemetry<std::io::BufWriter<fs::File>>, String> {
-    create_parent(path)?;
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        fs::create_dir_all(parent)
+            .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
+    }
     JsonlTelemetry::create(path).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
@@ -486,117 +388,6 @@ fn write_cell_trace(
     Ok(())
 }
 
-/// With `--shard`, `--out` may name the partial file itself (any path
-/// ending in `.json`) or a directory to drop the canonical
-/// `sweep_<matrix>.part<I>of<N>.json` name into.
-fn partial_path(out: &Path, matrix: &str, index: usize, count: usize) -> PathBuf {
-    if out.extension().is_some_and(|e| e == "json") {
-        out.to_path_buf()
-    } else {
-        out.join(format!("sweep_{matrix}.part{index}of{count}.json"))
-    }
-}
-
-fn run_shard(opts: &Options, index: usize, count: usize) -> Result<(), String> {
-    let matrix = build_matrix(&opts.matrix)?;
-    let executor = SweepExecutor::new(opts.jobs);
-    let range = matrix.shard(index, count);
-    // Make the partial's directory up front: a bad --out must fail fast,
-    // not after the shard has run.
-    let path = partial_path(&opts.out_dir, &opts.matrix, index, count);
-    create_parent(&path)?;
-    eprintln!(
-        "sweeping shard {index}/{count} of matrix `{}`: cells [{}, {}) of {} on {} worker(s)",
-        opts.matrix,
-        range.start,
-        range.end,
-        matrix.len(),
-        executor.jobs(),
-    );
-    let sinks = opts.telemetry.as_deref().map(TelemetrySinks::create).transpose()?;
-    let stderr = StderrProgress::shard();
-    let mut hooks: Vec<&dyn TelemetryHook> = vec![&stderr];
-    if let Some(s) = &sinks {
-        hooks.push(&s.jsonl);
-        hooks.push(&s.metrics);
-    }
-    let fan = FanOut::new(&hooks);
-
-    let started = Instant::now();
-    let partial =
-        PartialSweep::collect_with_telemetry(&executor, &matrix, &opts.matrix, index, count, &fan);
-    eprintln!("shard finished in {:.2?}", started.elapsed());
-    drop(hooks);
-    if let Some(s) = sinks {
-        s.finish()?;
-    }
-
-    partial.write_to(&path).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    println!(
-        "wrote {} ({} cells, fingerprint {:016x})",
-        path.display(),
-        partial.cells.len(),
-        partial.fingerprint
-    );
-    Ok(())
-}
-
-fn run_merge(opts: &MergeOptions) -> Result<(), String> {
-    let started = Instant::now();
-    eprintln!("merging {} partial(s)", opts.parts.len());
-    let partials = opts
-        .parts
-        .iter()
-        .map(|path| PartialSweep::read_from(path).map_err(|e| format!("{}: {e}", path.display())))
-        .collect::<Result<Vec<_>, _>>()?;
-    let merged = PartialSweep::merge(&partials).map_err(|e| e.to_string())?;
-
-    // The telemetry stream opens only once the merge has succeeded, so a
-    // rejected shard set leaves no half-written stream behind.
-    let jsonl = opts.telemetry.as_deref().map(create_jsonl).transpose()?;
-    let stderr = StderrProgress::new();
-    let mut hooks: Vec<&dyn TelemetryHook> = vec![&stderr];
-    if let Some(j) = &jsonl {
-        hooks.push(j);
-    }
-    let fan = FanOut::new(&hooks);
-    fan.record(TelemetryEvent::SweepStart { matrix: "merge", cells: opts.parts.len(), jobs: 1 });
-    for partial in &partials {
-        fan.record(TelemetryEvent::ShardMerged {
-            shard_index: partial.shard_index,
-            shard_count: partial.shard_count,
-            cells: partial.cells.len(),
-        });
-    }
-    eprintln!("merged {} shard(s), {} cells", partials.len(), merged.cells);
-    // Re-derive the per-tenant offered-load rows from the matrix
-    // definition, exactly as the unsharded path does — tenant rows are a
-    // pure function of the matrix, so merge output stays byte-identical
-    // to a single-process run. A partial from an unregistered matrix name
-    // merges fine; it just carries no tenant section.
-    let summary = match build_matrix(&merged.matrix) {
-        Ok(matrix) => merged.summary.with_tenant_rows(&matrix),
-        Err(_) => merged.summary,
-    };
-    let telemetry = lbica_lab::SweepTelemetry {
-        matrix: merged.matrix.clone(),
-        jobs: 1,
-        cells: merged.cells as usize,
-        wall_us: started.elapsed().as_micros() as u64,
-        events: 0,
-        events_per_sec: 0.0,
-        worker_busy_us: Vec::new(),
-        worker_utilization: 0.0,
-    };
-    fan.record(TelemetryEvent::SweepEnd { telemetry: &telemetry });
-    drop(hooks);
-    if let Some(j) = jsonl {
-        drop(j.into_inner());
-        println!("wrote {}", opts.telemetry.as_deref().expect("telemetry path").display());
-    }
-    write_summary(&opts.out_dir, &merged.matrix, &summary)
-}
-
 fn run_sweep(opts: &Options) -> Result<(), String> {
     let matrix = build_matrix(&opts.matrix)?;
 
@@ -633,7 +424,7 @@ fn run_sweep(opts: &Options) -> Result<(), String> {
     // and greppable in CI logs. The JSONL/metrics sinks attach only under
     // --telemetry; either way the summary is byte-identical.
     let sinks = opts.telemetry.as_deref().map(TelemetrySinks::create).transpose()?;
-    let stderr = StderrProgress::new();
+    let stderr = StderrProgress;
     let mut hooks: Vec<&dyn TelemetryHook> = vec![&stderr];
     if let Some(s) = &sinks {
         hooks.push(&s.jsonl);
@@ -690,23 +481,6 @@ fn check_cell_checkpoint(index: usize, cell: &Scenario) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    if env::args().nth(1).as_deref() == Some("merge") {
-        let result = match parse_merge_args() {
-            Ok(opts) => run_merge(&opts),
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!("{}", usage());
-                return ExitCode::FAILURE;
-            }
-        };
-        return match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     let opts = match parse_args() {
         Ok(Some(o)) => o,
         Ok(None) => return ExitCode::SUCCESS,
@@ -716,11 +490,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = match opts.shard {
-        Some((index, count)) => run_shard(&opts, index, count),
-        None => run_sweep(&opts),
-    };
-    match result {
+    match run_sweep(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -763,15 +533,6 @@ mod tests {
             for b in &MATRICES[i + 1..] {
                 assert_ne!(a.name, b.name, "duplicate matrix name");
             }
-        }
-    }
-
-    #[test]
-    fn shard_specs_parse_strictly() {
-        assert_eq!(parse_shard("0/2"), Ok((0, 2)));
-        assert_eq!(parse_shard("3/4"), Ok((3, 4)));
-        for bad in ["", "1", "2/2", "5/2", "1/0", "a/b", "1/2/3"] {
-            assert!(parse_shard(bad).is_err(), "`{bad}` should be rejected");
         }
     }
 }

@@ -93,64 +93,49 @@ fn ratio(num: u128, den: u128) -> f64 {
 
 /// Everything the [`Aggregator`] extracts from one finished cell: the
 /// aggregation keys (coordinates) plus pre-summed integer measurements.
-///
-/// This is the payload of a [`crate::PartialSweep`] — a shard records one
-/// `CellSummary` per cell it ran, and `sweep merge` folds them through the
-/// same [`Aggregator`] arithmetic as a single-process run, which is why a
-/// merged summary is bit-identical to an unsharded one. Every field is an
-/// integer (sums in `u64`/`u128`), so folding is associative and
-/// commutative across shard and completion order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CellSummary {
-    /// The cell's index in matrix enumeration order.
-    pub index: usize,
-    /// The cell's human-readable id (`workload/config/controller/s<seed>`).
-    pub id: String,
+/// Every measurement is an integer, so folding is associative and
+/// commutative across completion order.
+#[derive(Debug)]
+struct CellSummary {
     /// Workload-axis coordinate (aggregation key).
-    pub workload: String,
+    workload: String,
     /// Configuration-axis coordinate (aggregation key).
-    pub config: String,
+    config: String,
     /// Controller-axis coordinate (aggregation key).
-    pub controller: String,
-    /// Seed-axis coordinate (the replicate index, not the stream seed).
-    pub seed: u64,
+    controller: String,
     /// Application requests completed.
-    pub app_completed: u64,
+    app_completed: u64,
     /// The cell's mean application latency, µs.
-    pub avg_latency_us: u64,
+    avg_latency_us: u64,
     /// The cell's median application latency, µs (log-bucketed).
-    pub p50_latency_us: u64,
+    p50_latency_us: u64,
     /// The cell's 95th-percentile application latency, µs (log-bucketed).
-    pub p95_latency_us: u64,
+    p95_latency_us: u64,
     /// The cell's 99th-percentile application latency, µs (log-bucketed).
-    pub p99_latency_us: u64,
+    p99_latency_us: u64,
     /// The cell's maximum application latency, µs.
-    pub max_latency_us: u64,
+    max_latency_us: u64,
     /// Number of monitoring intervals the cell reported.
-    pub intervals: u64,
+    intervals: u64,
     /// Sum of per-interval maximum cache latencies, µs.
-    pub cache_load_sum_us: u128,
+    cache_load_sum_us: u128,
     /// Sum of per-interval maximum disk latencies, µs.
-    pub disk_load_sum_us: u128,
+    disk_load_sum_us: u128,
     /// Write-policy changes applied after the initial policy.
-    pub policy_changes: u64,
+    policy_changes: u64,
     /// Requests bypassed from the cache queue to the disk.
-    pub bypassed_requests: u64,
+    bypassed_requests: u64,
     /// Intervals the controller flagged as bursts.
-    pub burst_intervals: u64,
+    burst_intervals: u64,
 }
 
 impl CellSummary {
-    /// Extracts the summary of one finished cell. `index` is the cell's
-    /// position in matrix enumeration order.
-    pub fn capture(index: usize, scenario: &Scenario, report: &SimulationReport) -> Self {
+    /// Extracts the summary of one finished cell.
+    fn capture(scenario: &Scenario, report: &SimulationReport) -> Self {
         CellSummary {
-            index,
-            id: scenario.id(),
             workload: scenario.workload().name().to_string(),
             config: scenario.config_label().to_string(),
             controller: scenario.controller().label().to_string(),
-            seed: scenario.seed(),
             app_completed: report.app_completed,
             avg_latency_us: report.app_avg_latency_us,
             p50_latency_us: report.app_p50_latency_us,
@@ -227,8 +212,8 @@ pub struct WorkloadDelta {
 /// from the workload definition — not measured from simulation results (the
 /// merged stream loses tenant identity once scheduled). Because the
 /// regeneration is a pure function of the matrix definition, tenant rows
-/// are byte-identical for any `--jobs` count and for a merged sharded
-/// sweep, and identical whether attached before or after execution.
+/// are byte-identical for any `--jobs` count, and identical whether
+/// attached before or after execution.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TenantRow {
     /// The multi-tenant workload the tenant belongs to.
@@ -331,9 +316,7 @@ impl SweepSummary {
     }
 
     /// Attaches the per-tenant offered-load rows regenerated from `matrix`
-    /// (builder style) — see [`tenant_rows`]. Both the single-process sweep
-    /// and `sweep merge` attach from the same matrix definition, so sharded
-    /// and unsharded summaries stay byte-identical.
+    /// (builder style) — see [`tenant_rows`].
     pub fn with_tenant_rows(mut self, matrix: &ScenarioMatrix) -> Self {
         self.by_tenant = tenant_rows(matrix);
         self
@@ -364,15 +347,7 @@ impl Aggregator {
 
     /// Folds one cell's report into the accumulators.
     pub fn observe(&mut self, scenario: &Scenario, report: &SimulationReport) {
-        // Both the in-process path and `sweep merge` fold the identical
-        // `CellSummary` extraction, so a merged sharded sweep cannot drift
-        // from a single-process one.
-        self.observe_cell(&CellSummary::capture(0, scenario, report));
-    }
-
-    /// Folds one pre-extracted [`CellSummary`] — the merge path of a
-    /// sharded sweep — into the accumulators. Order-independent.
-    pub fn observe_cell(&mut self, cell: &CellSummary) {
+        let cell = &CellSummary::capture(scenario, report);
         self.total.fold(cell);
         self.by_workload.entry(cell.workload.clone()).or_default().fold(cell);
         self.by_controller.entry(cell.controller.clone()).or_default().fold(cell);
@@ -466,26 +441,11 @@ mod tests {
     }
 
     #[test]
-    fn observe_and_observe_cell_fold_identically() {
-        let matrix = ScenarioMatrix::smoke();
-        let mut direct = Aggregator::new();
-        let mut via_summary = Aggregator::new();
-        for (i, cell) in matrix.cells().enumerate() {
-            let report = cell.run();
-            direct.observe(&cell, &report);
-            via_summary.observe_cell(&CellSummary::capture(i, &cell, &report));
-        }
-        assert_eq!(direct.summary(), via_summary.summary());
-    }
-
-    #[test]
     fn capture_extracts_coordinates_and_integer_measurements() {
         let matrix = ScenarioMatrix::smoke();
         let cell = matrix.cell(2).expect("in bounds");
         let report = cell.run();
-        let summary = CellSummary::capture(2, &cell, &report);
-        assert_eq!(summary.index, 2);
-        assert_eq!(summary.id, cell.id());
+        let summary = CellSummary::capture(&cell, &report);
         assert_eq!(summary.workload, cell.workload().name());
         assert_eq!(summary.config, cell.config_label());
         assert_eq!(summary.controller, cell.controller().label());

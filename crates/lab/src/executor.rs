@@ -7,7 +7,7 @@ use std::time::Instant;
 use lbica_sim::SimulationReport;
 
 use crate::aggregate::{Aggregator, SweepSummary};
-use crate::matrix::{CellRange, ScenarioMatrix};
+use crate::matrix::ScenarioMatrix;
 use crate::scenario::Scenario;
 use crate::telemetry::{
     events_rate, utilization, CellTelemetry, NullTelemetry, SweepTelemetry, TelemetryEvent,
@@ -50,28 +50,22 @@ impl SweepExecutor {
     }
 
     /// The scheduling primitive behind every execution entry point: runs
-    /// the cells of one contiguous [`CellRange`] (the whole matrix, or the
-    /// shard-local slice of a distributed sweep), invoking
+    /// every cell of `matrix`, invoking
     /// `handle(worker, index, scenario, report, wall_us)` from worker
     /// threads as each cell completes, in nondeterministic order. `index`
-    /// is the cell's *global* matrix index, so a shard's results carry the
-    /// same coordinates they would in a single-process run. The worker
-    /// index and wall-clock time exist only for telemetry — nothing
-    /// derived from them may flow into reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range reaches past the end of the matrix.
-    pub(crate) fn run_cells<F>(&self, matrix: &ScenarioMatrix, range: CellRange, handle: F)
+    /// is the cell's matrix index. The worker index and wall-clock time
+    /// exist only for telemetry — nothing derived from them may flow into
+    /// reports.
+    fn run_cells<F>(&self, matrix: &ScenarioMatrix, handle: F)
     where
         F: Fn(usize, usize, &Scenario, SimulationReport, u64) + Sync,
     {
-        assert!(range.end <= matrix.len(), "cell range reaches past the matrix");
-        if range.is_empty() {
+        let cells = matrix.len();
+        if cells == 0 {
             return;
         }
-        let workers = self.jobs.min(range.len());
-        let cursor = AtomicUsize::new(range.start);
+        let workers = self.jobs.min(cells);
+        let cursor = AtomicUsize::new(0);
         let cursor = &cursor;
         let handle = &handle;
         std::thread::scope(|scope| {
@@ -87,7 +81,7 @@ impl SweepExecutor {
                     let mut arena = lbica_sim::SimArena::new();
                     loop {
                         let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        if index >= range.end {
+                        if index >= cells {
                             break;
                         }
                         let scenario = matrix.cell(index).expect("cursor index in bounds");
@@ -101,20 +95,34 @@ impl SweepExecutor {
         });
     }
 
-    /// Runs `range` with full telemetry: a
+    /// Runs every cell and returns the reports in cell-enumeration order.
+    pub fn run(&self, matrix: &ScenarioMatrix) -> Vec<SimulationReport> {
+        let slots: Mutex<Vec<Option<SimulationReport>>> = Mutex::new(vec![None; matrix.len()]);
+        self.run_cells(matrix, |_, index, _, report, _| {
+            slots.lock().expect("slot lock")[index] = Some(report);
+        });
+        slots
+            .into_inner()
+            .expect("slot lock")
+            .into_iter()
+            .map(|r| r.expect("every cell produced a report"))
+            .collect()
+    }
+
+    /// Runs every cell, streaming each report into an [`Aggregator`] and
+    /// discarding it; returns the aggregated summary. `hook` receives a
     /// [`TelemetryEvent::SweepStart`], one [`TelemetryEvent::Cell`] per
-    /// completed cell (in completion order) and a
-    /// [`TelemetryEvent::SweepEnd`] carrying the [`SweepTelemetry`].
-    /// `on_cell` receives each cell's global index, scenario and report.
-    pub(crate) fn run_with_telemetry(
+    /// completed cell (in completion order, with its wall-clock timing)
+    /// and a [`TelemetryEvent::SweepEnd`] carrying the [`SweepTelemetry`].
+    /// The summary itself reads only deterministic simulation quantities:
+    /// it is byte-identical for any `jobs` and any hook (including none).
+    pub fn aggregate_with_telemetry(
         &self,
         matrix: &ScenarioMatrix,
-        range: CellRange,
         matrix_name: &str,
         hook: &dyn TelemetryHook,
-        on_cell: impl Fn(usize, &Scenario, &SimulationReport) + Sync,
-    ) {
-        let total = range.len();
+    ) -> SweepSummary {
+        let total = matrix.len();
         hook.record(TelemetryEvent::SweepStart {
             matrix: matrix_name,
             cells: total,
@@ -124,9 +132,10 @@ impl SweepExecutor {
         let done = AtomicUsize::new(0);
         let busy: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
         let events = AtomicU64::new(0);
+        let aggregator = Mutex::new(Aggregator::new());
         let started = Instant::now();
-        self.run_cells(matrix, range, |worker, index, scenario, report, wall_us| {
-            on_cell(index, scenario, &report);
+        self.run_cells(matrix, |worker, index, scenario, report, wall_us| {
+            aggregator.lock().expect("aggregator lock").observe(scenario, &report);
             busy[worker].fetch_add(wall_us, Ordering::Relaxed);
             events.fetch_add(report.perf.events_processed, Ordering::Relaxed);
             let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -156,38 +165,6 @@ impl SweepExecutor {
             worker_busy_us: busy,
         };
         hook.record(TelemetryEvent::SweepEnd { telemetry: &telemetry });
-    }
-
-    /// Runs every cell and returns the reports in cell-enumeration order.
-    pub fn run(&self, matrix: &ScenarioMatrix) -> Vec<SimulationReport> {
-        let slots: Mutex<Vec<Option<SimulationReport>>> = Mutex::new(vec![None; matrix.len()]);
-        self.run_cells(matrix, matrix.full_range(), |_, index, _, report, _| {
-            slots.lock().expect("slot lock")[index] = Some(report);
-        });
-        slots
-            .into_inner()
-            .expect("slot lock")
-            .into_iter()
-            .map(|r| r.expect("every cell produced a report"))
-            .collect()
-    }
-
-    /// Runs every cell, streaming each report into an [`Aggregator`] and
-    /// discarding it; returns the aggregated summary. Every execution
-    /// event — cell completions with wall-clock timings, final worker
-    /// utilization — is delivered to `hook`. The summary itself reads
-    /// only deterministic simulation quantities: it is byte-identical for
-    /// any `jobs` and any hook (including none).
-    pub fn aggregate_with_telemetry(
-        &self,
-        matrix: &ScenarioMatrix,
-        matrix_name: &str,
-        hook: &dyn TelemetryHook,
-    ) -> SweepSummary {
-        let aggregator = Mutex::new(Aggregator::new());
-        self.run_with_telemetry(matrix, matrix.full_range(), matrix_name, hook, |_, s, report| {
-            aggregator.lock().expect("aggregator lock").observe(s, report);
-        });
         aggregator.into_inner().expect("aggregator lock").summary()
     }
 
@@ -267,39 +244,5 @@ mod tests {
     fn zero_jobs_means_available_parallelism() {
         assert!(SweepExecutor::new(0).jobs() >= 1);
         assert_eq!(SweepExecutor::serial().jobs(), 1);
-    }
-
-    #[test]
-    fn range_execution_visits_exactly_the_shard_with_global_indices() {
-        let matrix = ScenarioMatrix::smoke();
-        let range = matrix.shard(1, 2);
-        let seen = Mutex::new(Vec::new());
-        SweepExecutor::new(2).run_cells(&matrix, range, |_, index, scenario, _, _| {
-            seen.lock().expect("seen lock").push((index, scenario.id()));
-        });
-        let mut seen = seen.into_inner().expect("seen lock");
-        seen.sort();
-        let expected: Vec<(usize, String)> = (range.start..range.end)
-            .map(|i| (i, matrix.cell(i).expect("in bounds").id()))
-            .collect();
-        assert_eq!(seen, expected);
-    }
-
-    #[test]
-    fn empty_range_is_a_no_op() {
-        let matrix = ScenarioMatrix::smoke();
-        let range = matrix.shard(9, 10);
-        assert!(range.is_empty());
-        SweepExecutor::new(2).run_cells(&matrix, range, |_, _, _, _, _| {
-            panic!("no cells should run");
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "past the matrix")]
-    fn out_of_bounds_ranges_are_rejected() {
-        let matrix = ScenarioMatrix::smoke();
-        let range = CellRange { start: 0, end: matrix.len() + 1 };
-        SweepExecutor::serial().run_cells(&matrix, range, |_, _, _, _, _| {});
     }
 }

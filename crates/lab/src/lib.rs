@@ -17,12 +17,6 @@
 //!   individual reports.
 //! * [`CsvSink`] / [`JsonSink`] — reporters for the aggregated
 //!   [`SweepSummary`].
-//! * [`PartialSweep`] — the shard-and-merge layer for *multi-process*
-//!   sweeps: a matrix splits into N contiguous cell ranges
-//!   ([`ScenarioMatrix::shard`]), each shard emits a versioned,
-//!   fingerprint-stamped partial document, and
-//!   [`PartialSweep::merge`] folds a complete set back into a summary
-//!   byte-identical to a single-process run.
 //! * [`TelemetryHook`] — pluggable execution telemetry (per-cell wall
 //!   time, worker utilization, JSONL streams, folded metrics). Telemetry
 //!   observes the sweep but never feeds into its results: summaries and
@@ -47,18 +41,14 @@ pub mod aggregate;
 pub mod controller;
 pub mod executor;
 pub mod matrix;
-pub mod partial;
 pub mod scenario;
 pub mod sink;
 pub mod telemetry;
 
-pub use aggregate::{
-    tenant_rows, Aggregator, CellSummary, GroupStats, SweepSummary, TenantRow, WorkloadDelta,
-};
+pub use aggregate::{tenant_rows, Aggregator, GroupStats, SweepSummary, TenantRow, WorkloadDelta};
 pub use controller::ControllerKind;
 pub use executor::SweepExecutor;
-pub use matrix::{CellRange, ConfigAxis, ScenarioMatrix, SeedMode};
-pub use partial::{MergeError, MergedSweep, PartialError, PartialSweep, PARTIAL_SCHEMA};
+pub use matrix::{ConfigAxis, ScenarioMatrix, SeedMode};
 pub use scenario::{derive_seed, Scenario};
 pub use sink::{CsvSink, JsonSink};
 pub use telemetry::{

@@ -3,55 +3,11 @@
 use lbica_cache::{ReplacementKind, WritePolicy};
 use lbica_sim::{DiskDeviceConfig, SimulationConfig};
 use lbica_tier::InclusionPolicy;
-use lbica_trace::hash::{fnv1a, splitmix64, FNV_OFFSET};
 use lbica_trace::io::BinaryTraceCodec;
 use lbica_trace::workload::{DiurnalCurve, WorkloadScale, WorkloadSpec};
 
 use crate::controller::ControllerKind;
 use crate::scenario::{derive_seed, Scenario};
-
-/// A half-open `[start, end)` range of cell indices within a
-/// [`ScenarioMatrix`] — the unit of work a shard of a distributed sweep
-/// executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CellRange {
-    /// First cell index in the range.
-    pub start: usize,
-    /// One past the last cell index in the range.
-    pub end: usize,
-}
-
-impl CellRange {
-    /// Number of cells in the range.
-    pub const fn len(&self) -> usize {
-        self.end.saturating_sub(self.start)
-    }
-
-    /// Whether the range holds no cells.
-    pub const fn is_empty(&self) -> bool {
-        self.end <= self.start
-    }
-
-    /// The `index`-th of `count` contiguous ranges partitioning
-    /// `0..total`: every index is covered exactly once, range sizes differ
-    /// by at most one, and the first `total % count` shards carry the
-    /// extra cell. This arithmetic is part of the [`crate::PartialSweep`]
-    /// compatibility contract — merge validation recomputes it to reject
-    /// corrupt partials.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count == 0` or `index >= count`.
-    pub fn shard_of(total: usize, index: usize, count: usize) -> CellRange {
-        assert!(count > 0, "shard count must be positive");
-        assert!(index < count, "shard index {index} out of range for {count} shard(s)");
-        let base = total / count;
-        let extra = total % count;
-        let start = index * base + index.min(extra);
-        let end = start + base + usize::from(index < extra);
-        CellRange { start, end }
-    }
-}
 
 /// How a cell's stream seed relates to the seed-axis value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -251,80 +207,6 @@ impl ScenarioMatrix {
     /// Whether the matrix has no cells (any axis empty).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The whole cell index space as a [`CellRange`].
-    pub fn full_range(&self) -> CellRange {
-        CellRange { start: 0, end: self.len() }
-    }
-
-    /// The `index`-th of `count` contiguous cell ranges partitioning the
-    /// matrix (see [`CellRange::shard_of`] for the arithmetic).
-    ///
-    /// Because every cell's stream seed is a pure function of its
-    /// *coordinates* (never of iteration order — see
-    /// [`crate::scenario::derive_seed`]), a cell produces bit-identical
-    /// results whether it runs inside shard `i` of `N` or inside a
-    /// single-process sweep: sharding changes only which process runs the
-    /// cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count == 0` or `index >= count`; the `sweep` binary
-    /// validates `--shard i/N` before reaching this call.
-    pub fn shard(&self, index: usize, count: usize) -> CellRange {
-        CellRange::shard_of(self.len(), index, count)
-    }
-
-    /// A stable fingerprint of the matrix *definition* — the axis
-    /// coordinates (workload identities, configuration labels and debug
-    /// representations, controller labels, seed values) plus the seed
-    /// mode. Two matrices that would expand to different cells fingerprint
-    /// differently; `sweep merge` refuses to combine partials whose
-    /// fingerprints disagree, so shards of different matrices (or of the
-    /// same matrix built with different axes) cannot be silently mixed.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = fnv1a(b"lbica-matrix-fingerprint/v1", FNV_OFFSET);
-        h = fnv1a(
-            &[match self.seed_mode {
-                SeedMode::Derived => 0u8,
-                SeedMode::Literal => 1u8,
-            }],
-            h,
-        );
-        let section = |mut h: u64, len: usize| {
-            h = fnv1a(&[0xfe], h);
-            fnv1a(&(len as u64).to_le_bytes(), h)
-        };
-        h = section(h, self.workloads.len());
-        for w in &self.workloads {
-            h = fnv1a(w.name().as_bytes(), h);
-            h = fnv1a(&[0xff], h);
-            h = fnv1a(&w.interval_us().to_le_bytes(), h);
-            h = fnv1a(&u64::from(w.total_intervals()).to_le_bytes(), h);
-            h = fnv1a(&[u8::from(w.is_replay())], h);
-            h = fnv1a(&(w.replay_records().len() as u64).to_le_bytes(), h);
-        }
-        h = section(h, self.configs.len());
-        for c in &self.configs {
-            h = fnv1a(c.label.as_bytes(), h);
-            h = fnv1a(&[0xff], h);
-            // The Debug representation covers every configuration field
-            // (geometry, devices, tier topology, ...) without this hash
-            // needing to track the struct's evolution.
-            h = fnv1a(format!("{:?}", c.config).as_bytes(), h);
-            h = fnv1a(&[0xff], h);
-        }
-        h = section(h, self.controllers.len());
-        for k in &self.controllers {
-            h = fnv1a(k.label().as_bytes(), h);
-            h = fnv1a(&[0xff], h);
-        }
-        h = section(h, self.seeds.len());
-        for s in &self.seeds {
-            h = fnv1a(&s.to_le_bytes(), h);
-        }
-        splitmix64(h)
     }
 
     /// Expands cell `index` (in workload-major order), or `None` past the
@@ -797,96 +679,6 @@ mod tests {
     fn replay_matrix_rejects_synthetic_workloads() {
         let synthetic = WorkloadSpec::web_server_scaled(WorkloadScale::tiny());
         let _ = ScenarioMatrix::replay(vec![synthetic], SimulationConfig::tiny());
-    }
-
-    #[test]
-    fn shards_partition_the_cell_space_contiguously() {
-        let m = ScenarioMatrix::tiny();
-        for count in 1..=7 {
-            let mut covered = Vec::new();
-            let mut sizes = Vec::new();
-            for index in 0..count {
-                let range = m.shard(index, count);
-                if index == 0 {
-                    assert_eq!(range.start, 0);
-                }
-                if index + 1 == count {
-                    assert_eq!(range.end, m.len());
-                }
-                if index > 0 {
-                    assert_eq!(range.start, m.shard(index - 1, count).end, "contiguous");
-                }
-                sizes.push(range.len());
-                covered.extend(range.start..range.end);
-            }
-            assert_eq!(covered, (0..m.len()).collect::<Vec<_>>(), "count {count}");
-            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(max - min <= 1, "balanced within one cell for count {count}");
-        }
-    }
-
-    #[test]
-    fn sharding_preserves_cell_identity_and_seeds() {
-        let m = ScenarioMatrix::tiny();
-        let whole: Vec<(String, u64)> = m.cells().map(|c| (c.id(), c.stream_seed())).collect();
-        let mut sharded = Vec::new();
-        for index in 0..3 {
-            let range = m.shard(index, 3);
-            for i in range.start..range.end {
-                let cell = m.cell(i).expect("in bounds");
-                sharded.push((cell.id(), cell.stream_seed()));
-            }
-        }
-        assert_eq!(whole, sharded);
-    }
-
-    #[test]
-    fn empty_and_oversharded_matrices_yield_empty_tail_ranges() {
-        let empty = ScenarioMatrix::new();
-        let range = empty.shard(0, 4);
-        assert!(range.is_empty());
-        assert_eq!(range.len(), 0);
-        // More shards than cells: the tail shards are empty, the first
-        // `len` shards carry one cell each.
-        let m = ScenarioMatrix::smoke();
-        assert_eq!(m.len(), 6);
-        assert_eq!(m.shard(0, 10).len(), 1);
-        assert!(m.shard(9, 10).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "shard index 2 out of range")]
-    fn shard_index_must_be_below_count() {
-        let _ = ScenarioMatrix::smoke().shard(2, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard count must be positive")]
-    fn shard_count_must_be_positive() {
-        let _ = ScenarioMatrix::smoke().shard(0, 0);
-    }
-
-    #[test]
-    fn fingerprints_track_the_matrix_definition() {
-        let a = ScenarioMatrix::tiny();
-        assert_eq!(a.fingerprint(), ScenarioMatrix::tiny().fingerprint(), "stable");
-        assert_ne!(a.fingerprint(), ScenarioMatrix::smoke().fingerprint());
-        assert_ne!(a.fingerprint(), ScenarioMatrix::geometry().fingerprint());
-        // Same shape, different seed axis values → different fingerprint.
-        let reseeded = ScenarioMatrix::tiny().with_seeds(vec![5, 6, 7]);
-        assert_eq!(reseeded.len(), a.len());
-        assert_ne!(a.fingerprint(), reseeded.fingerprint());
-        // Same labels, different configuration contents.
-        let base = ScenarioMatrix::smoke();
-        let regeared = ScenarioMatrix::new()
-            .push_workload(WorkloadSpec::web_server_scaled(WorkloadScale::tiny()))
-            .push_workload(WorkloadSpec::synthetic_scaled(
-                "synthetic-mixed",
-                WorkloadScale::tiny(),
-                0.35,
-            ))
-            .push_config("tiny", SimulationConfig::tiny().with_cache_sets(64));
-        assert_ne!(base.fingerprint(), regeared.fingerprint());
     }
 
     #[test]

@@ -120,8 +120,8 @@ impl Scenario {
 
     /// Runs the cell split at interval `split_at`: the first segment runs
     /// to a [`lbica_sim::ReplayCheckpoint`], the checkpoint round-trips
-    /// through its binary encoding (as it would when handed between sweep
-    /// shards), and a fresh simulation resumes the remainder. The report
+    /// through its binary encoding, and a fresh simulation resumes the
+    /// remainder. The report
     /// is byte-identical to [`Scenario::run`]'s — the property the sweep
     /// CLI's `--checkpoint-cell` smoke check pins in CI.
     pub fn run_checkpointed(

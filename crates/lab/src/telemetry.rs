@@ -32,7 +32,7 @@ use lbica_sim::SimulationReport;
 /// Wall-clock measurements of one completed cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellTelemetry {
-    /// The cell's global matrix index.
+    /// The cell's matrix index.
     pub index: usize,
     /// The cell's human-readable id.
     pub id: String,
@@ -46,7 +46,7 @@ pub struct CellTelemetry {
     pub events_per_sec: f64,
     /// Cells completed so far (including this one).
     pub completed: usize,
-    /// Total cells in the sweep (or shard).
+    /// Total cells in the sweep.
     pub total: usize,
 }
 
@@ -76,7 +76,7 @@ pub struct SweepTelemetry {
 /// borrows, so the event is `Copy` and can be fanned out cheaply.
 #[derive(Debug, Clone, Copy)]
 pub enum TelemetryEvent<'a> {
-    /// The sweep (or shard) is about to run.
+    /// The sweep is about to run.
     SweepStart {
         /// Name of the matrix.
         matrix: &'a str,
@@ -92,15 +92,6 @@ pub enum TelemetryEvent<'a> {
         cell: &'a CellTelemetry,
         /// The cell's full simulation report.
         report: &'a SimulationReport,
-    },
-    /// `sweep merge` folded one shard's partial.
-    ShardMerged {
-        /// The shard's index.
-        shard_index: usize,
-        /// Total shards being merged.
-        shard_count: usize,
-        /// Cells the shard carried.
-        cells: usize,
     },
     /// The sweep finished.
     SweepEnd {
@@ -128,38 +119,14 @@ impl TelemetryHook for NullTelemetry {
 
 /// Human-facing progress lines on stderr, in the `sweep` binary's
 /// established format.
-#[derive(Debug, Clone, Copy)]
-pub struct StderrProgress {
-    noun: &'static str,
-}
-
-impl StderrProgress {
-    /// Progress for a whole-matrix sweep (`cells complete`).
-    pub const fn new() -> Self {
-        StderrProgress { noun: "cells" }
-    }
-
-    /// Progress for one shard of a distributed sweep
-    /// (`shard cells complete`).
-    pub const fn shard() -> Self {
-        StderrProgress { noun: "shard cells" }
-    }
-}
-
-impl Default for StderrProgress {
-    fn default() -> Self {
-        StderrProgress::new()
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StderrProgress;
 
 impl TelemetryHook for StderrProgress {
     fn record(&self, event: TelemetryEvent<'_>) {
         match event {
             TelemetryEvent::Cell { cell, .. } => {
-                eprintln!("  [{}/{}] {} complete", cell.completed, cell.total, self.noun);
-            }
-            TelemetryEvent::ShardMerged { shard_index, shard_count, cells } => {
-                eprintln!("  merged shard {}/{shard_count} ({cells} cells)", shard_index + 1);
+                eprintln!("  [{}/{}] cells complete", cell.completed, cell.total);
             }
             TelemetryEvent::SweepEnd { telemetry } => {
                 if telemetry.jobs > 1 {
@@ -245,13 +212,6 @@ impl<W: io::Write + Send> TelemetryHook for JsonlTelemetry<W> {
                     report.app_completed,
                     cell.completed,
                     cell.total,
-                );
-            }
-            TelemetryEvent::ShardMerged { shard_index, shard_count, cells } => {
-                let _ = write!(
-                    line,
-                    "{{\"type\": \"shard_merged\", \"shard_index\": {shard_index}, \
-                     \"shard_count\": {shard_count}, \"cells\": {cells}}}"
                 );
             }
             TelemetryEvent::SweepEnd { telemetry } => {

@@ -1,5 +1,5 @@
 //! Mutation fuzzing of the strict JSON reader and everything built on it:
-//! a rendered shard partial, a metrics snapshot, a sweep summary and both
+//! a telemetry JSONL stream, a metrics snapshot, a sweep summary and both
 //! pinned Chrome traces get bytes set, bits flipped, tails cut and slices
 //! spliced in, and every reader must answer `Ok` or `Err` — never panic,
 //! never abort on a hostile allocation size.
@@ -8,14 +8,51 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use lbica_lab::{JsonSink, PartialSweep, ScenarioMatrix, SweepExecutor};
+use lbica_lab::{
+    CellTelemetry, JsonSink, JsonlTelemetry, ScenarioMatrix, SweepExecutor, SweepTelemetry,
+    TelemetryEvent, TelemetryHook,
+};
+use lbica_obs::validate::TelemetryStats;
 use lbica_obs::{json, validate, MetricsRegistry};
+
+/// A three-record telemetry stream (start, one cell, end) over smoke cell
+/// 0. The wall-clock fields are set by hand so the corpus is the same on
+/// every run.
+fn telemetry_stream(matrix: &ScenarioMatrix) -> String {
+    let scenario = matrix.cell(0).expect("smoke has cells");
+    let report = scenario.run();
+    let events = report.perf.events_processed;
+    let hook = JsonlTelemetry::from_writer(Vec::new());
+    hook.record(TelemetryEvent::SweepStart { matrix: "smoke", cells: 1, jobs: 1 });
+    let cell = CellTelemetry {
+        index: 0,
+        id: scenario.id(),
+        worker: 0,
+        wall_us: 1_000,
+        events,
+        events_per_sec: 1_000.0 * events as f64,
+        completed: 1,
+        total: 1,
+    };
+    hook.record(TelemetryEvent::Cell { cell: &cell, report: &report });
+    let telemetry = SweepTelemetry {
+        matrix: "smoke".to_string(),
+        jobs: 1,
+        cells: 1,
+        wall_us: 1_200,
+        events,
+        events_per_sec: 1_000_000.0 * events as f64 / 1_200.0,
+        worker_busy_us: vec![1_000],
+        worker_utilization: 1_000.0 / 1_200.0,
+    };
+    hook.record(TelemetryEvent::SweepEnd { telemetry: &telemetry });
+    String::from_utf8(hook.into_inner()).expect("the stream is UTF-8")
+}
 
 fn documents() -> &'static [String] {
     static DOCS: OnceLock<Vec<String>> = OnceLock::new();
     DOCS.get_or_init(|| {
         let matrix = ScenarioMatrix::smoke();
-        let partial = PartialSweep::collect(&SweepExecutor::serial(), &matrix, "smoke", 0, 2);
         let mut registry = MetricsRegistry::new();
         let ops = registry.counter("lbica_ops_total", "ops");
         registry.add(ops, 7);
@@ -24,7 +61,7 @@ fn documents() -> &'static [String] {
         let latency = registry.histogram("lbica_latency_us", "latency");
         registry.record_us(latency, 1_500);
         vec![
-            partial.render(),
+            telemetry_stream(&matrix),
             registry.snapshot().render_json(),
             JsonSink::render(&SweepExecutor::serial().aggregate(&matrix)),
             include_str!("../../../figures/paper_cell0.trace.json").to_string(),
@@ -70,19 +107,18 @@ fn read_everything(text: &str) {
     let _ = validate::metrics_json(text);
     let _ = validate::chrome_trace(text);
     let _ = validate::telemetry_jsonl(text);
-    if let Ok(partial) = PartialSweep::parse(text) {
-        // Whatever parses re-renders to itself and merges without panicking.
-        assert_eq!(PartialSweep::parse(&partial.render()).as_ref(), Ok(&partial));
-        let _ = PartialSweep::merge(std::slice::from_ref(&partial));
-    }
 }
 
 #[test]
 fn unmutated_documents_parse() {
-    for doc in documents() {
+    let (stream, rest) = documents().split_first().expect("the corpus is not empty");
+    for line in stream.lines() {
+        json::parse(line).expect("every telemetry record parses");
+    }
+    assert_eq!(validate::telemetry_jsonl(stream), Ok(TelemetryStats { records: 3, cells: 1 }));
+    for doc in rest {
         json::parse(doc).expect("every written document parses");
     }
-    PartialSweep::parse(&documents()[0]).expect("the partial parses");
 }
 
 proptest! {

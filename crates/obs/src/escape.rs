@@ -2,8 +2,8 @@
 //!
 //! The workspace vendors a no-op `serde` stub, so every serializer in the
 //! repo is hand-rolled; [`json`] is the one JSON string escaper, used by
-//! this crate's renderers and by the sweep lab's partial, summary and
-//! telemetry writers, and [`crate::json::parse`] reads its output back.
+//! this crate's renderers and by the sweep lab's summary and telemetry
+//! writers, and [`crate::json::parse`] reads its output back.
 
 /// Escapes a string for embedding inside a JSON string literal.
 ///

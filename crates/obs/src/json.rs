@@ -1,7 +1,7 @@
 //! The workspace's one strict JSON reader (there is no `serde_json`).
 //!
-//! Shard partials, sweep summaries, metrics snapshots, Chrome traces and
-//! telemetry lines all read back through [`parse`]. It accepts exactly the
+//! Sweep summaries, metrics snapshots, Chrome traces and telemetry lines
+//! all read back through [`parse`]. It accepts exactly the
 //! shapes those writers emit: objects, arrays, strings, `true`/`false`,
 //! unsigned integers (exact, as `u128`) and decimals, which may be
 //! negative. `null`, exponents, bad escapes, raw control characters in

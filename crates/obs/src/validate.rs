@@ -73,8 +73,6 @@ pub struct TelemetryStats {
     pub records: usize,
     /// Per-cell records.
     pub cells: usize,
-    /// Shard-merge records.
-    pub shards: usize,
 }
 
 /// Validates a telemetry JSONL stream: every line is an object whose
@@ -85,7 +83,7 @@ pub fn telemetry_jsonl(s: &str) -> Result<TelemetryStats, String> {
     if lines.is_empty() {
         return Err("telemetry stream is empty".into());
     }
-    let mut stats = TelemetryStats { records: 0, cells: 0, shards: 0 };
+    let mut stats = TelemetryStats { records: 0, cells: 0 };
     for (i, line) in lines.iter().enumerate() {
         let record = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
         let kind = match &record {
@@ -105,10 +103,8 @@ pub fn telemetry_jsonl(s: &str) -> Result<TelemetryStats, String> {
             return Err("last record must have type \"end\"".into());
         }
         stats.records += 1;
-        match kind {
-            "cell" => stats.cells += 1,
-            "shard_merged" => stats.shards += 1,
-            _ => {}
+        if kind == "cell" {
+            stats.cells += 1;
         }
     }
     Ok(stats)

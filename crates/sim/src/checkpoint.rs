@@ -6,8 +6,7 @@
 //! decision-relevant state, and the report rows already accumulated. A run
 //! split at any boundary and resumed from its checkpoint produces a
 //! [`SimulationReport`](crate::report::SimulationReport) byte-identical to
-//! the unsplit run — which lets long replays pause/resume and lets sweep
-//! cells shard one replay across processes.
+//! the unsplit run — which lets long replays pause and resume.
 //!
 //! Checkpoints serialize through the hand-rolled
 //! [`snap`](lbica_storage::snap) encoding and are hardened against hostile

@@ -1,5 +1,5 @@
 //! FNV-1a with a splitmix64 finisher: the one recipe behind the
-//! workspace's derived seeds and fingerprints.
+//! workspace's derived seeds.
 
 /// The FNV-1a 64-bit offset basis: the state of an empty hash.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -18,8 +18,8 @@
 //! * [`snap`] — [`SnapWriter`] / [`SnapReader`], the hand-rolled
 //!   little-endian encoding replay checkpoints use to serialize mid-flight
 //!   simulation state across every crate in the workspace.
-//! * [`hash`] — FNV-1a and the splitmix64 finisher, from which cell seeds,
-//!   tenant seeds and matrix fingerprints are derived.
+//! * [`hash`] — FNV-1a and the splitmix64 finisher, from which cell seeds
+//!   and tenant seeds are derived.
 //!
 //! # Example
 //!

@@ -39,9 +39,8 @@ pub mod prelude {
         WbController, WorkloadCharacterizer, WorkloadComparison, WorkloadGroup,
     };
     pub use lbica_lab::{
-        Aggregator, CellRange, CellSummary, ConfigAxis, ControllerKind, CsvSink, JsonSink,
-        MergedSweep, PartialSweep, Scenario, ScenarioMatrix, SeedMode, SweepExecutor, SweepSummary,
-        TelemetryEvent, TelemetryHook,
+        Aggregator, ConfigAxis, ControllerKind, CsvSink, JsonSink, Scenario, ScenarioMatrix,
+        SeedMode, SweepExecutor, SweepSummary, TelemetryEvent, TelemetryHook,
     };
     pub use lbica_obs::{MetricsRegistry, MetricsSnapshot, SimObserver, TraceRing};
     pub use lbica_sim::{

@@ -65,27 +65,6 @@ fn prelude_sweep_subsystem_composes() {
 }
 
 #[test]
-fn prelude_shard_merge_round_trips_through_the_facade() {
-    // The distributed-sweep surface must be reachable from the prelude
-    // alone: shard a matrix, collect partials, round-trip one through the
-    // serialized form, and merge back into the single-process summary.
-    let matrix = ScenarioMatrix::smoke();
-    let range: CellRange = matrix.shard(0, 2);
-    assert_eq!(range.len() + matrix.shard(1, 2).len(), matrix.len());
-
-    let executor = SweepExecutor::serial();
-    let p0 = PartialSweep::collect(&executor, &matrix, "smoke", 0, 2);
-    let p1 = PartialSweep::collect(&executor, &matrix, "smoke", 1, 2);
-    let p0 = PartialSweep::parse(&p0.render()).expect("partials round-trip through JSON");
-    assert_eq!(p0.fingerprint, matrix.fingerprint());
-    let cell: &CellSummary = p0.cells.first().expect("shard 0 is non-empty");
-    assert_eq!(cell.index, 0);
-
-    let merged: MergedSweep = PartialSweep::merge(&[p1, p0]).expect("complete shard set");
-    assert_eq!(merged.summary, executor.aggregate(&matrix));
-}
-
-#[test]
 fn prelude_tier_subsystem_composes() {
     // The tiered working set must be reachable from the prelude alone:
     // build a hierarchy over prelude types, run a workload through the
