@@ -43,10 +43,12 @@ impl ConfigAxis {
 /// cells.
 ///
 /// Cell order is workload-major: workloads, then configurations, then
-/// controllers, then seeds. The order only affects *enumeration* — every
-/// cell's stream seed is a pure function of its coordinates (see
-/// [`SeedMode`]), so results are independent of both enumeration and
-/// execution order.
+/// seeds, then controllers. The cells that share an arrival stream (the
+/// controllers of one stream seed) are therefore adjacent, which is what
+/// lets a [`lbica_sim::SimArena`] generate each stream once per group. The
+/// order only affects *enumeration* and speed — every cell's stream seed
+/// is a pure function of its coordinates (see [`SeedMode`]), so results
+/// are independent of both enumeration and execution order.
 ///
 /// # Example
 ///
@@ -215,13 +217,13 @@ impl ScenarioMatrix {
         if index >= self.len() {
             return None;
         }
-        let ns = self.seeds.len();
         let nk = self.controllers.len();
+        let ns = self.seeds.len();
         let nc = self.configs.len();
-        let s = index % ns;
-        let rest = index / ns;
-        let k = rest % nk;
-        let rest = rest / nk;
+        let k = index % nk;
+        let rest = index / nk;
+        let s = rest % ns;
+        let rest = rest / ns;
         let c = rest % nc;
         let w = rest / nc;
 
@@ -490,7 +492,7 @@ mod tests {
     }
 
     #[test]
-    fn enumeration_is_workload_major_then_config_controller_seed() {
+    fn enumeration_is_workload_major_then_config_seed_controller() {
         let m = ScenarioMatrix::smoke();
         let ids: Vec<String> = m.cells().map(|c| c.id()).collect();
         assert_eq!(ids.len(), 6);
@@ -499,6 +501,44 @@ mod tests {
         assert_eq!(ids[2], "web-server/tiny/LBICA/s0");
         assert_eq!(ids[3], "synthetic-mixed/tiny/WB/s0");
         assert!(m.cell(6).is_none());
+        let ids: Vec<String> = ScenarioMatrix::tiny().cells().take(4).map(|c| c.id()).collect();
+        assert_eq!(
+            ids,
+            ["tpcc/tiny/WB/s0", "tpcc/tiny/SIB/s0", "tpcc/tiny/LBICA/s0", "tpcc/tiny/WB/s1"]
+        );
+    }
+
+    /// Asserts that the cells of `m` sharing an arrival stream (one
+    /// workload, one stream seed) occupy one contiguous index range.
+    fn assert_stream_groups_are_contiguous(m: &ScenarioMatrix) {
+        let keys: Vec<(String, u64)> =
+            m.cells().map(|c| (c.workload().name().to_string(), c.stream_seed())).collect();
+        let mut closed: Vec<&(String, u64)> = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            if i > 0 && keys[i - 1] != *key {
+                closed.push(&keys[i - 1]);
+            }
+            assert!(!closed.contains(&key), "{key:?} resumes at cell {i} of {}", m.len());
+        }
+    }
+
+    #[test]
+    fn every_stream_group_is_one_contiguous_index_range() {
+        let scale = WorkloadScale::tiny();
+        let derived = ScenarioMatrix::new()
+            .with_workloads(WorkloadSpec::paper_suite(scale))
+            .push_config("flat", SimulationConfig::tiny())
+            .push_config("tier2", SimulationConfig::tiny_two_tier())
+            .with_seed_range(3);
+        let literal = ScenarioMatrix::paper_tiered(scale, SimulationConfig::tiny(), 5);
+        for m in [derived, literal, ScenarioMatrix::tiny(), ScenarioMatrix::tier_policy()] {
+            assert_stream_groups_are_contiguous(&m);
+        }
+        // Literal: each workload's six cells (two configs x three
+        // controllers) are one group.
+        let m = ScenarioMatrix::paper_tiered(scale, SimulationConfig::tiny(), 5);
+        let names: Vec<String> = m.cells().map(|c| c.workload().name().to_string()).collect();
+        assert!(names.chunks(6).all(|group| group.iter().all(|n| *n == group[0])));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use lbica_obs::{QueueTier, SimObserver};
 use lbica_tier::TieredCacheModule;
 use lbica_trace::workload::WorkloadSpec;
 
-use crate::arena::SimArena;
+use crate::arena::{Arrivals, SimArena};
 use crate::checkpoint::ReplayCheckpoint;
 use crate::config::SimulationConfig;
 use crate::controller::{CacheController, ControllerContext};
@@ -135,7 +135,10 @@ impl Simulation {
     ) -> SimulationReport {
         let mut system = arena.take::<C>(&self.config);
         let mut progress = self.start(&mut system, controller);
-        self.span(&mut system, controller, arena, 0..self.spec.total_intervals(), &mut progress);
+        let mut arrivals = arena.take_arrivals(&self.spec, self.seed);
+        let full = 0..self.spec.total_intervals();
+        self.span(&mut system, controller, arena, &mut arrivals, full, &mut progress);
+        arena.store_arrivals(arrivals, &self.spec, self.seed);
         let report = self.finish(&mut system, controller, progress);
         arena.store(self.config, system);
         report
@@ -193,7 +196,8 @@ impl Simulation {
         let mut arena = SimArena::new();
         let mut system = arena.take::<C>(&self.config);
         let mut progress = self.start(&mut system, controller);
-        self.span(&mut system, controller, &mut arena, 0..split_at, &mut progress);
+        let mut arrivals = Arrivals::Generate;
+        self.span(&mut system, controller, &mut arena, &mut arrivals, 0..split_at, &mut progress);
         let mut w = SnapWriter::new();
         system.snap_to(&mut w);
         controller.save_state(&mut w);
@@ -260,7 +264,8 @@ impl Simulation {
             bypassed_total: cp.bypassed_total,
         };
         let range = cp.next_interval..cp.total_intervals;
-        self.span(&mut system, controller, &mut arena, range, &mut progress);
+        let mut arrivals = Arrivals::Generate;
+        self.span(&mut system, controller, &mut arena, &mut arrivals, range, &mut progress);
         Ok(self.finish(&mut system, controller, progress))
     }
 
@@ -279,13 +284,14 @@ impl Simulation {
         }
     }
 
-    /// The interval loop: runs the intervals in `range`, appending their
-    /// rows to `progress`.
+    /// The interval loop: runs the intervals in `range`, taking their
+    /// arrivals from `arrivals`, and appends their rows to `progress`.
     fn span<C: CacheFront>(
         &mut self,
         system: &mut System<C>,
         controller: &mut dyn CacheController,
         arena: &mut SimArena,
+        arrivals: &mut Arrivals,
         range: Range<u32>,
         progress: &mut Progress,
     ) {
@@ -299,9 +305,9 @@ impl Simulation {
         for index in range {
             // 1. Feed the interval's arrivals and run the event loop to the
             //    interval boundary.
-            for record in self.spec.interval_records(index, self.seed, &mut records) {
+            arrivals.feed(&self.spec, self.seed, index, &mut records, |record| {
                 system.schedule_record(record);
-            }
+            });
             let boundary = SimTime::from_micros((index as u64 + 1) * interval_us);
             system.run_until(boundary);
 

@@ -2,9 +2,12 @@
 //!
 //! Request ids are dense and sequential (the system hands them out from a
 //! counter), so keying a `HashMap` by them pays SipHash for nothing. The
-//! tracker instead keeps a flat id→slot index (4 bytes per id ever issued)
-//! into a free-list slab of live entries: register and complete are both a
-//! pair of array indexing operations.
+//! tracker instead keeps a power-of-two id→slot index, read at `id & mask`,
+//! into a free-list slab of live entries that stores each entry's id: a
+//! lookup is a pair of array indexing operations and one id comparison.
+//! Only ids in flight at the same time can collide, so the index is sized
+//! by the span of live ids, not by every id ever issued: it doubles only
+//! when a new id lands on a live one.
 
 use lbica_storage::histogram::LatencyHistogram;
 use lbica_storage::request::RequestId;
@@ -14,9 +17,13 @@ use lbica_storage::time::SimTime;
 /// Sentinel for "no slot" in the id→slot index.
 const NIL: u32 = u32::MAX;
 
+/// The id→slot index's length on first use.
+const MIN_INDEX: usize = 1 << 10;
+
 /// One outstanding application request.
 #[derive(Debug, Clone, Copy)]
 struct AppEntry {
+    id: RequestId,
     arrival: SimTime,
     pending_ops: u32,
 }
@@ -37,8 +44,8 @@ struct AppEntry {
 /// ```
 #[derive(Debug, Default)]
 pub struct AppTracker {
-    /// Request id → slab slot (`NIL` when the id has no live entry). Grows
-    /// to the highest registered id; ids are dense, so this stays compact.
+    /// `id & (len - 1)` → slab slot (`NIL` when no live entry sits there).
+    /// Empty or a power of two long; every live id has its own position.
     index: Vec<u32>,
     /// Live entries, slots reused via `free`.
     slots: Vec<AppEntry>,
@@ -98,7 +105,7 @@ impl AppTracker {
     /// requests without growing any Vec. Observationally identical to a
     /// freshly constructed tracker afterwards.
     pub fn reset(&mut self) {
-        self.index.clear();
+        self.index.fill(NIL);
         self.slots.clear();
         self.free.clear();
         self.completed = 0;
@@ -119,22 +126,27 @@ impl AppTracker {
         w.put_u64(self.max_latency_us);
         self.latency.snap_to(w);
         w.put_usize(self.outstanding());
-        for (id, &slot) in self.index.iter().enumerate() {
-            if slot != NIL {
-                let entry = &self.slots[slot as usize];
-                w.put_u64(id as u64);
-                w.put_u64(entry.arrival.as_micros());
-                w.put_u32(entry.pending_ops);
-            }
+        let mut live: Vec<&AppEntry> = self
+            .index
+            .iter()
+            .filter(|&&slot| slot != NIL)
+            .map(|&slot| &self.slots[slot as usize])
+            .collect();
+        live.sort_unstable_by_key(|entry| entry.id);
+        for entry in live {
+            w.put_u64(entry.id);
+            w.put_u64(entry.arrival.as_micros());
+            w.put_u32(entry.pending_ops);
         }
         w.put_u64(next_id);
     }
 
     /// Restores state written by [`AppTracker::snap_to`] into this tracker
     /// (whose own accounting is discarded) and returns the stored
-    /// `next_id`. Every live id must lie below it: the dense id index
-    /// grows to the largest live id, so a corrupted id is rejected before
-    /// it can ask for an unbounded allocation.
+    /// `next_id`. Every live id must lie below it: the index doubles until
+    /// no two live ids share a position, which for ids below `next_id`
+    /// takes at most `2 × next_id` entries, so a corrupted id is rejected
+    /// before it can ask for an unbounded allocation.
     pub fn snap_state_from(&mut self, r: &mut SnapReader<'_>) -> Result<RequestId, SnapError> {
         self.reset();
         self.completed = r.get_u64()?;
@@ -170,7 +182,33 @@ impl AppTracker {
     /// Whether application request `id` is registered and still has
     /// datapath operations pending.
     pub fn is_live(&self, id: RequestId) -> bool {
-        self.index.get(id as usize).is_some_and(|&slot| slot != NIL)
+        self.live_slot(id).is_some()
+    }
+
+    /// The position `id` takes in the index (meaningless while it is
+    /// empty).
+    fn position(&self, id: RequestId) -> usize {
+        id as usize & self.index.len().wrapping_sub(1)
+    }
+
+    /// The index position and slab slot of live request `id`.
+    fn live_slot(&self, id: RequestId) -> Option<(usize, u32)> {
+        let pos = self.position(id);
+        let &slot = self.index.get(pos)?;
+        (slot != NIL && self.slots[slot as usize].id == id).then_some((pos, slot))
+    }
+
+    /// Doubles the index (or allocates it on first use) and moves every
+    /// live entry to its new position. Two ids that differ below the old
+    /// mask still differ below the new one, so the moves cannot collide.
+    #[cold]
+    fn grow(&mut self) {
+        let len = (self.index.len() * 2).max(MIN_INDEX);
+        let mut index = vec![NIL; len];
+        for &slot in self.index.iter().filter(|&&slot| slot != NIL) {
+            index[self.slots[slot as usize].id as usize & (len - 1)] = slot;
+        }
+        self.index = index;
     }
 
     /// Registers an application request that fans out into `pending_ops`
@@ -183,12 +221,13 @@ impl AppTracker {
             self.latency.record_us(0);
             return;
         }
-        let id = id as usize;
-        if self.index.len() <= id {
-            self.index.resize(id + 1, NIL);
+        let mut pos = self.position(id);
+        while self.index.get(pos).is_none_or(|&slot| slot != NIL) {
+            assert!(!self.is_live(id), "request id registered twice");
+            self.grow();
+            pos = self.position(id);
         }
-        debug_assert_eq!(self.index[id], NIL, "request id registered twice");
-        let entry = AppEntry { arrival, pending_ops };
+        let entry = AppEntry { id, arrival, pending_ops };
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = entry;
@@ -200,20 +239,18 @@ impl AppTracker {
                 slot
             }
         };
-        self.index[id] = slot;
+        self.index[pos] = slot;
     }
 
     /// Records the completion of one datapath operation belonging to
     /// application request `parent`. When the last one lands the request's
     /// end-to-end latency is folded into the aggregates. Unknown parents
-    /// are ignored (their request completed through another path).
+    /// are ignored (their request completed through another path), also
+    /// when a live request now holds their index position.
     pub fn complete_op(&mut self, parent: RequestId, now: SimTime) {
-        let Some(&slot) = self.index.get(parent as usize) else {
+        let Some((pos, slot)) = self.live_slot(parent) else {
             return;
         };
-        if slot == NIL {
-            return;
-        }
         let entry = &mut self.slots[slot as usize];
         entry.pending_ops -= 1;
         if entry.pending_ops == 0 {
@@ -222,7 +259,7 @@ impl AppTracker {
             self.total_latency_us += latency;
             self.max_latency_us = self.max_latency_us.max(latency);
             self.latency.record_us(latency);
-            self.index[parent as usize] = NIL;
+            self.index[pos] = NIL;
             self.free.push(slot);
         }
     }
@@ -362,6 +399,78 @@ mod tests {
         bytes[n - 12..n - 8].fill(0);
         let err = AppTracker::new().snap_state_from(&mut SnapReader::new(&bytes)).unwrap_err();
         assert!(matches!(err, SnapError::Corrupt("live request with zero pending ops")));
+    }
+
+    #[test]
+    fn the_index_grows_only_when_a_new_id_lands_on_a_live_one() {
+        let mut t = AppTracker::new();
+        let span = MIN_INDEX as u64;
+        t.register(1, SimTime::ZERO, 1);
+        t.complete_op(1, SimTime::from_micros(3));
+        // Same position as the completed id 1: no growth.
+        t.register(1 + span, SimTime::ZERO, 1);
+        assert_eq!(t.index.len(), MIN_INDEX);
+        // Same position as the live id 1 + span: the index doubles.
+        t.register(1 + 2 * span, SimTime::from_micros(10), 1);
+        assert_eq!(t.index.len(), 2 * MIN_INDEX);
+        // 1 + 10 x span agrees with 1 + 2 x span below bit 13, so it takes
+        // 2^14 positions: three doublings more.
+        t.register(1 + 2 * span + 8 * span, SimTime::from_micros(20), 1);
+        assert_eq!(t.index.len(), 16 * MIN_INDEX);
+        for id in [1 + span, 1 + 2 * span, 1 + 10 * span] {
+            assert!(t.is_live(id), "{id} lost in the move");
+        }
+        t.complete_op(1 + 2 * span, SimTime::from_micros(15));
+        t.complete_op(1 + 10 * span, SimTime::from_micros(60));
+        t.complete_op(1 + span, SimTime::from_micros(70));
+        assert_eq!((t.completed(), t.outstanding()), (4, 0));
+        assert_eq!(t.total_latency_us(), 3 + 5 + 40 + 70);
+        // Reset keeps the grown index.
+        t.reset();
+        assert_eq!(t.index.len(), 16 * MIN_INDEX);
+        assert!(!t.is_live(1 + span));
+    }
+
+    #[test]
+    fn a_completed_parent_is_ignored_when_a_live_id_holds_its_position() {
+        let mut t = AppTracker::new();
+        let late = 7 + MIN_INDEX as u64;
+        t.register(7, SimTime::ZERO, 1);
+        t.complete_op(7, SimTime::from_micros(5));
+        t.register(late, SimTime::from_micros(10), 2);
+        // A second completion of 7 finds `late` at its position.
+        t.complete_op(7, SimTime::from_micros(20));
+        assert!(!t.is_live(7));
+        assert!(t.is_live(late));
+        assert_eq!((t.completed(), t.outstanding()), (1, 1));
+        t.complete_op(late, SimTime::from_micros(30));
+        t.complete_op(late, SimTime::from_micros(40));
+        assert_eq!((t.completed(), t.outstanding()), (2, 0));
+        assert_eq!(t.max_latency_us(), 30);
+    }
+
+    #[test]
+    fn snapshots_list_live_requests_in_id_order() {
+        let mut t = AppTracker::new();
+        // Index positions 0, 2, 1023 and 1: id order differs from both
+        // position and registration order.
+        let ids = [MIN_INDEX as u64, 2, MIN_INDEX as u64 - 1, 1 + 2 * MIN_INDEX as u64];
+        for (i, &id) in ids.iter().enumerate() {
+            t.register(id, SimTime::from_micros(100 + i as u64), 1 + i as u32);
+        }
+        let mut w = SnapWriter::new();
+        t.snap_to(&mut w, 3_000);
+        let bytes = w.into_bytes();
+        let mut by_id: Vec<(usize, u64)> = ids.iter().copied().enumerate().collect();
+        by_id.sort_by_key(|&(_, id)| id);
+        let mut expected = SnapWriter::new();
+        for (i, id) in by_id {
+            expected.put_u64(id);
+            expected.put_u64(100 + i as u64);
+            expected.put_u32(1 + i as u32);
+        }
+        expected.put_u64(3_000);
+        assert!(bytes.ends_with(&expected.into_bytes()), "live triples not in id order");
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! * [`device`] — analytical service-time models for the two tiers of the
 //!   storage hierarchy: [`SsdModel`] (the I/O cache device) and
 //!   [`HddModel`] (the disk subsystem), both implementing [`DeviceModel`].
-//! * [`queue`] — [`DeviceQueue`], a FIFO device queue with request merging,
-//!   wait-time accounting and snapshot support; this is the structure whose
-//!   depth (`ssdQSize` / `hddQSize`) drives LBICA's bottleneck detector.
+//! * [`queue`] — [`DeviceQueue`], a FIFO device queue (requests are never
+//!   merged) with wait-time accounting and snapshot support; this is the
+//!   structure whose depth (`ssdQSize` / `hddQSize`) drives LBICA's
+//!   bottleneck detector.
 //! * [`snap`] — [`SnapWriter`] / [`SnapReader`], the hand-rolled
 //!   little-endian encoding replay checkpoints use to serialize mid-flight
 //!   simulation state across every crate in the workspace.
