@@ -2,7 +2,9 @@
 
 use std::fmt::Write as _;
 
-use crate::harness::{ControllerKind, SuiteResult, WorkloadResult};
+use lbica_lab::ControllerKind;
+
+use crate::harness::{SuiteResult, WorkloadResult};
 
 /// Fig. 4 — per-interval I/O cache load (max latency, µs) for the three
 /// schemes, one CSV per workload: `interval,WB,SIB,LBICA`.
@@ -107,11 +109,11 @@ fn per_interval_csv(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_workload, SuiteConfig};
-    use lbica_trace::workload::{WorkloadScale, WorkloadSpec};
+    use crate::harness::{run_suite, SuiteConfig};
 
     fn tiny_result() -> WorkloadResult {
-        run_workload(&WorkloadSpec::web_server_scaled(WorkloadScale::tiny()), &SuiteConfig::tiny())
+        let suite = run_suite(&SuiteConfig::tiny(), 0);
+        suite.workload("web-server").expect("the suite runs web-server").clone()
     }
 
     #[test]
@@ -139,7 +141,7 @@ mod tests {
 
     #[test]
     fn fig7_and_headline_cover_all_workloads() {
-        let suite = crate::harness::run_suite(&SuiteConfig::tiny());
+        let suite = run_suite(&SuiteConfig::tiny(), 0);
         let fig7 = fig7_avg_latency_csv(&suite);
         assert_eq!(fig7.lines().count(), 4);
         let table = headline_table(&suite);

@@ -6,13 +6,9 @@
 //! work-stealing [`SweepExecutor`] so all nine cells run concurrently.
 
 use lbica_core::{HeadlineSummary, WorkloadComparison};
-use lbica_lab::{ScenarioMatrix, SweepExecutor};
+use lbica_lab::{ControllerKind, ScenarioMatrix, SweepExecutor, PAPER_SEED};
 use lbica_sim::{SimulationConfig, SimulationReport};
-use lbica_trace::workload::{WorkloadScale, WorkloadSpec};
-
-// Re-exported under its historical path: the controller axis moved to
-// `lbica-lab` so the sweep subsystem and the harness share one definition.
-pub use lbica_lab::ControllerKind;
+use lbica_trace::workload::WorkloadScale;
 
 /// Configuration of a full suite run.
 #[derive(Debug, Clone, Copy)]
@@ -32,7 +28,7 @@ impl SuiteConfig {
         SuiteConfig {
             scale: WorkloadScale::harness(),
             sim: SimulationConfig::harness(),
-            seed: 0x1b1c_a000,
+            seed: PAPER_SEED,
         }
     }
 
@@ -41,7 +37,7 @@ impl SuiteConfig {
         SuiteConfig {
             scale: WorkloadScale::tiny(),
             sim: SimulationConfig::tiny(),
-            seed: 0x1b1c_a000,
+            seed: PAPER_SEED,
         }
     }
 
@@ -137,27 +133,11 @@ fn group_reports(matrix: &ScenarioMatrix, reports: Vec<SimulationReport>) -> Sui
     }
 }
 
-/// Runs one workload under all three controllers (concurrently).
-pub fn run_workload(spec: &WorkloadSpec, config: &SuiteConfig) -> WorkloadResult {
-    let matrix = ScenarioMatrix::new()
-        .push_workload(spec.clone())
-        .push_config("paper", config.sim)
-        .with_literal_seed(config.seed);
-    let reports = SweepExecutor::new(0).run(&matrix);
-    group_reports(&matrix, reports).workloads.remove(0)
-}
-
 /// Runs the full paper suite (TPC-C, mail server, web server × WB, SIB,
-/// LBICA) with one worker per core. All nine cells fan out together —
-/// workloads no longer run serially.
-pub fn run_suite(config: &SuiteConfig) -> SuiteResult {
-    run_suite_with_jobs(config, 0)
-}
-
-/// [`run_suite`] with an explicit worker count (`0` = one per core). The
-/// result is identical for every `jobs` value; only wall-clock time
-/// changes.
-pub fn run_suite_with_jobs(config: &SuiteConfig, jobs: usize) -> SuiteResult {
+/// LBICA) on `jobs` workers (`0` = one per core); all nine cells fan out
+/// together. The result is identical for every `jobs` value; only
+/// wall-clock time changes.
+pub fn run_suite(config: &SuiteConfig, jobs: usize) -> SuiteResult {
     let matrix = config.matrix();
     let reports = SweepExecutor::new(jobs).run(&matrix);
     group_reports(&matrix, reports)
@@ -167,6 +147,7 @@ pub fn run_suite_with_jobs(config: &SuiteConfig, jobs: usize) -> SuiteResult {
 mod tests {
     use super::*;
     use lbica_sim::Simulation;
+    use lbica_trace::workload::WorkloadSpec;
 
     #[test]
     fn controller_kinds_build_correctly_named_controllers() {
@@ -178,7 +159,7 @@ mod tests {
 
     #[test]
     fn tiny_suite_runs_and_produces_reports_for_all_workloads() {
-        let result = run_suite(&SuiteConfig::tiny());
+        let result = run_suite(&SuiteConfig::tiny(), 0);
         assert_eq!(result.workloads.len(), 3);
         for w in &result.workloads {
             assert_eq!(w.wb.controller, "WB");
@@ -196,8 +177,8 @@ mod tests {
     #[test]
     fn suite_results_are_identical_serial_and_parallel() {
         let config = SuiteConfig::tiny();
-        let serial = run_suite_with_jobs(&config, 1);
-        let parallel = run_suite_with_jobs(&config, 8);
+        let serial = run_suite(&config, 1);
+        let parallel = run_suite(&config, 8);
         assert_eq!(serial, parallel);
     }
 
@@ -209,16 +190,14 @@ mod tests {
         let spec = WorkloadSpec::tpcc_scaled(config.scale);
         let direct = Simulation::new(config.sim, spec, config.seed)
             .run(ControllerKind::Lbica.build().as_mut());
-        let suite = run_suite(&config);
+        let suite = run_suite(&config, 0);
         assert_eq!(suite.workload("tpcc").unwrap().lbica, direct);
     }
 
     #[test]
     fn report_accessor_matches_kind() {
-        let result = run_workload(
-            &WorkloadSpec::web_server_scaled(WorkloadScale::tiny()),
-            &SuiteConfig::tiny(),
-        );
+        let suite = run_suite(&SuiteConfig::tiny(), 0);
+        let result = suite.workload("web-server").expect("the suite runs web-server");
         assert_eq!(result.report(ControllerKind::Wb).controller, "WB");
         assert_eq!(result.report(ControllerKind::Sib).controller, "SIB");
         assert_eq!(result.report(ControllerKind::Lbica).controller, "LBICA");

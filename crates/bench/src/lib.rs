@@ -1,7 +1,7 @@
 //! Figure- and table-reproduction harness for the LBICA paper.
 //!
 //! The paper's evaluation consists of four artefacts, each regenerated by
-//! this crate's `reproduce` binary:
+//! `lbica-bench reproduce`:
 //!
 //! * **Fig. 4** — I/O cache load (max latency per interval) under WB, SIB
 //!   and LBICA for TPC-C, mail-server and web-server workloads;
@@ -12,13 +12,14 @@
 //!   plus the headline percentages quoted in the abstract.
 //!
 //! [`harness::run_suite`] runs all nine simulations (3 workloads × 3
-//! controllers) concurrently on the `lbica-lab` sweep executor, and the
-//! `reproduce` binary writes the corresponding CSV files and console
-//! tables. The `sweep` binary drives the named `lbica-lab` scenario
-//! matrices (`--matrix tiny|paper|paper-tiered|...`, `--jobs`, `--out`)
-//! and emits aggregated CSV/JSON summaries. Simulator speed is measured
-//! by the standalone `perfbench` package at the repository root, not by
-//! this crate.
+//! controllers) concurrently on the `lbica-lab` sweep executor, and
+//! [`csv`] renders the CSV files and console tables. The crate's one
+//! binary, `lbica-bench`, has three subcommands: `reproduce` writes the
+//! figures, `sweep` runs a named `lbica-lab` scenario matrix
+//! (`--matrix tiny|paper|paper-tiered|...`) into aggregated CSV/JSON
+//! summaries, and `validate` checks a telemetry stream, metrics snapshot
+//! or Chrome trace. Simulator speed is measured by the standalone
+//! `perfbench` package at the repository root, not by this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +27,4 @@
 pub mod csv;
 pub mod harness;
 
-pub use harness::{
-    run_suite, run_suite_with_jobs, run_workload, ControllerKind, SuiteConfig, SuiteResult,
-    WorkloadResult,
-};
+pub use harness::{run_suite, SuiteConfig, SuiteResult, WorkloadResult};

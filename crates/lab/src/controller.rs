@@ -3,7 +3,7 @@
 //! This lived in `lbica-bench` while the evaluation was hard-wired to the
 //! paper's 3 × 3 grid; it moved here so that every layer that enumerates
 //! scenarios (the sweep subsystem, the figure harness, the benches) shares
-//! one definition. `lbica-bench` re-exports it under its old path.
+//! one definition.
 
 use lbica_core::{LbicaController, SibController, WbController};
 use lbica_sim::CacheController;

@@ -8,6 +8,8 @@
 //!   into [`Scenario`] cells. Every cell carries a stable id and a stream
 //!   seed derived by hashing its coordinates, so results do not depend on
 //!   the order in which cells are executed.
+//!   [`ScenarioMatrix::named`] resolves the registered matrices
+//!   ([`MATRICES`]) by name.
 //! * [`SweepExecutor`] — a work-stealing executor built on
 //!   `std::thread::scope` and a shared atomic cursor: `jobs` worker threads
 //!   pull the next unclaimed cell until the matrix is exhausted.
@@ -48,7 +50,7 @@ pub mod telemetry;
 pub use aggregate::{tenant_rows, Aggregator, GroupStats, SweepSummary, TenantRow, WorkloadDelta};
 pub use controller::ControllerKind;
 pub use executor::SweepExecutor;
-pub use matrix::{ConfigAxis, ScenarioMatrix, SeedMode};
+pub use matrix::{ConfigAxis, MatrixDef, ScenarioMatrix, SeedMode, MATRICES, PAPER_SEED};
 pub use scenario::{derive_seed, Scenario};
 pub use sink::{CsvSink, JsonSink};
 pub use telemetry::{

@@ -17,8 +17,8 @@ pub enum SeedMode {
     /// under axis reordering.
     Derived,
     /// The seed-axis value is passed to the simulation verbatim. Used by
-    /// the figure harness, which pins one historical seed across every
-    /// cell to reproduce the published tables bit-for-bit.
+    /// the figure harness, which pins [`PAPER_SEED`] across every cell to
+    /// reproduce the published tables bit-for-bit.
     Literal,
 }
 
@@ -472,7 +472,110 @@ impl ScenarioMatrix {
             .collect();
         ScenarioMatrix::replay(traces, SimulationConfig::tiny())
     }
+
+    /// The registered matrix called `name` (see [`MATRICES`]), or `None`
+    /// for a name the registry does not list.
+    pub fn named(name: &str) -> Option<Self> {
+        MATRICES.iter().find(|def| def.name == name).map(|def| (def.build)())
+    }
 }
+
+/// The literal seed of the paper's figure runs: every cell of the `paper`
+/// and `paper-tiered` matrices (and the figure harness) draws its arrivals
+/// from it, so the published tables reproduce bit-for-bit.
+pub const PAPER_SEED: u64 = 0x1b1c_a000;
+
+/// One entry of the named-matrix registry: the name a command line selects
+/// it by, a one-line description and its builder
+/// ([`ScenarioMatrix::named`] runs it).
+#[derive(Debug, Clone, Copy)]
+pub struct MatrixDef {
+    /// The registered name (`--matrix NAME`).
+    pub name: &'static str,
+    /// A one-line description with the cell count.
+    pub desc: &'static str,
+    build: fn() -> ScenarioMatrix,
+}
+
+/// Every named matrix, in listing order. [`ScenarioMatrix::named`] resolves
+/// names through this table, and help and `--list` text render from it.
+pub const MATRICES: [MatrixDef; 14] = [
+    MatrixDef {
+        name: "tiny",
+        desc: "4 workloads x 3 controllers x 3 seeds, tiny scale (36 cells)",
+        build: ScenarioMatrix::tiny,
+    },
+    MatrixDef {
+        name: "geometry",
+        desc: "cache-size sweep: 64/128/256 sets (27 cells)",
+        build: ScenarioMatrix::geometry,
+    },
+    MatrixDef {
+        name: "devices",
+        desc: "mid-range-SSD vs 7.2K-HDD disk subsystem (18 cells)",
+        build: ScenarioMatrix::devices,
+    },
+    MatrixDef {
+        name: "tiered",
+        desc: "flat vs 2-level vs 3-level cache hierarchy (27 cells)",
+        build: ScenarioMatrix::tiered,
+    },
+    MatrixDef {
+        name: "tier-policy",
+        desc: "per-tier write policies under WB/LBICA/LBICA-T (27 cells)",
+        build: ScenarioMatrix::tier_policy,
+    },
+    MatrixDef {
+        name: "inclusion",
+        desc: "exclusive vs inclusive two-level hierarchy (18 cells)",
+        build: ScenarioMatrix::inclusion,
+    },
+    MatrixDef {
+        name: "replacement",
+        desc: "LRU vs FIFO victim selection (18 cells)",
+        build: ScenarioMatrix::replacement,
+    },
+    MatrixDef {
+        name: "replay",
+        desc: "codec-round-tripped trace-replay cells (6 cells)",
+        build: ScenarioMatrix::replay_demo,
+    },
+    MatrixDef {
+        name: "zipf",
+        desc: "Zipfian block-popularity skew sweep: s=0.0/0.6/0.9/1.2 (12 cells)",
+        build: ScenarioMatrix::zipf,
+    },
+    MatrixDef {
+        name: "diurnal",
+        desc: "paper workloads flat vs day/night diurnal modulation (18 cells)",
+        build: ScenarioMatrix::diurnal,
+    },
+    MatrixDef {
+        name: "multi-tenant",
+        desc: "1/2/4-tenant interleaves of identical templates (9 cells)",
+        build: ScenarioMatrix::multi_tenant,
+    },
+    MatrixDef {
+        name: "paper-mt",
+        desc: "six-tenant paper mix, flat + two-tier (6 cells)",
+        build: ScenarioMatrix::paper_mt,
+    },
+    MatrixDef {
+        name: "paper",
+        desc: "the canonical figure matrix at published scale (9 cells, slow)",
+        build: || {
+            ScenarioMatrix::paper(WorkloadScale::harness(), SimulationConfig::harness(), PAPER_SEED)
+        },
+    },
+    MatrixDef {
+        name: "paper-tiered",
+        desc: "the figure matrix flat + two-level hot/QLC hierarchy (18 cells, slow)",
+        build: || {
+            let (scale, sim) = (WorkloadScale::harness(), SimulationConfig::harness());
+            ScenarioMatrix::paper_tiered(scale, sim, PAPER_SEED)
+        },
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -729,5 +832,45 @@ mod tests {
         assert_eq!(a.workload().name(), b.workload().name());
         assert_eq!(a.workload().replay_records().as_ptr(), shared);
         assert_eq!(b.workload().replay_records().as_ptr(), shared);
+    }
+
+    #[test]
+    fn every_registered_matrix_builds_nonempty() {
+        for def in &MATRICES {
+            let matrix = ScenarioMatrix::named(def.name)
+                .unwrap_or_else(|| panic!("matrix `{}` is not resolvable", def.name));
+            assert!(!matrix.is_empty(), "matrix `{}` is empty", def.name);
+        }
+        assert_eq!(ScenarioMatrix::named("paper-tiered").expect("registered").len(), 18);
+    }
+
+    #[test]
+    fn matrix_names_are_unique() {
+        for (i, a) in MATRICES.iter().enumerate() {
+            for b in &MATRICES[i + 1..] {
+                assert_ne!(a.name, b.name, "duplicate matrix name");
+            }
+        }
+    }
+
+    #[test]
+    fn unlisted_matrix_names_are_rejected() {
+        for name in ["", "no-such-matrix", "bogus", "Tiny", "paper_tiered", "smoke"] {
+            assert!(ScenarioMatrix::named(name).is_none(), "unlisted matrix `{name}` resolved");
+        }
+    }
+
+    #[test]
+    fn named_paper_tiered_is_the_hand_built_matrix() {
+        // perfbench builds this matrix by hand; the registry entry must
+        // name the same cells (the ids carry the seed).
+        let ids = |m: &ScenarioMatrix| m.cells().map(|c| c.id()).collect::<Vec<_>>();
+        let hand = ScenarioMatrix::paper_tiered(
+            WorkloadScale::harness(),
+            SimulationConfig::harness(),
+            PAPER_SEED,
+        );
+        let named = ScenarioMatrix::named("paper-tiered").expect("registered");
+        assert_eq!(ids(&named), ids(&hand));
     }
 }

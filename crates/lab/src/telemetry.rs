@@ -9,7 +9,7 @@
 //! none). Wall-clock readings flow exclusively into telemetry artifacts
 //! (the JSONL stream, the stderr progress lines), never into reports.
 //!
-//! The provided hooks cover the `sweep` binary's needs:
+//! The provided hooks cover `lbica-bench sweep`'s needs:
 //!
 //! * [`NullTelemetry`] — no-op default.
 //! * [`StderrProgress`] — the human-facing progress lines.
@@ -117,7 +117,7 @@ impl TelemetryHook for NullTelemetry {
     fn record(&self, _event: TelemetryEvent<'_>) {}
 }
 
-/// Human-facing progress lines on stderr, in the `sweep` binary's
+/// Human-facing progress lines on stderr, in `lbica-bench sweep`'s
 /// established format.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StderrProgress;

@@ -12,6 +12,7 @@ use proptest::prelude::*;
 
 use lbica_lab::{
     derive_seed, ControllerKind, CsvSink, JsonSink, Scenario, ScenarioMatrix, SweepExecutor,
+    PAPER_SEED,
 };
 use lbica_obs::SimObserver;
 use lbica_sim::{SimArena, SimulationConfig, SimulationReport};
@@ -231,7 +232,7 @@ fn distinct_streams(matrix: &ScenarioMatrix) -> u64 {
 #[test]
 fn a_sweep_through_one_arena_generates_each_stream_once() {
     let scale = WorkloadScale::tiny();
-    let literal = ScenarioMatrix::paper_tiered(scale, SimulationConfig::tiny(), 0x1b1c_a000);
+    let literal = ScenarioMatrix::paper_tiered(scale, SimulationConfig::tiny(), PAPER_SEED);
     let derived = ScenarioMatrix::new()
         .push_workload(WorkloadSpec::web_server_scaled(scale))
         .push_config("tiny", SimulationConfig::tiny())

@@ -15,8 +15,6 @@
 
 use lbica::lab::{Scenario, ScenarioMatrix};
 use lbica::obs::{validate, SimObserver};
-use lbica::sim::SimulationConfig;
-use lbica::trace::workload::WorkloadScale;
 
 const PAPER_CELL0: &str = include_str!("../figures/paper_cell0.trace.json");
 const TIER_POLICY_CELL11: &str = include_str!("../figures/tier_policy_cell11.trace.json");
@@ -29,11 +27,9 @@ fn observed_trace(cell: &Scenario) -> String {
 }
 
 /// Rebuilds the same trace `sweep --matrix paper --trace-cell 0` writes:
-/// the canonical paper matrix (`SuiteConfig::harness()` in `lbica-bench`),
-/// first cell.
+/// the registered canonical paper matrix, first cell.
 fn paper_cell0_trace() -> String {
-    let matrix =
-        ScenarioMatrix::paper(WorkloadScale::harness(), SimulationConfig::harness(), 0x1b1c_a000);
+    let matrix = ScenarioMatrix::named("paper").expect("`paper` is registered");
     let cell = matrix.cell(0).expect("the paper matrix is non-empty");
     assert_eq!(cell.id(), "tpcc/paper/WB/s454860800", "the canonical first cell moved");
     observed_trace(&cell)
@@ -42,7 +38,8 @@ fn paper_cell0_trace() -> String {
 /// Rebuilds the same trace `sweep --matrix tier-policy --trace-cell 11`
 /// writes.
 fn tier_policy_cell11_trace() -> String {
-    let cell = ScenarioMatrix::tier_policy().cell(11).expect("the tier-policy matrix has 27 cells");
+    let matrix = ScenarioMatrix::named("tier-policy").expect("`tier-policy` is registered");
+    let cell = matrix.cell(11).expect("the tier-policy matrix has 27 cells");
     assert_eq!(cell.id(), "mail-server/uniform-wb/LBICA-T/s0", "the pinned tiered cell moved");
     observed_trace(&cell)
 }
